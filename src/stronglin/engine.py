@@ -122,7 +122,7 @@ class AlgorithmSpec:
 
 @dataclass(frozen=True)
 class AdversaryPolicy:
-    """A scheduler of one of the four classes.
+    """A scheduler of one of the three classes.
 
     For ``oblivious`` the constant ``schedule`` is the whole policy.
     Otherwise ``make_decide()`` builds a per-run decide function from
@@ -137,7 +137,7 @@ class AdversaryPolicy:
     name: str = ""
 
     def __post_init__(self):
-        if self.klass not in ("oblivious", "weak", "strong", "offline"):
+        if self.klass not in ("oblivious", "weak", "strong"):
             raise ValueError(f"unknown adversary class {self.klass!r}")
         if self.klass == "oblivious":
             if self.make_decide is not None:
@@ -175,8 +175,7 @@ class RunView:
 
     Everything else here (finished set, marks, sees) is derived from
     that history plus knowledge of the algorithm, so exposing it adds
-    convenience, not power.  Offline adversaries additionally get the
-    full coin vector.
+    convenience, not power.
     """
 
     def __init__(self, sim: "Simulation"):
@@ -206,12 +205,6 @@ class RunView:
     @property
     def sees(self) -> set:
         return self._sim.sees
-
-    @property
-    def full_coin_vector(self) -> tuple | None:
-        if self._sim.klass == "offline":
-            return getattr(self._sim.coins, "vector", None)
-        return None
 
     def history(self) -> History:
         return self._sim.partial_history()
@@ -243,7 +236,12 @@ class _MethodState:
 
 
 class Simulation:
-    """Mutable state of one run; drive it with grant(pid)."""
+    """Mutable state of one run; drive it with grant(pid).
+
+    Point contention is kept incrementally: ``_active`` counts processes
+    that have taken a grant and not finished, ``_unfinished`` those not
+    finished, so a grant costs the same whatever the process count.
+    """
 
     def __init__(self, alg: AlgorithmSpec, coins, klass: str = "strong"):
         self.alg = alg
@@ -259,6 +257,7 @@ class Simulation:
         self.grants: list[int] = []
         self.flags: set = set()
         self.max_contention = 0
+        self._active = 0
         self.flip_count = 0
         self._next_oid = 0
         self.targets: dict[str, tuple] = {}
@@ -294,6 +293,7 @@ class Simulation:
             for p in alg.processes
         }
         self.procs = {p: _ProcState(alg.make_program(p)) for p in alg.processes}
+        self._unfinished = len(self.procs)
         for p, rt in self.procs.items():
             self._advance_program(p, None, first=True)
 
@@ -310,7 +310,7 @@ class Simulation:
     # -- stepping ------------------------------------------------------------
 
     def all_finished(self) -> bool:
-        return all(rt.finished for rt in self.procs.values())
+        return self._unfinished == 0
 
     def live_pids(self) -> tuple[int, ...]:
         return tuple(p for p in self.alg.processes if not self.procs[p].finished)
@@ -322,9 +322,11 @@ class Simulation:
         if rt.finished:
             raise EngineError(f"adversary scheduled halted process {pid}")
         self.grants.append(pid)
-        rt.started = True
-        active = sum(1 for q in self.procs.values() if q.started and not q.finished)
-        self.max_contention = max(self.max_contention, active)
+        if not rt.started:
+            rt.started = True
+            self._active += 1
+            if self._active > self.max_contention:
+                self.max_contention = self._active
         if rt.method is not None:
             self._method_step(pid)
             return
@@ -351,6 +353,10 @@ class Simulation:
             rt.finished = True
             rt.retval = stop.value
             rt.pending = None
+            self._unfinished -= 1
+            # A program may return before its first grant.
+            if rt.started:
+                self._active -= 1
 
     def _start_method(self, pid: int, key: str, op: str, args: tuple) -> None:
         _kind, toid, impl, state, (ialloc, owned) = self.targets[key]

@@ -872,6 +872,12 @@ def _phi_row(
 
 def _loadbalance_report(cfg: ExperimentConfig) -> Report:
     n = cfg.n
+    if n < 1:
+        raise ExperimentError(f"loadbalance needs at least one process, got {n}")
+    if cfg.trials < 1:
+        raise ExperimentError(
+            f"loadbalance needs at least one trial, got {cfg.trials}"
+        )
     if isqrt(n) ** 2 != n:
         raise ExperimentError(f"loadbalance needs a square process count, got {n}")
     k_max = k_max_for(n, cfg.delta)

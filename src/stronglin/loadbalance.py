@@ -110,13 +110,6 @@ def fai_return(rec: RunRecord, q: int) -> int | None:
     return None
 
 
-def _fai_done_index(steps, q: int) -> int | None:
-    for k, s in enumerate(steps):
-        if s.kind == RSP and s.process == q and s.op == "fetch_inc":
-            return k
-    return None
-
-
 @dataclass(frozen=True)
 class ApReport:
     """What the two-phase adversary saw, reconstructed from the history."""
@@ -173,14 +166,10 @@ def ap_run_report(rec: RunRecord, p: int) -> ApReport:
     visible = p in dict(state.marks).values()
     writers = frozenset(q for q in group if first[q][1].op == "write")
     sees_target = frozenset(q for (q, x) in state.sees if x == p)
-    accesses = {
-        q: sum(
-            1
-            for s in prefix.steps
-            if _is_shared_access(s, objects) and s.process == q
-        )
-        for q in group
-    }
+    accesses = dict.fromkeys(group, 0)
+    for s in prefix.steps:
+        if s.process in accesses and _is_shared_access(s, objects):
+            accesses[s.process] += 1
     return ApReport(
         target=p,
         i_star=i_star,
@@ -238,14 +227,12 @@ def _assert_helper_bound(rec: RunRecord, report: ApReport) -> None:
             # registers; with other base primitives a process can learn
             # about p without ever being recorded as seeing it.
             return
-    finishers = {
-        q
-        for q in report.counter_of
-        if report.counter_of[q] == i_star
-        and fai_return(rec, q) is not None
-        and q != p
-    }
-    if fai_return(rec, p) is None:
+    fai: dict[int, int] = {}
+    for s in steps:
+        if s.kind == RSP and s.op == "fetch_inc" and s.process not in fai:
+            fai[s.process] = s.payload
+    finishers = {q for q in report.stalled_group if q in fai and q != p}
+    if p not in fai:
         return
     dec_invoked = any(
         s.op == "fetch_dec"
@@ -261,7 +248,7 @@ def _assert_helper_bound(rec: RunRecord, report: ApReport) -> None:
     )
     if outside_seen:
         return
-    got = fai_return(rec, p)
+    got = fai[p]
     if got < len(finishers):
         raise EngineError(
             f"certified run returned {got} < |P| = {len(finishers)}"
@@ -391,11 +378,14 @@ def solo_sequential_policy(n: int) -> AdversaryPolicy:
     """Processes run one after the other, each to completion."""
 
     def make_decide():
+        # Finished processes stay finished, so the cursor never moves back.
+        cur = 0
+
         def decide(view):
-            for q in range(n):
-                if not view.finished(q):
-                    return q
-            return None
+            nonlocal cur
+            while cur < n and view.finished(cur):
+                cur += 1
+            return cur if cur < n else None
 
         return decide
 
@@ -413,10 +403,13 @@ def stagger_policy(n: int, batch: int) -> AdversaryPolicy:
 
     def make_decide():
         pos = 0
+        # Earlier batches are all finished and stay so; only the current
+        # one is rescanned.
+        start = 0
 
         def decide(view):
-            nonlocal pos
-            for start in range(0, n, batch):
+            nonlocal pos, start
+            while start < n:
                 alive = [
                     q for q in range(start, min(start + batch, n))
                     if not view.finished(q)
@@ -424,6 +417,7 @@ def stagger_policy(n: int, batch: int) -> AdversaryPolicy:
                 if alive:
                     pos += 1
                     return alive[pos % len(alive)]
+                start += batch
             return None
 
         return decide
@@ -487,7 +481,9 @@ def estimate_phi(
     policy for that target, and score the target's fetch&inc return, or
     0 when contention exceeded k_max or the call never finished.  Runs
     under the two-phase adversary are additionally certified against its
-    structural invariants.  Deterministic given (alg, family, seed).
+    structural invariants, unless the run exhausted its budget (the
+    estimate is then flagged and the truncated run proves nothing).
+    Deterministic given (alg, family, seed).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -515,7 +511,7 @@ def estimate_phi(
             x = 0
         elif cont > k_max:
             x = 0
-        if adv.name.startswith("A_p"):
+        if adv.name.startswith("A_p") and "budget-exhausted" not in rec.flags:
             assert_ap_invariants(rec, target)
         xs.append(x)
     mean = sum(xs) / trials

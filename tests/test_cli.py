@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through click's test runner."""
 
+import hashlib
 import json
 
 import pytest
@@ -41,9 +42,46 @@ def test_experiment_unknown_name_is_usage_error(runner):
     assert "strong-lin-suite" in result.output
 
 
-def test_experiment_bad_loadbalance_n_is_usage_error(runner):
-    result = runner.invoke(main, ["experiment", "loadbalance", "--n", "10"])
+@pytest.mark.parametrize("n", [10, 0, -4])
+def test_experiment_bad_loadbalance_n_is_usage_error(runner, n):
+    result = runner.invoke(main, ["experiment", "loadbalance", "--n", str(n)])
     assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: loadbalance needs" in result.output
+
+
+def test_experiment_zero_loadbalance_trials_is_usage_error(runner):
+    result = runner.invoke(main, ["experiment", "loadbalance", "--trials", "0"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: loadbalance needs at least one trial" in result.output
+
+
+def test_budget_exhausted_loadbalance_rows_are_inconclusive(runner):
+    result = runner.invoke(
+        main,
+        ["experiment", "loadbalance", "--budget", "5", "--trials", "3",
+         "--format", "json"],
+    )
+    assert result.exit_code == 1
+    rows = json.loads(result.output)["rows"]
+    assert len(rows) == 6
+    assert {r["verdict"] for r in rows} == {"inconclusive"}
+
+
+def test_loadbalance_report_bytes_are_pinned(runner):
+    # Any change to the engine, the adversaries, the certifier or the
+    # estimator that alters a single trial changes these bytes.
+    result = runner.invoke(
+        main,
+        ["experiment", "loadbalance", "--n", "64", "--trials", "40",
+         "--seed", "0"],
+    )
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == (
+        "339e91cedd0c713666b265a162d5cc784e26f2dc552ff8148c34e62ccade8a8d"
+    )
 
 
 def test_experiment_threads_must_be_positive(runner):

@@ -399,3 +399,92 @@ def test_interpret_of_engine_run_is_well_formed_and_atomicizes():
     assert all(s.level == INTERPRETED for s in g.steps)
     ops = g.operations()
     assert sorted(o.ret for o in ops if o.complete) == [0, 1]
+
+
+def mixed_alg():
+    """Four processes: one returns before any action, one flips then
+    increments an implemented counter, one reads a register twice, one
+    increments then writes."""
+
+    def prog(p):
+        def idle():
+            return "idle"
+            yield  # pragma: no cover
+
+        def flipper():
+            c = yield ("flip",)
+            v = yield ("invoke", "C", "fetch_inc", ())
+            return (c, v)
+
+        def reader():
+            a = yield ("invoke", "R", "read", ())
+            b = yield ("invoke", "R", "read", ())
+            return (a, b)
+
+        def bumper():
+            v = yield ("invoke", "C", "fetch_inc", ())
+            yield ("invoke", "R", "write", (v,))
+            return v
+
+        return (idle, flipper, reader, bumper)[p]()
+
+    return AlgorithmSpec(
+        (0, 1, 2, 3),
+        (Binding("C", impl=llsc_strong_counter()), Binding("R", spec=register_spec(0))),
+        prog,
+        omega=(0, 1),
+    )
+
+
+def contention_from_history(rec):
+    """Point contention recomputed from the recorded steps alone.
+
+    Each process that took a step spans [its first step, its last step];
+    a process that never finished stays inside its program until the end
+    of the run.  The answer is the most spans covering one step index.
+    """
+    steps = rec.history.steps
+    first: dict = {}
+    last: dict = {}
+    for i, s in enumerate(steps):
+        first.setdefault(s.process, i)
+        last[s.process] = i
+    end = len(steps) - 1
+    spans = [(first[q], last[q] if q in rec.returns else end) for q in first]
+    return max(
+        (sum(1 for a, b in spans if a <= i <= b) for i in range(len(steps))),
+        default=0,
+    )
+
+
+@given(
+    alg_name=st.sampled_from(["mixed", "counter-flip", "race"]),
+    klass=st.sampled_from(["strong", "weak"]),
+    choices=st.lists(st.integers(0, 5), max_size=40),
+    coin_bits=st.integers(0, 15),
+)
+@settings(max_examples=300, deadline=None)
+def test_point_contention_matches_history_oracle(alg_name, klass, choices, coin_bits):
+    alg = {
+        "mixed": mixed_alg,
+        "counter-flip": counter_flip_alg,
+        "race": lambda: counter_race_alg(impl=True, nproc=3),
+    }[alg_name]()
+    coins = tuple((coin_bits >> i) & 1 for i in range(4))
+
+    def make_decide():
+        it = iter(choices)
+
+        def decide(view):
+            live = view.live()
+            i = next(it, None)
+            if not live or i is None:
+                return None
+            return live[i % len(live)]
+
+        return decide
+
+    rec = run(alg, AdversaryPolicy(klass, make_decide=make_decide), VectorCoins(coins))
+    assert rec.max_point_contention == contention_from_history(rec)
+    if alg_name == "mixed":
+        assert rec.returns[0] == "idle"

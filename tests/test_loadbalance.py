@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stronglin.engine import PerProcessCoins, run
-from stronglin.histories import check_well_formed
+from stronglin.engine import AdversaryPolicy, PerProcessCoins, run
+from stronglin.histories import BASE, RSP, check_well_formed
 from stronglin.loadbalance import (
     adversary_ap,
     ap_run_report,
@@ -113,6 +113,74 @@ def test_ap_invariants_hold_on_random_runs(kind, flips, p):
     report = assert_ap_invariants(rec, p)
     assert rec.max_point_contention <= len(report.stalled_group) + 1
     assert fai_return(rec, p) is not None
+    # Brute-force recount of shared accesses up to configuration C.
+    objects = rec.history.objects
+    prefix = rec.history.steps[: report.config_index + 1]
+    recount = {
+        q: sum(
+            1
+            for s in prefix
+            if s.process == q
+            and s.kind == RSP
+            and s.level == BASE
+            and objects[s.obj].type_name != "coin"
+        )
+        for q in report.stalled_group
+    }
+    assert report.accesses_at_config == recount
+
+
+def rescanning_solo_sequential(n):
+    """Reference schedule: scan every process on every decide."""
+
+    def make_decide():
+        def decide(view):
+            return next((q for q in range(n) if not view.finished(q)), None)
+
+        return decide
+
+    return AdversaryPolicy("weak", make_decide=make_decide)
+
+
+def rescanning_stagger(n, batch):
+    """Reference schedule: scan every batch on every decide."""
+
+    def make_decide():
+        pos = 0
+
+        def decide(view):
+            nonlocal pos
+            for start in range(0, n, batch):
+                alive = [
+                    q for q in range(start, min(start + batch, n))
+                    if not view.finished(q)
+                ]
+                if alive:
+                    pos += 1
+                    return alive[pos % len(alive)]
+            return None
+
+        return decide
+
+    return AdversaryPolicy("weak", make_decide=make_decide)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["atomic", "llsc", "writefirst"]),
+    flips=st.lists(st.integers(0, 3), min_size=16, max_size=16),
+    batch=st.integers(1, 7),
+)
+def test_cursor_schedules_match_rescanning_reference(kind, flips, batch):
+    alg = loadbalance_algorithm(16, kind)
+    pairs = [
+        (solo_sequential_policy(16), rescanning_solo_sequential(16)),
+        (stagger_policy(16, batch), rescanning_stagger(16, batch)),
+    ]
+    for fast, ref in pairs:
+        a = run(alg, fast, PerProcessCoins({q: (flips[q],) for q in range(16)}))
+        b = run(alg, ref, PerProcessCoins({q: (flips[q],) for q in range(16)}))
+        assert a == b, fast.name
 
 
 def test_ap_report_matches_flip_assignment():
