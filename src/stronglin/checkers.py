@@ -19,6 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
 from .histories import (
@@ -33,9 +34,13 @@ from .histories import (
     SeqSpec,
     Step,
     TimedExecution,
-    _decode_payload,
-    _encode_payload,
+    _dumps,
+    _fields,
     interpret,
+    objects_doc,
+    objects_from_doc,
+    step_doc,
+    step_from_doc,
 )
 from .objects import (
     cas_spec,
@@ -71,6 +76,26 @@ def _is_flip_step(objects: Mapping[int, ObjectInfo], s: Step) -> bool:
 # ---------------------------------------------------------------------------
 # History trees
 # ---------------------------------------------------------------------------
+
+
+def _check_branches(
+    objects: Mapping[int, ObjectInfo],
+    nodes: Mapping[int, "TreeNode"],
+    children: Mapping[int, list[int]],
+) -> None:
+    # Runs of one strong adversary diverge only at a flip response.
+    for nid, kids in children.items():
+        if len(kids) > 1:
+            steps = [nodes[c].step for c in kids]
+            heads = {(s.process, s.obj, s.op, s.kind) for s in steps}
+            if len(heads) != 1 or not all(
+                s.is_rsp() and _is_flip_step(objects, s) for s in steps
+            ):
+                raise TreeError(
+                    f"node {nid} branches on something other than a flip response"
+                )
+            if len({s.payload for s in steps}) != len(steps):
+                raise TreeError(f"node {nid} has duplicate branch outcomes")
 
 
 @dataclass(frozen=True)
@@ -174,29 +199,12 @@ class HistoryTree:
                 raise TreeError("runs disagree on processes or objects")
         nodes = {0: TreeNode(0, None, None)}
         children: dict[int, list[int]] = {0: []}
+        edge: dict[tuple[int, Step], int] = {}
         for h in hists:
             cur = 0
             for s in h.steps:
-                nxt = None
-                for ch in children[cur]:
-                    if nodes[ch].step == s:
-                        nxt = ch
-                        break
+                nxt = edge.get((cur, s))
                 if nxt is None:
-                    siblings = children[cur]
-                    if siblings:
-                        older = nodes[siblings[0]].step
-                        ok = (
-                            s.is_rsp()
-                            and older.is_rsp()
-                            and _is_flip_step(objects, s)
-                            and (older.process, older.obj, older.op)
-                            == (s.process, s.obj, s.op)
-                        )
-                        if not ok:
-                            raise TreeError(
-                                "runs diverge at a step that is not a flip response"
-                            )
                     nxt = len(nodes)
                     outcome = (
                         s.payload
@@ -206,7 +214,9 @@ class HistoryTree:
                     nodes[nxt] = TreeNode(nxt, cur, s, outcome)
                     children[nxt] = []
                     children[cur].append(nxt)
+                    edge[(cur, s)] = nxt
                 cur = nxt
+        _check_branches(objects, nodes, children)
         tree = cls(processes, objects, nodes, children)
         if omega is not None:
             want = sorted(omega)
@@ -226,92 +236,48 @@ class HistoryTree:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TreeError(f"bad tree JSON: {exc}") from None
-        objects = {
-            int(oid): ObjectInfo(
-                entry["type"],
-                entry["level"],
-                tuple((k, _decode_payload(v)) for k, v in entry["params"].items()),
-                entry.get("impl"),
-            )
-            for oid, entry in doc.get("objects", {}).items()
-        }
-        processes = tuple(doc.get("processes", ()))
-        raw = doc.get("nodes", [])
-        if not raw:
-            return cls(processes, objects, {0: TreeNode(0, None, None)}, {0: []})
+        processes, objects, raw = _fields(doc, ("processes", "objects", "nodes"), "tree")
+        objects = objects_from_doc(objects)
+        # a tree without nodes is the root alone
+        raw = raw or [{"id": 0, "parent": None, "step": None}]
         nodes: dict[int, TreeNode] = {}
         children: dict[int, list[int]] = {}
         for rec in raw:
-            nid, parent = rec["id"], rec["parent"]
+            nid, parent, sd = _fields(rec, ("id", "parent", "step"), "tree node")
             if nid in nodes:
                 raise TreeError(f"duplicate node id {nid}")
             if parent is None:
                 step = None
-                if rec.get("step") is not None or nodes:
+                if sd is not None or nodes:
                     raise TreeError("root must come first and carry no step")
             else:
                 if parent not in nodes or parent >= nid:
                     raise TreeError(f"node {nid}: tree is not prefix-closed")
-                sd = rec["step"]
-                step = Step(
-                    sd["kind"],
-                    sd["process"],
-                    sd["object"],
-                    sd["op"],
-                    _decode_payload(sd["payload"]),
-                    sd["level"],
-                )
+                step = step_from_doc(sd)
             nodes[nid] = TreeNode(nid, parent, step, rec.get("coin_outcome"))
             children[nid] = []
             if parent is not None:
                 children[parent].append(nid)
-        for nid, kids in children.items():
-            if len(kids) > 1:
-                steps = [nodes[c].step for c in kids]
-                heads = {(s.process, s.obj, s.op, s.kind) for s in steps}
-                if len(heads) != 1 or not all(
-                    s.is_rsp() and _is_flip_step(objects, s) for s in steps
-                ):
-                    raise TreeError(
-                        f"node {nid} branches on something other than a flip response"
-                    )
-                if len({s.payload for s in steps}) != len(steps):
-                    raise TreeError(f"node {nid} has duplicate branch outcomes")
-        return cls(processes, objects, nodes, children)
+        _check_branches(objects, nodes, children)
+        return cls(tuple(processes), objects, nodes, children)
 
     def to_json(self) -> str:
         doc = {
             "processes": list(self.processes),
-            "objects": {
-                str(oid): {
-                    "type": info.type_name,
-                    "level": info.level,
-                    "params": {k: _encode_payload(v) for k, v in info.params},
-                    "impl": info.impl,
-                }
-                for oid, info in sorted(self.objects.items())
-            },
+            "objects": objects_doc(self.objects),
             "nodes": [
                 self._node_json(self._nodes[nid]) for nid in self.node_ids()
             ],
         }
-        return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
+        return _dumps(doc)
 
     @staticmethod
     def _node_json(node: TreeNode) -> dict:
-        rec: dict[str, Any] = {"id": node.node_id, "parent": node.parent}
-        if node.step is None:
-            rec["step"] = None
-        else:
-            s = node.step
-            rec["step"] = {
-                "kind": s.kind,
-                "process": s.process,
-                "object": s.obj,
-                "op": s.op,
-                "payload": _encode_payload(s.payload),
-                "level": s.level,
-            }
+        rec: dict[str, Any] = {
+            "id": node.node_id,
+            "parent": node.parent,
+            "step": None if node.step is None else step_doc(node.step),
+        }
         if node.coin_outcome is not None:
             rec["coin_outcome"] = node.coin_outcome
         return rec
@@ -348,25 +314,13 @@ Witness = Mapping[int, tuple[ImageOp, ...]]
 
 def render_witness(tree: HistoryTree, witness: Witness) -> str:
     """Witness interchange: JSON map node id -> sequential step list."""
-    doc = {}
-    for nid in tree.node_ids():
-        hist = tree.history_of(nid)
-        steps = []
-        for e in witness[nid]:
-            lvl = hist.steps[e.inv_index].level
-            for kind, payload in ((INV, e.args), (RSP, e.ret)):
-                steps.append(
-                    {
-                        "kind": kind,
-                        "process": e.process,
-                        "object": e.obj,
-                        "op": e.op,
-                        "payload": _encode_payload(payload),
-                        "level": lvl,
-                    }
-                )
-        doc[str(nid)] = steps
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
+    doc = {
+        str(nid): [
+            step_doc(s) for s in image_history(tree.history_of(nid), witness[nid]).steps
+        ]
+        for nid in tree.node_ids()
+    }
+    return _dumps(doc)
 
 
 def _spec_for(specs: Mapping[int, SeqSpec], oid: int) -> SeqSpec:
@@ -412,26 +366,92 @@ def default_specs(
 # ---------------------------------------------------------------------------
 
 
-def _sequential_history(h: History, entries: tuple[ImageOp, ...]) -> History:
-    steps = []
-    for e in entries:
+def image_history(h: History, image: tuple[ImageOp, ...]) -> History:
+    """The image as a sequential history over ``h``'s registries.
+
+    Each operation keeps the level of its invocation in ``h``.
+    """
+    steps: list[Step] = []
+    for e in image:
         lvl = h.steps[e.inv_index].level
         steps.append(Step(INV, e.process, e.obj, e.op, e.args, lvl))
         steps.append(Step(RSP, e.process, e.obj, e.op, e.ret, lvl))
     return History(tuple(steps), h.processes, h.objects)
 
 
-def image_history(h: History, image: tuple[ImageOp, ...]) -> History:
-    """The image as a sequential history over ``h``'s registries."""
-    return _sequential_history(h, tuple(image))
+#: The response slot of a pending candidate: the replay supplies it.
+_REPLAYED = object()
+
+
+def _linearizations(
+    ops: list[tuple[Any, Any, OperationInstance, Any]],
+    preds: Mapping[Any, frozenset],
+    need: frozenset,
+    spec_of: Callable[[Any], SeqSpec],
+    states0: Mapping[Any, Any],
+) -> Iterator[tuple[tuple[ImageOp, ...], dict]]:
+    """Every replay-valid commit order, with the object states it ends in.
+
+    The one commit search: ``ops`` lists (key, spec key, operation,
+    response) candidates, tried in that order at every position.  A
+    candidate may commit once all of ``preds[key]`` has; stepping the
+    spec of its spec key must then reproduce the response, or, for a
+    pending candidate (response _REPLAYED), supplies it (ANY_RESPONSE
+    rules the candidate out: a coin's outcome is not derivable).  Each
+    order ends as soon as it covers ``need``.  A (committed, states)
+    pair is recorded dead only when nothing below it yielded, so the
+    memo changes neither what is yielded nor its order.
+    """
+    dead: set = set()
+
+    def extend(committed: frozenset, states: dict, acc: tuple):
+        if need <= committed:
+            yield acc, states
+            return
+        sig = (committed, tuple(sorted(states.items())))
+        if sig in dead:
+            return
+        found = False
+        for key, skey, op, want in ops:
+            if key in committed or not preds[key] <= committed:
+                continue
+            spec = spec_of(skey)
+            state = states.get(skey, spec.initial_state)
+            state2, resp = spec.transition(state, op.op, op.args, op.process)
+            if want is _REPLAYED:
+                if resp is ANY_RESPONSE:
+                    continue
+                ret = resp
+            elif resp is ANY_RESPONSE or resp == want:
+                ret = want
+            else:
+                continue
+            entry = ImageOp(op.process, op.inv_index, op.obj, op.op, op.args, ret)
+            nstates = {**states, skey: state2}
+            for got in extend(committed | {key}, nstates, acc + (entry,)):
+                found = True
+                yield got
+        if not found:
+            dead.add(sig)
+
+    yield from extend(frozenset(), dict(states0), ())
+
+
+def _candidates(ops: list[OperationInstance]) -> list[tuple]:
+    # Operations of one history, keyed by the index of their invocation.
+    return [(o.inv_index, o.obj, o, o.ret if o.complete else _REPLAYED) for o in ops]
+
+
+def _preds(ops: list[OperationInstance]) -> dict[int, frozenset]:
+    return {o.inv_index: frozenset(q.inv_index for q in ops if _hb(q, o)) for o in ops}
 
 
 def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
     """One linearization of an interpreted history, or None.
 
     All completed operations must appear; pending ones may be committed
-    with replay-derived responses when that helps.  Incremental commit
-    search, memoized on (committed set, object states); sound and
+    with replay-derived responses when that helps.  The first order the
+    commit search yields, completed operations tried first; sound and
     complete at the sizes this artifact deals in.
     """
     ops = h.operations()
@@ -441,91 +461,17 @@ def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
         if op.complete or h.objects[op.obj].type_name != "coin"
     ]
     eligible.sort(key=lambda o: (o.complete is False, o.process, o.inv_index))
-    need = frozenset(
-        (op.process, op.inv_index) for op in ops if op.complete
+    need = frozenset(op.inv_index for op in ops if op.complete)
+    orders = _linearizations(
+        _candidates(eligible), _preds(eligible), need, partial(_spec_for, specs), {}
     )
-    preds = {
-        (op.process, op.inv_index): frozenset(
-            (q.process, q.inv_index) for q in eligible if _hb(q, op)
-        )
-        for op in eligible
-    }
-    dead: set = set()
-
-    def search(committed: frozenset, states: dict, acc: tuple):
-        if need <= committed:
-            return acc
-        sig = (committed, tuple(sorted(states.items())))
-        if sig in dead:
-            return None
-        for op in eligible:
-            k = (op.process, op.inv_index)
-            if k in committed or not preds[k] <= committed:
-                continue
-            spec = _spec_for(specs, op.obj)
-            state = states.get(op.obj, spec.initial_state)
-            state2, resp = spec.transition(state, op.op, op.args, op.process)
-            if op.complete:
-                if resp is not ANY_RESPONSE and resp != op.ret:
-                    continue
-                ret = op.ret
-            else:
-                if resp is ANY_RESPONSE:
-                    continue
-                ret = resp
-            entry = ImageOp(op.process, op.inv_index, op.obj, op.op, op.args, ret)
-            nstates = dict(states)
-            nstates[op.obj] = state2
-            found = search(committed | {k}, nstates, acc + (entry,))
-            if found is not None:
-                return found
-        dead.add(sig)
-        return None
-
-    got = search(frozenset(), {}, ())
-    return None if got is None else _sequential_history(h, got)
+    found = next(orders, None)
+    return None if found is None else image_history(h, found[0])
 
 
 # ---------------------------------------------------------------------------
 # Strong linearization witnesses over trees
 # ---------------------------------------------------------------------------
-
-
-def _valid_orderings(
-    chosen: list[OperationInstance],
-    states0: dict,
-    specs: Mapping[int, SeqSpec],
-) -> Iterator[tuple[tuple[ImageOp, ...], dict]]:
-    # Every happens-before-respecting, replay-valid sequence over `chosen`,
-    # lexicographically by (process, invocation index).
-    chosen = sorted(chosen, key=lambda o: (o.process, o.inv_index))
-
-    def place(remaining, acc, states):
-        if not remaining:
-            yield tuple(acc), states
-            return
-        for op in remaining:
-            if any(q is not op and _hb(q, op) for q in remaining):
-                continue
-            spec = _spec_for(specs, op.obj)
-            state = states.get(op.obj, spec.initial_state)
-            state2, resp = spec.transition(state, op.op, op.args, op.process)
-            if op.complete:
-                if resp is not ANY_RESPONSE and resp != op.ret:
-                    continue
-                ret = op.ret
-            else:
-                if resp is ANY_RESPONSE:
-                    continue
-                ret = resp
-            entry = ImageOp(op.process, op.inv_index, op.obj, op.op, op.args, ret)
-            nstates = dict(states)
-            nstates[op.obj] = state2
-            yield from place(
-                [q for q in remaining if q is not op], acc + [entry], nstates
-            )
-
-    yield from place(chosen, [], dict(states0))
 
 
 def _image_extensions(
@@ -541,39 +487,38 @@ def _image_extensions(
     uncommitted ops are mandatory, pending ones optional (coins are
     never committed early, their outcome is not derivable).
     """
-    hist = tree.history_of(nid)
-    by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
-    for e in parent_img:
-        op = by_key[e.key]
-        if op.complete and op.ret != e.ret:
-            return  # a guessed response for a pending op turned out wrong
-    committed = {e.key for e in parent_img}
+    committed = {e.key: e.ret for e in parent_img}
     must, may = [], []
     for op in tree.ops_of(nid):
-        if (op.process, op.inv_index) in committed:
-            continue
-        if op.complete:
+        key = (op.process, op.inv_index)
+        if key in committed:
+            if op.complete and op.ret != committed[key]:
+                return  # a guessed response for a pending op turned out wrong
+        elif op.complete:
             must.append(op)
-        elif hist.objects[op.obj].type_name != "coin":
+        elif tree.objects[op.obj].type_name != "coin":
             may.append(op)
     may.sort(key=lambda o: (o.process, o.inv_index))
+    preds = _preds(must + may)
+    spec_of = partial(_spec_for, specs)
     for size in range(len(may) + 1):
         for extra in itertools.combinations(may, size):
-            for ext, states in _valid_orderings(
-                must + list(extra), parent_states, specs
+            chosen = sorted(must + list(extra), key=lambda o: (o.process, o.inv_index))
+            need = frozenset(o.inv_index for o in chosen)
+            for ext, states in _linearizations(
+                _candidates(chosen), preds, need, spec_of, parent_states
             ):
                 yield parent_img + ext, states
 
 
 class _Frame:
-    __slots__ = ("nid", "exts", "img", "states", "child_i", "results")
+    __slots__ = ("nid", "exts", "img", "kids", "results")
 
     def __init__(self, nid, exts):
         self.nid = nid
         self.exts = exts
         self.img = None
-        self.states = None
-        self.child_i = 0
+        self.kids: Iterator[_Frame] = iter(())
         self.results: dict = {}
 
 
@@ -600,44 +545,38 @@ def check_strong_lin(
                 f"node {nid} has {pending} pending operations, cap is {pending_cap}"
             )
 
-    def fresh(nid, pimg, pstates):
-        return _Frame(nid, _image_extensions(tree, nid, pimg, pstates, specs))
-
-    def admits(nid, img, states):
-        probe = _image_extensions(tree, nid, img, states, specs)
-        return next(probe, None) is not None
-
-    frames = [fresh(tree.root, (), {})]
+    frames = [_Frame(tree.root, _image_extensions(tree, tree.root, (), {}, specs))]
     while frames:
         f = frames[-1]
         if f.img is None:
-            drawn = next(f.exts, None)
-            while drawn is not None:
-                img, states = drawn
-                if all(admits(c, img, states) for c in tree.children(f.nid)):
+            for img, states in f.exts:
+                # Keep each child's generator, with the image drawn to
+                # probe it put back in front.
+                kids = []
+                for c in tree.children(f.nid):
+                    exts = _image_extensions(tree, c, img, states, specs)
+                    first = next(exts, None)
+                    if first is None:
+                        break
+                    kids.append(_Frame(c, itertools.chain((first,), exts)))
+                else:
+                    f.img, f.kids, f.results = img, iter(kids), {}
                     break
-                drawn = next(f.exts, None)
-            if drawn is None:
+            else:
                 frames.pop()
                 if not frames:
                     return None
                 frames[-1].img = None
-                frames[-1].results = {}
                 continue
-            f.img, f.states = drawn
-            f.child_i = 0
-            f.results = {}
-        kids = tree.children(f.nid)
-        if f.child_i < len(kids):
-            frames.append(fresh(kids[f.child_i], f.img, f.states))
+        kid = next(f.kids, None)
+        if kid is not None:
+            frames.append(kid)
             continue
-        solved = {f.nid: f.img}
-        solved.update(f.results)
+        solved = {f.nid: f.img, **f.results}
         frames.pop()
         if not frames:
             return solved
         frames[-1].results.update(solved)
-        frames[-1].child_i += 1
     return None
 
 
@@ -1093,7 +1032,7 @@ def common_linearization(
     immediately.  Otherwise the same commit search as linearize_one
     runs against the union of both happens-before orders.
     """
-    items = []
+    cands, pairs = [], []
     for p in sorted(set(h1.processes) | set(h2.processes)):
         l1 = [o for o in h1.operations() if o.process == p]
         l2 = [o for o in h2.operations() if o.process == p]
@@ -1115,7 +1054,8 @@ def common_linearization(
                 return None
             if not rets and k1[0] == "coin":
                 continue
-            items.append((o1, o2, k1, rets[0] if rets else None, bool(rets)))
+            cands.append((o1.inv_index, k1, o1, rets[0] if rets else _REPLAYED))
+            pairs.append((o1, o2))
 
     def spec_of(key: tuple) -> SeqSpec:
         if key[0] == "coin":
@@ -1125,47 +1065,15 @@ def common_linearization(
             raise CheckerError(f"no specification for program object {key[1]!r}")
         return spec
 
-    preds: list[frozenset] = []
-    for o1, o2, _k, _r, _m in items:
-        ps = set()
-        for m, (q1, q2, _k2, _r2, _m2) in enumerate(items):
-            if _hb(q1, o1) or _hb(q2, o2):
-                ps.add(m)
-        preds.append(frozenset(ps))
-    need = frozenset(n for n, it in enumerate(items) if it[4])
-    dead: set = set()
-
-    def search(committed: frozenset, states: dict, acc: tuple):
-        if need <= committed:
-            return acc
-        sig = (committed, tuple(sorted(states.items())))
-        if sig in dead:
-            return None
-        for n, (o1, _o2, key, ret, must) in enumerate(items):
-            if n in committed or not preds[n] <= committed:
-                continue
-            spec = spec_of(key)
-            state = states.get(key, spec.initial_state)
-            state2, resp = spec.transition(state, o1.op, o1.args, o1.process)
-            if must:
-                if resp is not ANY_RESPONSE and resp != ret:
-                    continue
-                got = ret
-            else:
-                if resp is ANY_RESPONSE:
-                    continue
-                got = resp
-            entry = ImageOp(o1.process, o1.inv_index, o1.obj, o1.op, o1.args, got)
-            nstates = dict(states)
-            nstates[key] = state2
-            found = search(committed | {n}, nstates, acc + (entry,))
-            if found is not None:
-                return found
-        dead.add(sig)
-        return None
-
-    got = search(frozenset(), {}, ())
-    return None if got is None else _sequential_history(h1, got)
+    preds = {
+        o1.inv_index: frozenset(
+            q1.inv_index for q1, q2 in pairs if _hb(q1, o1) or _hb(q2, o2)
+        )
+        for o1, o2 in pairs
+    }
+    need = frozenset(key for key, _k, _o, ret in cands if ret is not _REPLAYED)
+    found = next(_linearizations(cands, preds, need, spec_of, {}), None)
+    return None if found is None else image_history(h1, found[0])
 
 
 def check_equivalence(

@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 when every claim checks out (or the input linearizes),
-1 when a claim fails or no witness exists, 2 on usage errors.
+1 when any row is not ``ok`` (``fail`` or ``inconclusive``) or no
+linearization/witness exists, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .experiments import (
     drain_policy,
     run_named_experiment,
 )
-from .histories import HistoryError, from_jsonl, interpret, to_jsonl
+from .histories import HistoryError, from_jsonl, interpret, step_doc, to_jsonl
 
 
 def _write(out: str, text: str) -> None:
@@ -57,8 +58,6 @@ def _shared(fn: Callable) -> Callable:
                       default="csv", show_default=True),
         click.option("--out", default="-", show_default=True,
                       help="Output path, '-' for stdout."),
-        click.option("--threads", type=int, default=1, show_default=True,
-                      help="Accepted for compatibility; runs are sequential."),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -74,17 +73,14 @@ def main() -> None:
 @click.argument("name")
 @_shared
 def experiment(name: str, seed: int, trials: int, n: int, delta: float,
-               budget: int, fmt: str, out: str, threads: int) -> None:
+               budget: int, fmt: str, out: str) -> None:
     """Run a named experiment and emit its report."""
     if name not in EXPERIMENT_NAMES:
         raise click.UsageError(
             f"unknown experiment {name!r}; names: {', '.join(EXPERIMENT_NAMES)}"
         )
-    if threads < 1:
-        raise click.UsageError("--threads must be at least 1")
     cfg = ExperimentConfig(
-        name, n=n, delta=delta, trials=trials, seed=seed,
-        budget=budget, threads=threads,
+        name, n=n, delta=delta, trials=trials, seed=seed, budget=budget
     )
     try:
         report = run_named_experiment(cfg)
@@ -155,19 +151,13 @@ def check_lin(history_file: str, out: str) -> None:
     try:
         specs = default_specs(hi.objects, hi.processes)
         image = linearize_one(hi, specs)
-    except CheckerError as err:
+    except (CheckerError, HistoryError) as err:
         raise click.UsageError(str(err)) from err
     if image is None:
         _write(out, json.dumps({"linearizable": False}) + "\n")
         sys.exit(1)
-    steps = [
-        {"kind": s.kind, "process": s.process, "obj": s.obj,
-         "op": s.op, "payload": list(s.payload) if isinstance(s.payload, tuple)
-         else s.payload}
-        for s in image.steps
-    ]
-    _write(out, json.dumps({"linearizable": True, "image": steps},
-                           sort_keys=True) + "\n")
+    doc = {"linearizable": True, "image": [step_doc(s) for s in image.steps]}
+    _write(out, json.dumps(doc, sort_keys=True) + "\n")
 
 
 @main.command("check-strong-lin")

@@ -26,6 +26,7 @@ from .checkers import (
     HistoryTree,
     check_strong_lin,
     default_specs,
+    image_history,
     normalize_witness,
     witness_violations,
 )
@@ -783,7 +784,6 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = 0
     budget: int = 10_000
-    threads: int = 1
 
     def echo(self) -> tuple[tuple[str, Any], ...]:
         return (
@@ -793,7 +793,6 @@ class ExperimentConfig:
             ("trials", self.trials),
             ("seed", self.seed),
             ("budget", self.budget),
-            ("threads", self.threads),
         )
 
 
@@ -858,7 +857,8 @@ def _phi_row(
 ) -> Row:
     value = f"{est.mean:.6f}"
     ci = f"{est.ci95:.6f}"
-    if est.flags:
+    if est.flags or est.trials < 2:
+        # one trial has no spread, so its ci95 of 0 supports nothing
         verdict = "inconclusive"
     elif side == "below":
         verdict = "ok" if est.mean <= float(bound) + 3 * est.ci95 else "fail"
@@ -938,13 +938,7 @@ def _suite_report(cfg: ExperimentConfig) -> Report:
         norm = normalize_witness(race, race_witness, race_specs)
         images = {}
         for leaf in race.leaves():
-            sig = completion_signature(
-                History(
-                    tuple(_image_steps(norm[leaf])),
-                    race.processes,
-                    race.objects,
-                )
-            )
+            sig = completion_signature(image_history(race.history_of(leaf), norm[leaf]))
             flips = [r for p, o, r in sig if o == "flip"]
             images[flips[0]] = sig
         if images == dict(RACE_EARLY_FLIP):
@@ -962,14 +956,6 @@ def _suite_report(cfg: ExperimentConfig) -> Report:
                   "split" if split else "no-split")
     )
     return Report("strong-lin-suite", cfg.echo(), tuple(rows))
-
-
-def _image_steps(image: tuple) -> list[Step]:
-    steps: list[Step] = []
-    for e in image:
-        steps.append(Step(INV, e.process, e.obj, e.op, e.args, BASE))
-        steps.append(Step(RSP, e.process, e.obj, e.op, e.ret, BASE))
-    return steps
 
 
 EXPERIMENT_NAMES = (

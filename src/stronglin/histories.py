@@ -373,35 +373,74 @@ def _dumps(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
+def _fields(doc: Any, keys: tuple[str, ...], what: str) -> list:
+    if not isinstance(doc, dict):
+        raise HistoryError(f"{what} is not a JSON object")
+    try:
+        return [doc[k] for k in keys]
+    except KeyError as exc:
+        raise HistoryError(f"{what} has no {exc.args[0]!r}") from None
+
+
+_STEP_KEYS = ("kind", "process", "object", "op", "payload", "level")
+
+
+def step_doc(s: Step) -> dict[str, Any]:
+    """A step as a JSON object, fields in canonical order."""
+    return {
+        "kind": s.kind,
+        "process": s.process,
+        "object": s.obj,
+        "op": s.op,
+        "payload": _encode_payload(s.payload),
+        "level": s.level,
+    }
+
+
+def step_from_doc(doc: Any) -> Step:
+    """Inverse of step_doc; HistoryError on a non-object or a missing key."""
+    kind, process, obj, op, payload, level = _fields(doc, _STEP_KEYS, "step")
+    return Step(kind, process, obj, op, _decode_payload(payload), level)
+
+
+def objects_doc(objects: Mapping[int, ObjectInfo]) -> dict[str, Any]:
+    """An object registry as a JSON object keyed by id, ids ascending."""
+    return {
+        str(oid): {
+            "type": info.type_name,
+            "level": info.level,
+            "params": {k: _encode_payload(v) for k, v in info.params},
+            "impl": info.impl,
+        }
+        for oid, info in sorted(objects.items())
+    }
+
+
+def objects_from_doc(doc: Any) -> dict[int, ObjectInfo]:
+    """Inverse of objects_doc; HistoryError on a malformed entry."""
+    if not isinstance(doc, dict):
+        raise HistoryError("object registry is not a JSON object")
+    out = {}
+    for oid, entry in doc.items():
+        what = f"object {oid}"
+        type_name, level, params = _fields(entry, ("type", "level", "params"), what)
+        if not isinstance(params, dict):
+            raise HistoryError(f"{what} params are not a JSON object")
+        out[int(oid)] = ObjectInfo(
+            type_name,
+            level,
+            tuple((k, _decode_payload(v)) for k, v in params.items()),
+            entry.get("impl"),
+        )
+    return out
+
+
 def to_jsonl(h: History) -> str:
     """Serialize with canonical field order (byte-exact round trips)."""
-    header = {
-        "objects": {
-            str(oid): {
-                "type": info.type_name,
-                "level": info.level,
-                "params": {k: _encode_payload(v) for k, v in info.params},
-                "impl": info.impl,
-            }
-            for oid, info in sorted(h.objects.items())
-        },
-        "processes": list(h.processes),
-    }
+    header = {"objects": objects_doc(h.objects), "processes": list(h.processes)}
     lines = [_dumps(header)]
     for i, s in enumerate(h.steps):
-        lines.append(
-            _dumps(
-                {
-                    "index": i,
-                    "kind": s.kind,
-                    "process": s.process,
-                    "object": s.obj,
-                    "op": s.op,
-                    "payload": _encode_payload(s.payload),
-                    "level": s.level,
-                }
-            )
-        )
+        lines.append(_dumps({"index": i, **step_doc(s)}))
     return "\n".join(lines) + "\n"
 
 
@@ -410,28 +449,14 @@ def from_jsonl(text: str) -> History:
     if not lines:
         raise HistoryError("empty input")
     header = json.loads(lines[0])
-    objects = {
-        int(oid): ObjectInfo(
-            entry["type"],
-            entry["level"],
-            tuple((k, _decode_payload(v)) for k, v in entry["params"].items()),
-            entry["impl"],
-        )
-        for oid, entry in header["objects"].items()
-    }
+    objects, processes = _fields(header, ("objects", "processes"), "header")
     steps = []
     for i, ln in enumerate(lines[1:]):
         rec = json.loads(ln)
-        if rec["index"] != i:
+        try:
+            steps.append(step_from_doc(rec))
+        except HistoryError as exc:
+            raise HistoryError(f"line {i + 2}: {exc}") from None
+        if rec.get("index") != i:
             raise HistoryError(f"non-consecutive step index at line {i + 2}")
-        steps.append(
-            Step(
-                rec["kind"],
-                rec["process"],
-                rec["object"],
-                rec["op"],
-                _decode_payload(rec["payload"]),
-                rec["level"],
-            )
-        )
-    return History(tuple(steps), tuple(header["processes"]), objects)
+    return History(tuple(steps), tuple(processes), objects_from_doc(objects))

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from stronglin.checkers import (
     CheckerError,
+    _candidates,
+    _linearizations,
+    _preds,
     HistoryTree,
     ImageOp,
     TreeError,
@@ -379,6 +382,9 @@ def test_linearize_one_matches_brute_force(case):
     h, specs = case
     got = linearize_one(h, specs)
     assert (got is not None) == brute_linearizable(h, specs)
+    assert (
+        common_linearization(h, h, {"X": specs[0]}) is not None
+    ) == brute_linearizable(h, specs)
     if got is not None:
         assert got.is_sequential()
         assert validate_sequential(got, specs)
@@ -393,6 +399,38 @@ def test_linearize_one_matches_brute_force(case):
         }
         for p in h.processes:
             assert per_proc_img.get(p, 0) >= per_proc_done[p]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_histories())
+def test_commit_search_yields_every_order_once_in_candidate_order(case):
+    # The memo must never drop an order: compare with every permutation,
+    # which itertools lists in the same candidate order.
+    h, specs = case
+    ops = sorted(h.operations(), key=lambda o: (o.process, o.inv_index))
+    need = frozenset(o.inv_index for o in ops)
+    orders = _linearizations(_candidates(ops), _preds(ops), need, specs.__getitem__, {})
+    want = []
+    for perm in itertools.permutations(ops):
+        late = [b for i, a in enumerate(perm) for b in perm[i + 1:]
+                if b.rsp_index is not None and b.rsp_index < a.inv_index]
+        if late:
+            continue
+        states, image = {}, []
+        for o in perm:
+            spec = specs[o.obj]
+            state = states.get(o.obj, spec.initial_state)
+            states[o.obj], resp = spec.transition(state, o.op, o.args, o.process)
+            if o.complete:
+                if resp is not ANY_RESPONSE and resp != o.ret:
+                    break
+                resp = o.ret
+            elif resp is ANY_RESPONSE:
+                break
+            image.append(ImageOp(o.process, o.inv_index, o.obj, o.op, o.args, resp))
+        else:
+            want.append(tuple(image))
+    assert [img for img, _states in orders] == want
 
 
 def test_linearize_one_pinned_cases():
@@ -490,6 +528,139 @@ def test_committed_enqueues_defeat_every_witness():
     for leaf in tree.leaves():
         assert linearize_one(tree.history_of(leaf), specs) is not None
     assert check_strong_lin(tree, specs) is None
+
+
+# ---------------------------------------------------------------------------
+# check_strong_lin against a brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def brute_images(tree, nid, pimg, specs):
+    """Every candidate image of a node extending its parent's image.
+
+    The parent's image comes first, as (P) demands; after it, each order
+    of the node's other completed ops plus any subset of its other
+    pending non-coin ops, pending responses taken from a replay of that
+    order.  Validity is left to witness_violations.
+    """
+    taken = {e.key for e in pimg}
+    ops = [o for o in tree.ops_of(nid) if (o.process, o.inv_index) not in taken]
+    done = [o for o in ops if o.complete]
+    pend = [
+        o for o in ops
+        if not o.complete and tree.objects[o.obj].type_name != "coin"
+    ]
+    for r in range(len(pend) + 1):
+        for extra in itertools.combinations(pend, r):
+            for perm in itertools.permutations(done + list(extra)):
+                states, img = {}, list(pimg)
+                for o in list(pimg) + list(perm):
+                    spec = specs[o.obj]
+                    state = states.get(o.obj, spec.initial_state)
+                    states[o.obj], resp = spec.transition(
+                        state, o.op, o.args, o.process
+                    )
+                    if isinstance(o, ImageOp):
+                        continue
+                    ret = o.ret if o.complete else resp
+                    img.append(ImageOp(o.process, o.inv_index, o.obj, o.op, o.args, ret))
+                yield tuple(img)
+
+
+def brute_strong_linearizable(tree, specs):
+    """Try every candidate image at every node, subtree by subtree.
+
+    A node keeps a candidate only where witness_violations finds nothing
+    wrong with that node given its parent's image, and only when every
+    child subtree can be completed under it.  The assembled assignment
+    is accepted iff witness_violations is empty for the whole tree.
+    """
+
+    def solve(nid, pimg):
+        pid = tree.parent(nid)
+        for img in brute_images(tree, nid, pimg, specs):
+            pair = {nid: img} if pid is None else {pid: pimg, nid: img}
+            here = f"node {nid}:"
+            if any(v.startswith(here) for v in witness_violations(tree, pair, specs)):
+                continue
+            out = {nid: img}
+            for c in tree.children(nid):
+                sub = solve(c, img)
+                if sub is None:
+                    break
+                out.update(sub)
+            else:
+                return out
+        return None
+
+    witness = solve(tree.root, ())
+    return witness is not None and witness_violations(tree, witness, specs) == []
+
+
+@st.composite
+def tiny_trees(draw):
+    """Racing updates around one flip of process 0.
+
+    Processes 1 and 2 invoke one update each before the flip, and a
+    drawn subset of them respond before it, in a drawn order.  In each
+    branch they then take a few more steps and process 0 observes the
+    object once or twice, all with freely drawn responses.  So some
+    draws have linearizable leaves but no prefix-preserving witness: the
+    racing operations that completed before the flip must be ordered
+    there, and the two branches can demand opposite orders.  Observers
+    return the initial value or one some invocation passed in.
+    """
+    flavor = draw(st.sampled_from(["register", "queue"]))
+    objs = REG_OBJS if flavor == "register" else QUEUE_OBJS
+    nproc = 3
+    racers = range(1, nproc)
+
+    def invocation(p, update):
+        # an update passes in its process id, so racing updates differ
+        if flavor == "register":
+            return inv(p, 0, "write", (p,)) if update else inv(p, 0, "read")
+        return inv(p, 0, "enqueue", (p,)) if update else inv(p, 0, "dequeue")
+
+    def response(p, op, before):
+        if op in ("write", "enqueue"):
+            return rsp(p, 0, op)
+        seen = sorted({s.payload[0] for s in before if s.is_inv() and s.payload})
+        empty = 0 if op == "read" else BOTTOM
+        return rsp(p, 0, op, draw(st.sampled_from([empty] + seen)))
+
+    prefix = [invocation(p, True) for p in racers]
+    open_op = {s.process: s.op for s in prefix}
+    order = draw(st.permutations(racers))
+    for p in order[: draw(st.integers(0, len(order)))]:
+        prefix.append(response(p, open_op.pop(p), prefix))
+    prefix.append(inv(0, 1, "flip"))
+    runs = {}
+    for c in (0, 1):
+        steps = prefix + [rsp(0, 1, "flip", c)]
+        pending = dict(open_op)
+        for _ in range(draw(st.integers(0, 2))):
+            p = draw(st.sampled_from(racers))
+            if p in pending:
+                steps.append(response(p, pending.pop(p), steps))
+            else:
+                steps.append(invocation(p, draw(st.booleans())))
+                pending[p] = steps[-1].op
+        for _ in range(draw(st.integers(1, 2))):
+            steps.append(invocation(0, False))
+            steps.append(response(0, steps[-1].op, steps))
+        runs[(c,)] = History(tuple(steps), tuple(range(nproc)), objs)
+    tree = HistoryTree.from_runs(runs, omega=(0, 1))
+    return tree, default_specs(tree.objects, tree.processes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_trees())
+def test_check_strong_lin_matches_brute_force(case):
+    tree, specs = case
+    got = check_strong_lin(tree, specs)
+    assert (got is not None) == brute_strong_linearizable(tree, specs)
+    if got is not None:
+        assert witness_violations(tree, got, specs) == []
 
 
 def test_tampered_witnesses_are_rejected():

@@ -2,14 +2,28 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import stronglin
 from stronglin.cli import main
 from stronglin.checkers import HistoryTree
 from stronglin.experiments import EXPECTED, counter_race_tree, hw_atomic_dequeue_tree
-from stronglin.histories import BASE, INV, RSP, History, ObjectInfo, Step, from_jsonl
+from stronglin.histories import (
+    BASE,
+    INV,
+    RSP,
+    History,
+    ObjectInfo,
+    Step,
+    from_jsonl,
+    to_jsonl,
+)
 
 
 @pytest.fixture
@@ -84,9 +98,15 @@ def test_loadbalance_report_bytes_are_pinned(runner):
     )
 
 
-def test_experiment_threads_must_be_positive(runner):
-    result = runner.invoke(main, ["experiment", "snapshot", "--threads", "0"])
-    assert result.exit_code == 2
+def test_one_trial_loadbalance_rows_are_inconclusive(runner):
+    # A single trial has no spread, so no row may pass or fail on it.
+    result = runner.invoke(
+        main, ["experiment", "loadbalance", "--trials", "1", "--format", "json"]
+    )
+    assert result.exit_code == 1
+    rows = json.loads(result.output)["rows"]
+    assert len(rows) == 6
+    assert {r["verdict"] for r in rows} == {"inconclusive"}
 
 
 def test_failed_claim_exits_one(runner, monkeypatch):
@@ -146,8 +166,6 @@ def test_check_lin_rejects_unlinearizable_history(runner, tmp_path):
         (0,),
         objs,
     )
-    from stronglin.histories import to_jsonl
-
     src = tmp_path / "bad.jsonl"
     src.write_text(to_jsonl(h))
     result = runner.invoke(main, ["check-lin", str(src)])
@@ -185,3 +203,78 @@ def test_check_strong_lin_bad_file_is_usage_error(runner, tmp_path):
     assert runner.invoke(
         main, ["check-strong-lin", str(tmp_path / "missing.json")]
     ).exit_code == 2
+
+
+def _race_jsonl_lines():
+    tree = counter_race_tree()
+    return to_jsonl(tree.history_of(tree.leaves()[0])).splitlines()
+
+
+def _step_without_op():
+    header, first, *rest = _race_jsonl_lines()
+    step = json.loads(first)
+    del step["op"]
+    return "\n".join([header, json.dumps(step), *rest]) + "\n"
+
+
+def _non_object_step():
+    return _race_jsonl_lines()[0] + "\n[1, 2]\n"
+
+
+def _non_object_header():
+    return "[]\n"
+
+
+def _response_without_invocation():
+    step = {"index": 0, "kind": RSP, "process": 0, "object": 0,
+            "op": "fetch_inc", "payload": 0, "level": BASE}
+    return _race_jsonl_lines()[0] + "\n" + json.dumps(step) + "\n"
+
+
+def _node_without_step():
+    doc = json.loads(counter_race_tree().to_json())
+    del doc["nodes"][1]["step"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "command, make_text",
+    [
+        ("check-lin", _step_without_op),
+        ("check-lin", _non_object_step),
+        ("check-lin", _non_object_header),
+        ("check-lin", _response_without_invocation),
+        ("check-strong-lin", _node_without_step),
+    ],
+    ids=lambda v: v.__name__.strip("_") if callable(v) else v,
+)
+def test_malformed_input_is_usage_error(runner, tmp_path, command, make_text):
+    src = tmp_path / "input"
+    src.write_text(make_text())
+    result = runner.invoke(main, [command, str(src)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [ln for ln in result.output.splitlines() if "Error" in ln]
+    assert len(errors) == 1 and errors[0].startswith("Error: ")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    tree = tmp_path / "race.json"
+    tree.write_text(counter_race_tree().to_json())
+    env = dict(os.environ, PYTHONPATH=str(Path(stronglin.__file__).parent.parent))
+    commands = [
+        ["experiment", "strong-lin-suite", "--format", "json"],
+        ["check-strong-lin", str(tree)],
+    ]
+    for argv in commands:
+        outs = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-m", "stronglin.cli", *argv],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                check=True,
+            )
+            outs.append(done.stdout)
+        assert outs[0] == outs[1], argv
