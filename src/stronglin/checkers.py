@@ -36,9 +36,12 @@ from .histories import (
     TimedExecution,
     _dumps,
     _fields,
+    _is_id,
     interpret,
+    interpreted_positions,
     objects_doc,
     objects_from_doc,
+    processes_from_doc,
     step_doc,
     step_from_doc,
 )
@@ -237,13 +240,18 @@ class HistoryTree:
         except json.JSONDecodeError as exc:
             raise TreeError(f"bad tree JSON: {exc}") from None
         processes, objects, raw = _fields(doc, ("processes", "objects", "nodes"), "tree")
+        processes = processes_from_doc(processes)
         objects = objects_from_doc(objects)
+        if not isinstance(raw, list):
+            raise TreeError("tree nodes must be a list")
         # a tree without nodes is the root alone
         raw = raw or [{"id": 0, "parent": None, "step": None}]
         nodes: dict[int, TreeNode] = {}
         children: dict[int, list[int]] = {}
         for rec in raw:
             nid, parent, sd = _fields(rec, ("id", "parent", "step"), "tree node")
+            if not (_is_id(nid) and (parent is None or _is_id(parent))):
+                raise TreeError(f"node id {nid!r} and parent {parent!r} must be integers")
             if nid in nodes:
                 raise TreeError(f"duplicate node id {nid}")
             if parent is None:
@@ -253,13 +261,13 @@ class HistoryTree:
             else:
                 if parent not in nodes or parent >= nid:
                     raise TreeError(f"node {nid}: tree is not prefix-closed")
-                step = step_from_doc(sd)
+                step = step_from_doc(sd, objects)
             nodes[nid] = TreeNode(nid, parent, step, rec.get("coin_outcome"))
             children[nid] = []
             if parent is not None:
                 children[parent].append(nid)
         _check_branches(objects, nodes, children)
-        return cls(tuple(processes), objects, nodes, children)
+        return cls(processes, objects, nodes, children)
 
     def to_json(self) -> str:
         doc = {
@@ -738,19 +746,6 @@ def normalize_witness(
 # ---------------------------------------------------------------------------
 
 
-def _interpreted_indices(h: History) -> list[int]:
-    # Positions, in the raw history, of the steps interpret() keeps.
-    depth: dict[int, int] = {}
-    kept = []
-    for i, s in enumerate(h.steps):
-        if s.level == INTERPRETED:
-            kept.append(i)
-            depth[s.process] = depth.get(s.process, 0) + (1 if s.is_inv() else -1)
-        elif depth.get(s.process, 0) == 0:
-            kept.append(i)
-    return kept
-
-
 def _match_image(
     hi: History, f_image: History
 ) -> list[tuple[OperationInstance, OperationInstance]]:
@@ -808,7 +803,7 @@ def extract_linearization_points(
     """
     h = e.history()
     hi = interpret(h)
-    kept = _interpreted_indices(h)
+    kept = interpreted_positions(h)
     pairs = _match_image(hi, f_image)
     times = e.times()
     ts = sorted(times)

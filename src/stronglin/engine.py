@@ -18,7 +18,7 @@ source, and runs replay exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
@@ -51,7 +51,7 @@ class NeedCoinError(Exception):
 
 
 class VectorCoins:
-    """A single shared coin-flip vector consumed in flip order."""
+    """A single shared coin-flip vector, read in flip order."""
 
     def __init__(self, vector: Iterable[Any]):
         self.vector = tuple(vector)
@@ -64,29 +64,20 @@ class VectorCoins:
         self._used += 1
         return v
 
-    def consumed(self) -> tuple:
-        return self.vector[: self._used]
-
 
 class PerProcessCoins:
     """Pre-drawn outcomes per process (the coin-assignment view used by
-    the load-balancing analysis).  Consumption order is still recorded
-    globally."""
+    the load-balancing analysis).  The history still records the flips
+    in global order."""
 
     def __init__(self, assignment: Mapping[int, Iterable[Any]]):
         self._queues = {p: list(v) for p, v in assignment.items()}
-        self._log: list[Any] = []
 
     def next(self, process: int) -> Any:
         q = self._queues.get(process)
         if not q:
             raise NeedCoinError(f"no coin left for process {process}")
-        v = q.pop(0)
-        self._log.append(v)
-        return v
-
-    def consumed(self) -> tuple:
-        return tuple(self._log)
+        return q.pop(0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +146,30 @@ class MarkState:
     sees: frozenset
     lled: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def marked_by(self, p: int) -> tuple[int, ...]:
-        return tuple(oid for oid, q in self.marks if q == p)
-
 
 @dataclass(frozen=True)
 class RunRecord:
     history: History
-    coin_vector: tuple
     schedule: tuple[int, ...]
     returns: Mapping[int, Any]
     max_point_contention: int
     flags: frozenset
-    mark_state: MarkState
+
+    @property
+    def coin_vector(self) -> tuple:
+        """Coin outcomes in the order the flips happened."""
+        return tuple(
+            s.payload for s in self.history.steps if s.op == FLIP and s.kind == RSP
+        )
 
 
 class RunView:
     """What an adversary may observe: the low-level history so far.
 
-    Everything else here (finished set, marks, sees) is derived from
-    that history plus knowledge of the algorithm, so exposing it adds
-    convenience, not power.
+    The finished set is derived from that history plus knowledge of the
+    algorithm, so exposing it adds convenience, not power.  Marks and
+    sees are not kept here: an adversary that needs them calls
+    ``derive_mark_state(view.history())``.
     """
 
     def __init__(self, sim: "Simulation"):
@@ -192,19 +186,8 @@ class RunView:
     def finished(self, p: int) -> bool:
         return self._sim.procs[p].finished
 
-    def started(self, p: int) -> bool:
-        return self._sim.procs[p].started
-
     def live(self) -> tuple[int, ...]:
         return tuple(p for p in self._sim.alg.processes if not self.finished(p))
-
-    @property
-    def marks(self) -> Mapping[int, int]:
-        return self._sim.marks
-
-    @property
-    def sees(self) -> set:
-        return self._sim.sees
 
     def history(self) -> History:
         return self._sim.partial_history()
@@ -223,14 +206,13 @@ class _ProcState:
 
 
 class _MethodState:
-    __slots__ = ("body", "target", "op", "args", "boundary_emitted", "pending_base", "owned")
+    __slots__ = ("body", "target", "op", "args", "pending_base", "owned")
 
     def __init__(self, body, target, op, args, owned):
         self.body = body
         self.target = target
         self.op = op
         self.args = args
-        self.boundary_emitted = False
         self.pending_base = None
         self.owned = owned
 
@@ -251,23 +233,31 @@ class Simulation:
         self.registry: dict[int, ObjectInfo] = {}
         self.base_spec: dict[int, SeqSpec] = {}
         self.base_state: dict[int, Any] = {}
-        self.marks: dict[int, int] = {}
-        self.lled: dict[int, set] = {}
-        self.sees: set = set()
         self.grants: list[int] = []
         self.flags: set = set()
         self.max_contention = 0
         self._active = 0
         self.flip_count = 0
-        self._next_oid = 0
         self.targets: dict[str, tuple] = {}
+        registry, base_spec, base_state = self.registry, self.base_spec, self.base_state
+
+        # Allocators close over the run's tables, not over ``self``: method
+        # bodies keep theirs, and a cycle back to the Simulation would leave
+        # every finished run, history and all, to the cycle collector.
+        def alloc(spec, type_name, params, level, impl=None) -> int:
+            oid = len(registry)
+            registry[oid] = ObjectInfo(type_name, level, tuple(params), impl)
+            base_spec[oid] = spec
+            base_state[oid] = spec.initial_state
+            return oid
+
         for b in alg.bindings:
             if b.spec is not None:
-                oid = self._alloc(b.spec, b.spec.type_name, (("key", b.key),), BASE)
+                oid = alloc(b.spec, b.spec.type_name, (("key", b.key),), BASE)
                 self.targets[b.key] = ("atomic", oid, None, None, None)
             else:
                 impl = b.impl
-                toid = self._alloc(
+                toid = alloc(
                     impl.target_spec,
                     impl.type_name,
                     (("key", b.key),),
@@ -277,35 +267,25 @@ class Simulation:
                 owned: set = set()
 
                 def make_alloc(owned_set, key):
-                    def alloc(spec, type_name, params=()):
+                    def owned_alloc(spec, type_name, params=()):
                         tagged = tuple(params) + (("owner", key),)
-                        oid = self._alloc(spec, type_name, tagged, BASE)
+                        oid = alloc(spec, type_name, tagged, BASE)
                         owned_set.add(oid)
                         return oid
 
-                    return alloc
+                    return owned_alloc
 
                 ialloc = make_alloc(owned, b.key)
                 state = impl.setup(ialloc)
                 self.targets[b.key] = ("impl", toid, impl, state, (ialloc, owned))
         self.coin_oid = {
-            p: self._alloc(coin_spec(), "coin", (("process", p),), BASE)
+            p: alloc(coin_spec(), "coin", (("process", p),), BASE)
             for p in alg.processes
         }
         self.procs = {p: _ProcState(alg.make_program(p)) for p in alg.processes}
         self._unfinished = len(self.procs)
         for p, rt in self.procs.items():
             self._advance_program(p, None, first=True)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _alloc(self, spec, type_name, params, level, impl=None) -> int:
-        oid = self._next_oid
-        self._next_oid += 1
-        self.registry[oid] = ObjectInfo(type_name, level, tuple(params), impl)
-        self.base_spec[oid] = spec
-        self.base_state[oid] = spec.initial_state
-        return oid
 
     # -- stepping ------------------------------------------------------------
 
@@ -327,23 +307,27 @@ class Simulation:
             self._active += 1
             if self._active > self.max_contention:
                 self.max_contention = self._active
+        if rt.method is None:
+            if rt.pending == ("flip",):
+                self._flip_grant(pid)
+                return
+            self._invoke(pid)
         if rt.method is not None:
             self._method_step(pid)
-            return
-        act = rt.pending
-        if act == ("flip",):
-            self._flip_grant(pid)
-        elif act[0] == "invoke":
-            _, key, op, args = act
-            kind, oid, impl, state, _extra = self.targets[key]
-            if kind == "atomic":
-                resp = self._base_op(pid, oid, op, tuple(args))
-                self._advance_program(pid, resp)
-            else:
-                self._start_method(pid, key, op, tuple(args))
-                self._method_step(pid)
-        else:
+
+    def _invoke(self, pid: int) -> None:
+        """Start the pending invocation: an atomic operation completes at
+        once, an implemented one emits its boundary step; its body then
+        takes one base step per grant."""
+        act = self.procs[pid].pending
+        if act[0] != "invoke":
             raise EngineError(f"process {pid} yielded unknown action {act!r}")
+        _, key, op, args = act
+        kind, oid, *_ = self.targets[key]
+        if kind == "atomic":
+            self._advance_program(pid, self._base_op(pid, oid, op, tuple(args)))
+        else:
+            self._start_method(pid, key, op, tuple(args))
 
     def _advance_program(self, pid: int, send, first: bool = False) -> None:
         rt = self.procs[pid]
@@ -369,6 +353,7 @@ class Simulation:
                 f"method {op} of {impl.impl_name} issued no base operation"
             ) from None
         self.procs[pid].method = m
+        self.steps.append(Step(INV, pid, toid, op, args, INTERPRETED))
 
     @staticmethod
     def _check_base_action(act, owned):
@@ -383,9 +368,6 @@ class Simulation:
     def _method_step(self, pid: int) -> None:
         rt = self.procs[pid]
         m = rt.method
-        if not m.boundary_emitted:
-            self.steps.append(Step(INV, pid, m.target, m.op, m.args, INTERPRETED))
-            m.boundary_emitted = True
         _, oid, bop, bargs = m.pending_base
         resp = self._base_op(pid, oid, bop, tuple(bargs))
         try:
@@ -410,21 +392,11 @@ class Simulation:
             raise EngineError(
                 f"weak-class violation: flip #{flip_no} is process {pid}'s last action"
             )
-        act = rt.pending
-        if act == ("flip",):
+        if rt.pending == ("flip",):
             raise EngineError(
                 f"weak-class violation: flip #{flip_no} chains into another flip"
             )
-        _, key, op, args = act
-        kind, oid2, impl, state, _extra = self.targets[key]
-        if kind == "atomic":
-            resp = self._base_op(pid, oid2, op, tuple(args))
-            self._advance_program(pid, resp)
-        else:
-            self._start_method(pid, key, op, tuple(args))
-            m = rt.method
-            self.steps.append(Step(INV, pid, m.target, m.op, m.args, INTERPRETED))
-            m.boundary_emitted = True
+        self._invoke(pid)
 
     def _base_op(self, pid: int, oid: int, op: str, args: tuple):
         state = self.base_state[oid]
@@ -434,46 +406,20 @@ class Simulation:
         self.base_state[oid] = state2
         self.steps.append(Step(INV, pid, oid, op, args, BASE))
         self.steps.append(Step(RSP, pid, oid, op, resp, BASE))
-        self._track_marks(pid, oid, op, resp)
         return resp
-
-    def _track_marks(self, pid: int, oid: int, op: str, resp) -> None:
-        if op in ("read", "ll"):
-            m = self.marks.get(oid)
-            if m is not None and m != pid:
-                self.sees.add((pid, m))
-            if op == "ll":
-                self.lled.setdefault(oid, set()).add(pid)
-        elif op == "sc":
-            m = self.marks.get(oid)
-            if m is not None and m != pid and pid in self.lled.get(oid, ()):
-                self.sees.add((pid, m))
-            if resp == 1:
-                self.marks[oid] = pid
-        elif op == "write":
-            self.marks[oid] = pid
 
     # -- results ---------------------------------------------------------
 
     def partial_history(self) -> History:
         return History(tuple(self.steps), self.alg.processes, dict(self.registry))
 
-    def mark_state(self) -> MarkState:
-        return MarkState(
-            tuple(sorted(self.marks.items())),
-            frozenset(self.sees),
-            tuple(sorted((oid, tuple(sorted(s))) for oid, s in self.lled.items())),
-        )
-
     def record(self) -> RunRecord:
         return RunRecord(
             history=self.partial_history(),
-            coin_vector=self.coins.consumed(),
             schedule=tuple(self.grants),
             returns={p: rt.retval for p, rt in self.procs.items() if rt.finished},
             max_point_contention=self.max_contention,
             flags=frozenset(self.flags),
-            mark_state=self.mark_state(),
         )
 
 
@@ -528,9 +474,15 @@ def run(alg: AlgorithmSpec, adv: AdversaryPolicy, coins, budget: int = DEFAULT_B
 
 
 def derive_mark_state(h: History) -> MarkState:
-    """Recompute marks and the sees relation from a recorded history.
+    """Register ownership and information flow, read from a history.
 
-    Independent of the engine's online bookkeeping; used as an oracle.
+    The last write or successful SC on a register marks it with its
+    process.  A read or LL of a register marked by another process makes
+    the reader see that process; so does an SC, successful or not, by a
+    process that has LL'd the register before.  ``lled`` lists, per
+    register, the processes with an LL there.  This is the one
+    definition of these rules; the engine keeps no copy, and the tests
+    check it against a pairwise statement of the same rules.
     """
     marks: dict[int, int] = {}
     lled: dict[int, set] = {}

@@ -39,7 +39,6 @@ from .engine import (
     VectorCoins,
     enumerate_expectation,
     run,
-    scripted_policy,
 )
 from .histories import BASE, INV, RSP, History, ObjectInfo, Step, interpret
 from .loadbalance import (

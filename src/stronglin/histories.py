@@ -235,25 +235,28 @@ def project_method_intervals(h: History, o: int) -> History:
     return h.with_steps(kept)
 
 
+def interpreted_positions(h: History) -> list[int]:
+    """Positions in h of the steps interpretation keeps: method boundary
+    steps, and base steps of a process that is inside no method call."""
+    depth: dict[int, int] = {}
+    kept: list[int] = []
+    for i, s in enumerate(h.steps):
+        if s.level == INTERPRETED:
+            kept.append(i)
+            depth[s.process] = depth.get(s.process, 0) + (1 if s.is_inv() else -1)
+        elif depth.get(s.process, 0) == 0:
+            kept.append(i)
+    return kept
+
+
 def interpret(h: History) -> History:
     """Erase base steps inside implemented method calls (the Gamma map).
 
     Method boundary steps and top-level atomic steps (including coin
     flips) survive.  Idempotent.
     """
-    depth: dict[int, int] = {}
-    kept: list[Step] = []
-    for s in h.steps:
-        if s.level == INTERPRETED:
-            kept.append(s)
-            if s.is_inv():
-                depth[s.process] = depth.get(s.process, 0) + 1
-            else:
-                depth[s.process] = depth.get(s.process, 0) - 1
-        else:
-            if depth.get(s.process, 0) == 0:
-                kept.append(s)
-    return h.with_steps(kept)
+    steps = h.steps
+    return h.with_steps([steps[i] for i in interpreted_positions(h)])
 
 
 def prefix_to_flip(h: History, k: int) -> History:
@@ -383,6 +386,13 @@ def _fields(doc: Any, keys: tuple[str, ...], what: str) -> list:
 
 
 _STEP_KEYS = ("kind", "process", "object", "op", "payload", "level")
+_KINDS = (INV, RSP)
+_LEVELS = (BASE, INTERPRETED)
+
+
+def _is_id(v: Any) -> bool:
+    # JSON true/false decode to bool, which is an int subclass.
+    return type(v) is int
 
 
 def step_doc(s: Step) -> dict[str, Any]:
@@ -397,9 +407,18 @@ def step_doc(s: Step) -> dict[str, Any]:
     }
 
 
-def step_from_doc(doc: Any) -> Step:
-    """Inverse of step_doc; HistoryError on a non-object or a missing key."""
+def step_from_doc(doc: Any, objects: Mapping[int, ObjectInfo]) -> Step:
+    """Inverse of step_doc; HistoryError on a non-object, a missing key,
+    a field of the wrong type or an object id missing from ``objects``."""
     kind, process, obj, op, payload, level = _fields(doc, _STEP_KEYS, "step")
+    if kind not in _KINDS:
+        raise HistoryError(f"step kind {kind!r} is not 'inv' or 'rsp'")
+    if level not in _LEVELS:
+        raise HistoryError(f"step level {level!r} is not 'base' or 'interpreted'")
+    if not (_is_id(process) and _is_id(obj) and isinstance(op, str)):
+        raise HistoryError("step process and object must be integers, op a string")
+    if obj not in objects:
+        raise HistoryError(f"step object {obj} is not in the registry")
     return Step(kind, process, obj, op, _decode_payload(payload), level)
 
 
@@ -423,7 +442,11 @@ def objects_from_doc(doc: Any) -> dict[int, ObjectInfo]:
     out = {}
     for oid, entry in doc.items():
         what = f"object {oid}"
+        if not oid.isdecimal():
+            raise HistoryError(f"object id {oid!r} is not an integer")
         type_name, level, params = _fields(entry, ("type", "level", "params"), what)
+        if level not in _LEVELS:
+            raise HistoryError(f"{what} level {level!r} is not 'base' or 'interpreted'")
         if not isinstance(params, dict):
             raise HistoryError(f"{what} params are not a JSON object")
         out[int(oid)] = ObjectInfo(
@@ -433,6 +456,13 @@ def objects_from_doc(doc: Any) -> dict[int, ObjectInfo]:
             entry.get("impl"),
         )
     return out
+
+
+def processes_from_doc(doc: Any) -> tuple[int, ...]:
+    """A process list; HistoryError unless it is a list of integers."""
+    if not isinstance(doc, list) or not all(_is_id(p) for p in doc):
+        raise HistoryError("processes must be a list of integers")
+    return tuple(doc)
 
 
 def to_jsonl(h: History) -> str:
@@ -450,13 +480,15 @@ def from_jsonl(text: str) -> History:
         raise HistoryError("empty input")
     header = json.loads(lines[0])
     objects, processes = _fields(header, ("objects", "processes"), "header")
+    objects = objects_from_doc(objects)
+    processes = processes_from_doc(processes)
     steps = []
     for i, ln in enumerate(lines[1:]):
         rec = json.loads(ln)
         try:
-            steps.append(step_from_doc(rec))
+            steps.append(step_from_doc(rec, objects))
         except HistoryError as exc:
             raise HistoryError(f"line {i + 2}: {exc}") from None
         if rec.get("index") != i:
             raise HistoryError(f"non-consecutive step index at line {i + 2}")
-    return History(tuple(steps), tuple(processes), objects_from_doc(objects))
+    return History(tuple(steps), processes, objects)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import ceil, isqrt, sqrt
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -242,9 +242,9 @@ def _assert_helper_bound(rec: RunRecord, report: ApReport) -> None:
     )
     if dec_invoked:
         return
-    sees = rec.mark_state.sees
     outside_seen = any(
-        q in finishers and x not in finishers for (q, x) in sees
+        q in finishers and x not in finishers
+        for (q, x) in derive_mark_state(rec.history).sees
     )
     if outside_seen:
         return
@@ -305,12 +305,13 @@ def adversary_ap(p: int, n: int) -> AdversaryPolicy:
         def enter_phase2(view) -> None:
             nonlocal phase, rr, case
             group = [q for q in range(n) if first.get(q, (None,))[0] == i_star]
-            if p in dict(view.marks).values():
+            state = derive_mark_state(view.history())
+            if p in dict(state.marks).values():
                 case = 1
                 rr = sorted(q for q in group if first[q][1] == "write")
             else:
                 case = 2
-                saw_p = {q for (q, x) in view.sees if x == p}
+                saw_p = {q for (q, x) in state.sees if x == p}
                 rr = sorted(set(group) - saw_p - {p})
             phase = "round-robin"
 
@@ -452,18 +453,6 @@ class PhiEstimate:
     k_max: int
     flags: tuple[str, ...]
     histogram: tuple[tuple[int, int], ...]
-
-    def as_json_dict(self) -> dict[str, Any]:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "ci95": self.ci95,
-            "trials": self.trials,
-            "seed": self.seed,
-            "k_max": self.k_max,
-            "flags": list(self.flags),
-            "histogram": {str(c): v for c, v in self.histogram},
-        }
 
 
 def estimate_phi(

@@ -13,7 +13,12 @@ from click.testing import CliRunner
 import stronglin
 from stronglin.cli import main
 from stronglin.checkers import HistoryTree
-from stronglin.experiments import EXPECTED, counter_race_tree, hw_atomic_dequeue_tree
+from stronglin.experiments import (
+    EXAMPLES,
+    EXPECTED,
+    counter_race_tree,
+    hw_atomic_dequeue_tree,
+)
 from stronglin.histories import (
     BASE,
     INV,
@@ -96,6 +101,84 @@ def test_loadbalance_report_bytes_are_pinned(runner):
     assert digest == (
         "339e91cedd0c713666b265a162d5cc784e26f2dc552ff8148c34e62ccade8a8d"
     )
+
+
+# sha256 of `simulate` output per (example, coin, variant, policy).  The
+# weak pinned schedules bundle a flip with the next invocation, so these
+# also fix where a method's boundary step lands after a weak flip.
+SIMULATE_DIGESTS = {
+    ("hw-queue", 0, "atomic", "drain"):
+        "54187698315dba03ccfa2eb143a9985e4dd1b89d963e804cada3e2304a46bb95",
+    ("hw-queue", 0, "implemented", "drain"):
+        "a4ac5390dd899236670650d43477703e2834d572e3d795a8bdf9af001c7b1643",
+    ("hw-queue", 0, "implemented", "pinned"):
+        "08d41e496ac590dde47afbae0eea69be7dc9198f62d2185097ca748ad9621870",
+    ("hw-queue", 1, "atomic", "drain"):
+        "81d89d05ce2d986622007a2a678b9ff3db653b2c77a3fa34e8a4047ded92861a",
+    ("hw-queue", 1, "implemented", "drain"):
+        "4abb484d7421ac969997d0fbd9ea0a7e6a028cd2f6d84ff92e4b8b7007fa846f",
+    ("hw-queue", 1, "implemented", "pinned"):
+        "d255794976447235a7dc93e674c6d06efcc807e10e3f2e6519d2751fd26ab246",
+    ("mrsw-register", -1, "atomic", "drain"):
+        "61af29800519fd5be51e4121fd9980546d544986b92ff654e306b9cae2957cf1",
+    ("mrsw-register", -1, "implemented", "drain"):
+        "47d3691ba51fd2ecccb41f27c723292b74987dce35e26dc5e21a37a064fd962c",
+    ("mrsw-register", -1, "implemented", "pinned"):
+        "8b11333ea5cf0fe67ba931ed10854d13300c95e0b302bf08826192ba23783320",
+    ("mrsw-register", 1, "atomic", "drain"):
+        "083a4f3c091615e4987a4876ba41a453ab5331aafcbca867b260f0e10ce28b4c",
+    ("mrsw-register", 1, "implemented", "drain"):
+        "ddea4884663bfec93ea9d47112417b2970e5609aed8da921b24e1fed5782f0a9",
+    ("mrsw-register", 1, "implemented", "pinned"):
+        "23738652b11bdb6de1a1e016821d49d3be77a113d09c45d6beedd0d943fe67ca",
+    ("snapshot", -1, "atomic", "drain"):
+        "0569537c124576a1b3f3aa7580ba484a7477bb787e50bef11b9cbd4e692dedb6",
+    ("snapshot", -1, "implemented", "drain"):
+        "9d96814366848b1046f8b15d90f4d2288e8d510f45ec883b08a7b860607e2ecb",
+    ("snapshot", -1, "implemented", "pinned"):
+        "63c0d0ab0ca15fe258945c9a5b5769a4dfe4ead88efa8d5f667a7ccd1fe88001",
+    ("snapshot", 1, "atomic", "drain"):
+        "32f5e93aea369e5b9a595d4cd1d1b8265dc79c4cb8fe029fea9332576069a2c6",
+    ("snapshot", 1, "implemented", "drain"):
+        "801117577783a3b6ce51ed012983c383c25439c25e914e4dd2d32695a0f0a195",
+    ("snapshot", 1, "implemented", "pinned"):
+        "887a321cfd56010ed6bd4b68f6ff0c82255b97643886278c12b313980a98fcc8",
+    ("srsw-register", 0, "atomic", "drain"):
+        "cd69303cf981b0a055fe4a8899c55026876acfff6d88375bc7ebb215a0f545ad",
+    ("srsw-register", 0, "implemented", "drain"):
+        "228cd23dba6befabe091bc5d86a7c8fce52e5bf341266b5e21ead0c25e2718d8",
+    ("srsw-register", 0, "implemented", "pinned"):
+        "6fc088bee711702805ea8ccb1b8a97239a162a15c5e506590a22c290c86f5ed9",
+    ("srsw-register", 2, "atomic", "drain"):
+        "307483fc6593357dccfbea2376cc1866ef230d6b310c3ec1818ea8278ad46a5b",
+    ("srsw-register", 2, "implemented", "drain"):
+        "23050f88f3b51b7b9df27cdce02de8897b9a8570bcccdc36c00d85a9a1f16310",
+    ("srsw-register", 2, "implemented", "pinned"):
+        "12c50235943852a080187eb5335e79bc1e6cdbc9941aa69dc728900f4d5ca26d",
+}
+
+
+@pytest.mark.parametrize(
+    "alg, coin, variant, policy",
+    [
+        (name, w, variant, policy)
+        for name, make in sorted(EXAMPLES.items())
+        for w in make().omega
+        for variant, policy in (
+            ("atomic", "drain"), ("implemented", "drain"), ("implemented", "pinned")
+        )
+    ],
+    ids=str,
+)
+def test_simulate_history_bytes_are_pinned(runner, alg, coin, variant, policy):
+    result = runner.invoke(
+        main,
+        ["simulate", "--alg", alg, "--coins", str(coin), "--variant", variant,
+         "--policy", policy],
+    )
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == SIMULATE_DIGESTS[alg, coin, variant, policy]
 
 
 def test_one_trial_loadbalance_rows_are_inconclusive(runner):
@@ -231,6 +314,44 @@ def _response_without_invocation():
     return _race_jsonl_lines()[0] + "\n" + json.dumps(step) + "\n"
 
 
+def _processes_not_a_list():
+    return json.dumps({"objects": {}, "processes": 5}) + "\n"
+
+
+def _race_step(**fields):
+    header, first, *_rest = _race_jsonl_lines()
+    step = {**json.loads(first), **fields}
+    return header + "\n" + json.dumps(step) + "\n"
+
+
+def _pending_step_on_unknown_object():
+    return _race_step(object=len(json.loads(_race_jsonl_lines()[0])["objects"]))
+
+
+def _string_step_process():
+    return _race_step(process="0")
+
+
+def _step_with_bad_kind():
+    return _race_step(kind="call")
+
+
+def _step_with_bad_level():
+    return _race_step(level="meta")
+
+
+def _string_node_id():
+    doc = json.loads(counter_race_tree().to_json())
+    doc["nodes"][1]["id"] = str(doc["nodes"][1]["id"])
+    return json.dumps(doc)
+
+
+def _nodes_not_a_list():
+    doc = json.loads(counter_race_tree().to_json())
+    doc["nodes"] = 5
+    return json.dumps(doc)
+
+
 def _node_without_step():
     doc = json.loads(counter_race_tree().to_json())
     del doc["nodes"][1]["step"]
@@ -245,6 +366,13 @@ def _node_without_step():
         ("check-lin", _non_object_header),
         ("check-lin", _response_without_invocation),
         ("check-strong-lin", _node_without_step),
+        ("check-lin", _processes_not_a_list),
+        ("check-lin", _pending_step_on_unknown_object),
+        ("check-lin", _string_step_process),
+        ("check-lin", _step_with_bad_kind),
+        ("check-lin", _step_with_bad_level),
+        ("check-strong-lin", _string_node_id),
+        ("check-strong-lin", _nodes_not_a_list),
     ],
     ids=lambda v: v.__name__.strip("_") if callable(v) else v,
 )

@@ -1,9 +1,11 @@
 """Engine semantics: grants, adversary classes, marks, expectations."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stronglin.engine import (
@@ -11,6 +13,7 @@ from stronglin.engine import (
     AlgorithmSpec,
     Binding,
     EngineError,
+    MarkState,
     NeedCoinError,
     PerProcessCoins,
     Simulation,
@@ -23,9 +26,13 @@ from stronglin.engine import (
 from stronglin.histories import BASE, FLIP, INTERPRETED, INV, RSP, interpret, prefix_to_flip
 from stronglin.objects import (
     ImplProgram,
+    cas_from_registers,
     counter_spec,
+    llsc_spec,
     llsc_strong_counter,
+    mutex_wrapped,
     register_spec,
+    writefirst_strong_counter,
 )
 
 
@@ -273,28 +280,110 @@ def test_oblivious_schedule_is_coin_independent():
     assert len(set(scheds.values())) == 1
 
 
-@given(st.lists(st.integers(0, 5), min_size=4, max_size=60), st.integers(0, 15))
-@settings(max_examples=120)
-def test_mark_state_matches_rederivation_oracle(choices, coin_bits):
-    coins = tuple((coin_bits >> i) & 1 for i in range(4))
-    alg = counter_flip_alg()
+MARK_OPS = (
+    ("L", "fetch_inc", ()),
+    ("W", "fetch_inc", ()),
+    ("M", "fetch_dec", ()),
+    ("X", "read", ()),
+    ("X", "write", None),
+    ("X", "ll", ()),
+    ("X", "sc", None),
+)
+
+
+def mark_rules_alg(plans):
+    """Processes flip, then run their plan over an LL/SC counter, a
+    write-first counter, a mutex-wrapped counter and an atomic LL/SC
+    register, on which an SC need not follow an LL."""
+
+    def prog(p):
+        def gen():
+            c = yield ("flip",)
+            for i in plans[p]:
+                key, op, args = MARK_OPS[i]
+                yield ("invoke", key, op, (10 * p + c,) if args is None else args)
+            return c
+
+        return gen()
+
+    bindings = (
+        Binding("L", impl=llsc_strong_counter()),
+        Binding("W", impl=writefirst_strong_counter(4)),
+        Binding("M", impl=mutex_wrapped(counter_spec(0))),
+        Binding("X", spec=llsc_spec(0)),
+    )
+    return AlgorithmSpec(tuple(range(len(plans))), bindings, prog, omega=(0, 1))
+
+
+def pairwise_mark_state(h):
+    """The mark rules stated pairwise, by scanning back from each step."""
+    rsps = [s for s in h.steps if s.level == BASE and s.kind == RSP]
+
+    def installs(s):
+        return s.op == "write" or (s.op == "sc" and s.payload == 1)
+
+    def last_writer(i, oid):
+        for s in reversed(rsps[:i]):
+            if s.obj == oid and installs(s):
+                return s.process
+        return None
+
+    def linked(i, s):
+        return any(
+            t.op == "ll" and t.process == s.process and t.obj == s.obj
+            for t in rsps[:i]
+        )
+
+    sees = set()
+    for i, s in enumerate(rsps):
+        if s.op in ("read", "ll") or (s.op == "sc" and linked(i, s)):
+            m = last_writer(i, s.obj)
+            if m is not None and m != s.process:
+                sees.add((s.process, m))
+    written = {s.obj for s in rsps if installs(s)}
+    lled = {s.obj for s in rsps if s.op == "ll"}
+    return MarkState(
+        tuple((oid, last_writer(len(rsps), oid)) for oid in sorted(written)),
+        frozenset(sees),
+        tuple(
+            (oid, tuple(sorted({s.process for s in rsps if s.op == "ll" and s.obj == oid})))
+            for oid in sorted(lled)
+        ),
+    )
+
+
+@given(
+    st.lists(st.lists(st.integers(0, len(MARK_OPS) - 1), min_size=1, max_size=4),
+             min_size=2, max_size=3),
+    st.lists(st.integers(0, 5), min_size=4, max_size=120),
+    st.integers(0, 7),
+    st.integers(0, 200),
+)
+# An SC without a link, after another process wrote: not a sees edge.
+@example(plans=[[4], [6]], choices=[0, 0, 0, 0], coin_bits=0, cut=200)
+@settings(max_examples=200, deadline=None)
+def test_derive_mark_state_matches_pairwise_rules(plans, choices, coin_bits, cut):
+    coins = tuple((coin_bits >> i) & 1 for i in range(len(plans)))
 
     def make_decide():
         it = iter(choices)
 
         def decide(view):
             live = view.live()
-            if not live:
-                return None
             i = next(it, None)
-            if i is None:
-                return None
-            return live[i % len(live)]
+            return None if i is None or not live else live[i % len(live)]
 
         return decide
 
-    rec = run(alg, AdversaryPolicy("weak", make_decide=make_decide), VectorCoins(coins))
-    assert derive_mark_state(rec.history) == rec.mark_state
+    rec = run(
+        mark_rules_alg(plans),
+        AdversaryPolicy("weak", make_decide=make_decide),
+        VectorCoins(coins),
+    )
+    h = rec.history
+    assert derive_mark_state(h) == pairwise_mark_state(h)
+    part = h.prefix(min(cut, len(h.steps)))
+    assert derive_mark_state(part) == pairwise_mark_state(part)
 
 
 def test_naturalness_violation_is_caught():
@@ -379,6 +468,33 @@ def test_per_process_coins_and_exhaustion():
     assert rec.coin_vector == (0, 1)  # consumption order: process 1 flipped first
     with pytest.raises(NeedCoinError):
         run(alg, scripted_policy("strong", [1]), PerProcessCoins({0: (1,), 1: ()}))
+
+
+def test_simulations_are_freed_without_the_cycle_collector():
+    # A run's steps and generators go as soon as its last reference does,
+    # also mid-method and after a method body allocated an object.
+    def cas_prog(p):
+        def gen():
+            return (yield ("invoke", "C", "cas", (0, p + 1)))
+
+        return gen()
+
+    cas_alg = AlgorithmSpec((0, 1), (Binding("C", impl=cas_from_registers(0)),), cas_prog)
+    cases = [
+        (counter_race_alg(impl=True), (0, 1, 0)),
+        (cas_alg, (0, 0, 0, 0, 1, 0, 1)),
+    ]
+    gc.disable()
+    try:
+        for alg, grants in cases:
+            sim = Simulation(alg, VectorCoins(()))
+            for pid in grants:
+                sim.grant(pid)
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_point_contention_tracking():
