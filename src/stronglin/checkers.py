@@ -246,6 +246,7 @@ class HistoryTree:
             raise TreeError("tree nodes must be a list")
         # a tree without nodes is the root alone
         raw = raw or [{"id": 0, "parent": None, "step": None}]
+        listed = frozenset(processes)
         nodes: dict[int, TreeNode] = {}
         children: dict[int, list[int]] = {}
         for rec in raw:
@@ -261,7 +262,7 @@ class HistoryTree:
             else:
                 if parent not in nodes or parent >= nid:
                     raise TreeError(f"node {nid}: tree is not prefix-closed")
-                step = step_from_doc(sd, objects)
+                step = step_from_doc(sd, objects, listed)
             nodes[nid] = TreeNode(nid, parent, step, rec.get("coin_outcome"))
             children[nid] = []
             if parent is not None:
@@ -408,7 +409,8 @@ def _linearizations(
     rules the candidate out: a coin's outcome is not derivable).  Each
     order ends as soon as it covers ``need``.  A (committed, states)
     pair is recorded dead only when nothing below it yielded, so the
-    memo changes neither what is yielded nor its order.
+    memo changes neither what is yielded nor its order.  A spec that
+    rejects an operation (ValueError) raises CheckerError.
     """
     dead: set = set()
 
@@ -425,7 +427,10 @@ def _linearizations(
                 continue
             spec = spec_of(skey)
             state = states.get(skey, spec.initial_state)
-            state2, resp = spec.transition(state, op.op, op.args, op.process)
+            try:
+                state2, resp = spec.transition(state, op.op, op.args, op.process)
+            except ValueError as exc:
+                raise CheckerError(f"object {op.obj} rejects {op.op!r}: {exc}") from None
             if want is _REPLAYED:
                 if resp is ANY_RESPONSE:
                     continue

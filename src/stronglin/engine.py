@@ -41,6 +41,10 @@ class EngineError(Exception):
     """Scheduling or class-constraint violation."""
 
 
+class BudgetExhaustedError(EngineError):
+    """A run of an exact enumeration hit its grant budget."""
+
+
 class NeedCoinError(Exception):
     """The coin source ran out of outcomes."""
 
@@ -533,7 +537,7 @@ def enumerate_expectation(
                 f"run consumed more than horizon={horizon} flips"
             ) from None
         if "budget-exhausted" in rec.flags:
-            raise EngineError("budget exhausted during exact enumeration")
+            raise BudgetExhaustedError("budget exhausted during exact enumeration")
         acc += Fraction(payoff(rec))
     return acc / total
 

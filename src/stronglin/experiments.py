@@ -7,9 +7,10 @@ routes are distinguishable, and every claim here is settled either by
 exact enumeration over coin vectors or by exhaustive game search at the
 example's tiny size.  The load-balance experiment covers the sampled
 regime, and the checker suite replays the strong-linearizability
-fixtures.  Results are collected into a Report whose expected column is
-sourced from the EXPECTED table, so a regression surfaces as a verdict
-flip rather than a silently recomputed constant.
+fixtures.  The EXPECTED table is the one list of exact claims: the
+example reports and the suite emit exactly its rows, in table order,
+and take the expected column from it, so a regression surfaces as a
+verdict flip rather than a silently recomputed constant.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import isqrt
 from typing import Any, Callable, Mapping, Sequence
@@ -34,13 +35,23 @@ from .engine import (
     AdversaryPolicy,
     AlgorithmSpec,
     Binding,
+    BudgetExhaustedError,
     EngineError,
     RunRecord,
     VectorCoins,
     enumerate_expectation,
     run,
 )
-from .histories import BASE, INV, RSP, History, ObjectInfo, Step, interpret
+from .histories import (
+    BASE,
+    INV,
+    RSP,
+    History,
+    ObjectInfo,
+    SeqSpec,
+    Step,
+    interpret,
+)
 from .loadbalance import (
     adversary_ap,
     estimate_phi,
@@ -50,7 +61,10 @@ from .loadbalance import (
 )
 from .objects import (
     BOTTOM,
+    CATALOG,
+    ImplProgram,
     aadgms_snapshot,
+    counter_spec,
     herlihy_wing_queue,
     queue_spec,
     register_spec,
@@ -184,6 +198,34 @@ def atomic_value(ex: Example, klass: str = "strong") -> Fraction:
     )
 
 
+def _example(
+    name: str,
+    procs: tuple[int, ...],
+    key: str,
+    spec: SeqSpec,
+    impl: ImplProgram,
+    make_program: Callable[[int], Any],
+    omega: tuple[int, ...],
+    schedule: AdversaryPolicy,
+    payoff: Callable[[RunRecord], Fraction],
+    goal: str,
+) -> Example:
+    """One program run against ``key`` bound to ``spec`` and to ``impl``."""
+
+    def alg(binding: Binding) -> AlgorithmSpec:
+        return AlgorithmSpec(procs, (binding,), make_program, omega)
+
+    return Example(
+        name,
+        omega,
+        alg(Binding(key, spec=spec)),
+        alg(Binding(key, impl=impl)),
+        schedule,
+        payoff,
+        goal,
+    )
+
+
 def _snapshot_payoff(rec: RunRecord) -> Fraction:
     return Fraction(sum(rec.returns[0]))
 
@@ -215,24 +257,14 @@ def snapshot_example() -> Example:
 
         return (scanner, flipper, steady)[pid]()
 
-    omega = (-1, 1)
     schedule = branching_script(
         common=[0] * 3 + [2] * 7 + [2] * 6 + [1] * 7 + [1] * 1 + [1] * 7 + [0] * 3,
         branches={1: [2] * 1 + [0] * 3, -1: [0] * 3 + [2] * 1},
         name="steal-embedded-view",
     )
-    return Example(
-        name="snapshot",
-        omega=omega,
-        atomic=AlgorithmSpec(
-            (0, 1, 2), (Binding("S", spec=snapshot_spec(3)),), make_program, omega
-        ),
-        implemented=AlgorithmSpec(
-            (0, 1, 2), (Binding("S", impl=aadgms_snapshot(3)),), make_program, omega
-        ),
-        schedule=schedule,
-        payoff=_snapshot_payoff,
-        goal="min",
+    return _example(
+        "snapshot", (0, 1, 2), "S", snapshot_spec(3), aadgms_snapshot(3),
+        make_program, (-1, 1), schedule, _snapshot_payoff, "min",
     )
 
 
@@ -240,18 +272,13 @@ def _reader_payoff(rec: RunRecord) -> Fraction:
     return Fraction(rec.returns[1])
 
 
-def srsw_register_example() -> Example:
-    """Reader vs. writer on a four-valued register initialized to 1.
-
-    The writer writes 2 and then a coin value from {0, 2}.  Against the
-    bit-array implementation, a fixed oblivious schedule catches the
-    reader's downward re-check between the two writes, so the read
-    averages 1/2 even though every atomic schedule yields at least 1.
-    """
+def _register_program(first: int) -> Callable[[int], Any]:
+    """Process 0 writes ``first``, flips, then writes the coin; every
+    other process reads once."""
 
     def make_program(pid: int) -> Any:
         def writer() -> Any:
-            yield ("invoke", "R", "write", (2,))
+            yield ("invoke", "R", "write", (first,))
             c = yield ("flip",)
             yield ("invoke", "R", "write", (c,))
             return c
@@ -262,27 +289,24 @@ def srsw_register_example() -> Example:
 
         return writer() if pid == 0 else reader()
 
-    omega = (0, 2)
-    return Example(
-        name="srsw-register",
-        omega=omega,
-        atomic=AlgorithmSpec(
-            (0, 1),
-            (Binding("R", spec=register_spec(1, domain_bound=3)),),
-            make_program,
-            omega,
-        ),
-        implemented=AlgorithmSpec(
-            (0, 1),
-            (Binding("R", impl=vidyasankar_register(3, 1)),),
-            make_program,
-            omega,
-        ),
-        schedule=AdversaryPolicy(
-            "oblivious", schedule=(1, 1) + (0,) * 7 + (1,), name="up-down-race"
-        ),
-        payoff=_reader_payoff,
-        goal="min",
+    return make_program
+
+
+def srsw_register_example() -> Example:
+    """Reader vs. writer on a four-valued register initialized to 1.
+
+    The writer writes 2 and then a coin value from {0, 2}.  Against the
+    bit-array implementation, a fixed oblivious schedule catches the
+    reader's downward re-check between the two writes, so the read
+    averages 1/2 even though every atomic schedule yields at least 1.
+    """
+    schedule = AdversaryPolicy(
+        "oblivious", schedule=(1, 1) + (0,) * 7 + (1,), name="up-down-race"
+    )
+    return _example(
+        "srsw-register", (0, 1), "R", register_spec(1, domain_bound=3),
+        vidyasankar_register(3, 1), _register_program(2), (0, 2), schedule,
+        _reader_payoff, "min",
     )
 
 
@@ -294,41 +318,14 @@ def mrsw_register_example() -> Example:
     cell before either write, then decides, after seeing the coin,
     whether r2 runs first and relays -1 into r1's remaining reads.
     """
-
-    def make_program(pid: int) -> Any:
-        def writer() -> Any:
-            yield ("invoke", "R", "write", (1,))
-            c = yield ("flip",)
-            yield ("invoke", "R", "write", (c,))
-            return c
-
-        def reader() -> Any:
-            got = yield ("invoke", "R", "read", ())
-            return got
-
-        return writer() if pid == 0 else reader()
-
-    omega = (-1, 1)
     schedule = branching_script(
         common=[1] * 1 + [0] * 2 + [0] * 1 + [0] * 2,
         branches={1: [1] * 4 + [2] * 5, -1: [2] * 5 + [1] * 4},
         name="relay-steal",
     )
-    return Example(
-        name="mrsw-register",
-        omega=omega,
-        atomic=AlgorithmSpec(
-            (0, 1, 2), (Binding("R", spec=register_spec(0)),), make_program, omega
-        ),
-        implemented=AlgorithmSpec(
-            (0, 1, 2),
-            (Binding("R", impl=vitanyi_awerbuch_mrsw()),),
-            make_program,
-            omega,
-        ),
-        schedule=schedule,
-        payoff=_reader_payoff,
-        goal="min",
+    return _example(
+        "mrsw-register", (0, 1, 2), "R", register_spec(0), vitanyi_awerbuch_mrsw(),
+        _register_program(1), (-1, 1), schedule, _reader_payoff, "min",
     )
 
 
@@ -376,7 +373,6 @@ def hw_queue_example() -> Example:
 
         return racer() if pid == 2 else enqueuer()
 
-    omega = (0, 1)
     schedule = branching_script(
         common=[0] * 1 + [1] * 2 + [2] * 2 + [2] * 1,
         branches={
@@ -385,39 +381,19 @@ def hw_queue_example() -> Example:
         },
         name="held-write",
     )
-    return Example(
-        name="hw-queue",
-        omega=omega,
-        atomic=AlgorithmSpec(
-            (0, 1, 2), (Binding("Q", spec=queue_spec()),), make_program, omega
-        ),
-        implemented=AlgorithmSpec(
-            (0, 1, 2),
-            (Binding("Q", impl=herlihy_wing_queue()),),
-            make_program,
-            omega,
-        ),
-        schedule=schedule,
-        payoff=_queue_payoff,
-        goal="max",
+    return _example(
+        "hw-queue", (0, 1, 2), "Q", queue_spec(), herlihy_wing_queue(),
+        make_program, (0, 1), schedule, _queue_payoff, "max",
     )
 
 
-def queue_adversary_experiment() -> dict[str, Fraction]:
-    """Exact success probabilities for the queue race, all three claims.
-
-    The unordered variant drops the 1-before-2 goal; it does not help
-    the atomic adversary, because the racer's own enqueue still pins
-    the queue front before the flip.
-    """
-    ex = hw_queue_example()
-    return {
-        "implemented-weak": implemented_value(ex),
-        "atomic-strong-max": atomic_value(ex, klass="strong"),
-        "atomic-strong-max-unordered": optimal_expectation(
-            ex.atomic, ex.omega, _queue_payoff_unordered, klass="strong", maximize=True
-        ),
-    }
+# A claim whose metric scores something other than its example's own
+# payoff.  The unordered queue goal drops 1-before-2; it does not help
+# the atomic adversary, because the racer's own enqueue still pins the
+# queue front before the flip.
+_METRIC_PAYOFFS: dict[str, Callable[[RunRecord], Fraction]] = {
+    "max-success-probability-unordered": _queue_payoff_unordered,
+}
 
 
 EXAMPLES: dict[str, Callable[[], Example]] = {
@@ -462,8 +438,6 @@ def mutex_counter_tree() -> HistoryTree:
             return None
 
         return flipper() if pid == 0 else bumper()
-
-    from .objects import CATALOG
 
     alg = AlgorithmSpec(
         (0, 1),
@@ -595,8 +569,6 @@ def race_program() -> AlgorithmSpec:
 
         return racer() if pid == 2 else one()
 
-    from .objects import counter_spec
-
     return AlgorithmSpec(
         (0, 1, 2), (Binding("X", spec=counter_spec(0)),), make_program, (0, 1)
     )
@@ -627,18 +599,6 @@ def coschedulable(targets: Mapping[int, tuple]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-CSV_COLUMNS = (
-    "experiment",
-    "variant",
-    "metric",
-    "value",
-    "ci95",
-    "expected",
-    "citation",
-    "verdict",
-)
-
-
 @dataclass(frozen=True)
 class Row:
     experiment: str
@@ -649,6 +609,9 @@ class Row:
     expected: str
     citation: str
     verdict: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(Row))
 
 
 @dataclass(frozen=True)
@@ -681,9 +644,10 @@ class Report:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# Expected values for every exact claim, keyed (experiment, variant,
-# metric).  The citation says why the number is what it is; the runners
-# never recompute an expected value inline.
+# Every exact claim, keyed (experiment, variant, metric), in report row
+# order: a report emits one row per key of its experiment.  The
+# citation says why the number is what it is; the runners never
+# recompute an expected value inline.
 EXPECTED: dict[tuple[str, str, str], tuple[str, str]] = {
     ("snapshot", "atomic-strong", "min-expected-scan-sum"): (
         "-1",
@@ -757,17 +721,23 @@ EXPECTED: dict[tuple[str, str, str], tuple[str, str]] = {
 }
 
 
-def _exact_row(experiment: str, variant: str, metric: str, value: Fraction) -> Row:
-    expected, citation = EXPECTED[(experiment, variant, metric)]
-    got = str(Fraction(value))
-    verdict = "ok" if got == expected else "fail"
-    return Row(experiment, variant, metric, got, "", expected, citation, verdict)
-
-
-def _flag_row(experiment: str, variant: str, metric: str, value: str) -> Row:
-    expected, citation = EXPECTED[(experiment, variant, metric)]
+def _row(key: tuple[str, str, str], value: str | None) -> Row:
+    """The report row of one claim; a value of None (budget hit) is
+    ``inconclusive``."""
+    expected, citation = EXPECTED[key]
+    if value is None:
+        return Row(*key, "", "", expected, citation, "inconclusive")
     verdict = "ok" if value == expected else "fail"
-    return Row(experiment, variant, metric, value, "", expected, citation, verdict)
+    return Row(*key, value, "", expected, citation, verdict)
+
+
+def _claim_rows(
+    experiment: str, value_of: Callable[[str, str], str | None]
+) -> tuple[Row, ...]:
+    """One row per EXPECTED claim of the experiment, in table order."""
+    return tuple(
+        _row(key, value_of(key[1], key[2])) for key in EXPECTED if key[0] == experiment
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -785,75 +755,39 @@ class ExperimentConfig:
     budget: int = 10_000
 
     def echo(self) -> tuple[tuple[str, Any], ...]:
-        return (
-            ("name", self.name),
-            ("n", self.n),
-            ("delta", self.delta),
-            ("trials", self.trials),
-            ("seed", self.seed),
-            ("budget", self.budget),
-        )
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
 
 def _example_report(cfg: ExperimentConfig) -> Report:
+    """The example's claims.  The variant names the route: an
+    ``implemented-<class>`` claim enumerates the pinned schedule of that
+    class, an ``atomic-<class>`` claim is the atomic game value against
+    that adversary class."""
     ex = EXAMPLES[cfg.name]()
-    rows: list[Row] = []
-    if cfg.name == "snapshot":
-        rows.append(
-            _exact_row("snapshot", "atomic-strong", "min-expected-scan-sum",
-                       atomic_value(ex, klass="strong"))
-        )
-        rows.append(
-            _exact_row("snapshot", "atomic-weak", "min-expected-scan-sum",
-                       atomic_value(ex, klass="weak"))
-        )
-        rows.append(
-            _exact_row("snapshot", "implemented-weak", "expected-scan-sum",
-                       implemented_value(ex, cfg.budget))
-        )
-    elif cfg.name == "srsw-register":
-        rows.append(
-            _exact_row("srsw-register", "atomic-strong", "min-expected-read",
-                       atomic_value(ex, klass="strong"))
-        )
-        rows.append(
-            _exact_row("srsw-register", "implemented-oblivious", "expected-read",
-                       implemented_value(ex, cfg.budget))
-        )
-    elif cfg.name == "mrsw-register":
-        rows.append(
-            _exact_row("mrsw-register", "atomic-strong", "min-expected-read",
-                       atomic_value(ex, klass="strong"))
-        )
-        rows.append(
-            _exact_row("mrsw-register", "implemented-weak", "expected-read",
-                       implemented_value(ex, cfg.budget))
-        )
-    else:
-        probs = queue_adversary_experiment()
-        rows.append(
-            _exact_row("hw-queue", "implemented-weak", "success-probability",
-                       probs["implemented-weak"])
-        )
-        rows.append(
-            _exact_row("hw-queue", "atomic-strong", "max-success-probability",
-                       probs["atomic-strong-max"])
-        )
-        rows.append(
-            _exact_row("hw-queue", "atomic-strong",
-                       "max-success-probability-unordered",
-                       probs["atomic-strong-max-unordered"])
-        )
-    return Report(cfg.name, cfg.echo(), tuple(rows))
+
+    def value_of(variant: str, metric: str) -> str | None:
+        route, klass = variant.split("-", 1)
+        if route == "atomic":
+            payoff = _METRIC_PAYOFFS.get(metric, ex.payoff)
+            return str(atomic_value(replace(ex, payoff=payoff), klass))
+        try:
+            return str(implemented_value(ex, cfg.budget))
+        except BudgetExhaustedError:
+            return None
+
+    return Report(cfg.name, cfg.echo(), _claim_rows(cfg.name, value_of))
 
 
-def _phi_row(
-    variant: str,
-    est: Any,
-    bound: Fraction,
-    side: str,
-    citation: str,
-) -> Row:
+# Why each side of the load-balance bound holds, keyed by the side.
+_PHI_CITATIONS = {
+    "below": "with atomic counters no weak adversary pushes the mean return "
+    "past (k_max-1)/sqrt(n)",
+    "above": "against these strongly linearizable counters the two-phase "
+    "adversary drives the target's return past the atomic bound",
+}
+
+
+def _phi_row(variant: str, est: Any, bound: Fraction, side: str) -> Row:
     value = f"{est.mean:.6f}"
     ci = f"{est.ci95:.6f}"
     if est.flags or est.trials < 2:
@@ -865,7 +799,7 @@ def _phi_row(
         verdict = "ok" if est.mean - est.ci95 > float(bound) else "fail"
     return Row(
         "loadbalance", variant, "phi-estimate", value, ci, str(bound),
-        citation, verdict,
+        _PHI_CITATIONS[side], verdict,
     )
 
 
@@ -879,102 +813,79 @@ def _loadbalance_report(cfg: ExperimentConfig) -> Report:
         )
     if isqrt(n) ** 2 != n:
         raise ExperimentError(f"loadbalance needs a square process count, got {n}")
-    k_max = k_max_for(n, cfg.delta)
+    try:
+        k_max = k_max_for(n, cfg.delta)
+    except ValueError:
+        raise ExperimentError(
+            "loadbalance needs a delta with (1 + delta) * sqrt(n) finite and "
+            f"positive, got {cfg.delta}"
+        ) from None
     bound = Fraction(k_max - 1, isqrt(n))
-    below = (
-        "with atomic counters no weak adversary pushes the mean return "
-        "past (k_max-1)/sqrt(n)"
-    )
-    above = (
-        "against these strongly linearizable counters the two-phase "
-        "adversary drives the target's return past the atomic bound"
-    )
-    rows: list[Row] = []
+    two_phase = lambda p: adversary_ap(p, n)
+    families = {"two-phase": two_phase, **scripted_weak_families(n, k_max)}
     atomic = loadbalance_algorithm(n, "atomic")
-    families: dict[str, Callable[[int], AdversaryPolicy]] = {
-        "two-phase": lambda p: adversary_ap(p, n)
-    }
-    families.update(scripted_weak_families(n, k_max))
-    for fam_name in sorted(families):
-        est = estimate_phi(
-            atomic, families[fam_name], k_max, cfg.trials, cfg.seed, cfg.budget
-        )
-        rows.append(_phi_row(f"atomic-{fam_name}", est, bound, "below", below))
-    for kind in ("llsc", "writefirst"):
-        alg = loadbalance_algorithm(n, kind)
-        est = estimate_phi(
-            alg, lambda p: adversary_ap(p, n), k_max, cfg.trials, cfg.seed, cfg.budget
-        )
-        rows.append(_phi_row(f"{kind}-two-phase", est, bound, "above", above))
+    estimates = [
+        (f"atomic-{fam}", atomic, families[fam], "below") for fam in sorted(families)
+    ] + [
+        (f"{kind}-two-phase", loadbalance_algorithm(n, kind), two_phase, "above")
+        for kind in ("llsc", "writefirst")
+    ]
+    rows = []
+    for variant, alg, family, side in estimates:
+        est = estimate_phi(alg, family, k_max, cfg.trials, cfg.seed, cfg.budget)
+        rows.append(_phi_row(variant, est, bound, side))
     return Report("loadbalance", cfg.echo(), tuple(rows))
 
 
-def _suite_report(cfg: ExperimentConfig) -> Report:
-    rows: list[Row] = []
+def _witness_flag(tree: HistoryTree) -> str:
+    """``witness`` when the checker finds one that re-validates."""
+    specs = default_specs(tree.objects, tree.processes)
+    witness = check_strong_lin(tree, specs)
+    if witness is None or witness_violations(tree, witness, specs):
+        return "none"
+    return "witness"
 
-    mutex = mutex_counter_tree()
-    specs = default_specs(mutex.objects, mutex.processes)
-    witness = check_strong_lin(mutex, specs)
-    if witness is not None and witness_violations(mutex, witness, specs):
-        witness = None
-    rows.append(
-        _flag_row("strong-lin-suite", "mutex-counter", "witness",
-                  "none" if witness is None else "witness")
-    )
 
-    hw = hw_atomic_dequeue_tree()
-    hw_witness = check_strong_lin(hw, default_specs(hw.objects, hw.processes))
-    rows.append(
-        _flag_row("strong-lin-suite", "hw-atomic-dequeues", "witness",
-                  "none" if hw_witness is None else "witness")
-    )
-
+def _normalized_race_images() -> str:
     race = counter_race_tree()
-    race_specs = default_specs(race.objects, race.processes)
-    race_witness = check_strong_lin(race, race_specs)
-    normalized_match = "mismatch"
-    if race_witness is not None:
-        norm = normalize_witness(race, race_witness, race_specs)
-        images = {}
-        for leaf in race.leaves():
-            sig = completion_signature(image_history(race.history_of(leaf), norm[leaf]))
-            flips = [r for p, o, r in sig if o == "flip"]
-            images[flips[0]] = sig
-        if images == dict(RACE_EARLY_FLIP):
-            normalized_match = "match"
-    rows.append(
-        _flag_row("strong-lin-suite", "counter-race", "normalized-images",
-                  normalized_match)
-    )
-
-    split = (
-        not coschedulable(RACE_LATE_FLIP) and coschedulable(RACE_EARLY_FLIP)
-    )
-    rows.append(
-        _flag_row("strong-lin-suite", "counter-race", "schedulability-split",
-                  "split" if split else "no-split")
-    )
-    return Report("strong-lin-suite", cfg.echo(), tuple(rows))
+    specs = default_specs(race.objects, race.processes)
+    witness = check_strong_lin(race, specs)
+    if witness is None:
+        return "mismatch"
+    norm = normalize_witness(race, witness, specs)
+    images = {}
+    for leaf in race.leaves():
+        sig = completion_signature(image_history(race.history_of(leaf), norm[leaf]))
+        flips = [r for p, o, r in sig if o == "flip"]
+        images[flips[0]] = sig
+    return "match" if images == dict(RACE_EARLY_FLIP) else "mismatch"
 
 
-EXPERIMENT_NAMES = (
-    "snapshot",
-    "srsw-register",
-    "mrsw-register",
-    "hw-queue",
-    "loadbalance",
-    "strong-lin-suite",
-)
+def _suite_report(cfg: ExperimentConfig) -> Report:
+    split = not coschedulable(RACE_LATE_FLIP) and coschedulable(RACE_EARLY_FLIP)
+    values = {
+        ("mutex-counter", "witness"): _witness_flag(mutex_counter_tree()),
+        ("hw-atomic-dequeues", "witness"): _witness_flag(hw_atomic_dequeue_tree()),
+        ("counter-race", "normalized-images"): _normalized_race_images(),
+        ("counter-race", "schedulability-split"): "split" if split else "no-split",
+    }
+    rows = _claim_rows(cfg.name, lambda variant, metric: values[variant, metric])
+    return Report(cfg.name, cfg.echo(), rows)
+
+
+_RUNNERS: dict[str, Callable[[ExperimentConfig], Report]] = {
+    **{name: _example_report for name in EXAMPLES},
+    "loadbalance": _loadbalance_report,
+    "strong-lin-suite": _suite_report,
+}
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_named_experiment(cfg: ExperimentConfig) -> Report:
     """Execute one named experiment and attach verdicts to every row."""
-    if cfg.name in EXAMPLES:
-        return _example_report(cfg)
-    if cfg.name == "loadbalance":
-        return _loadbalance_report(cfg)
-    if cfg.name == "strong-lin-suite":
-        return _suite_report(cfg)
-    raise ExperimentError(
-        f"unknown experiment {cfg.name!r}; names: {', '.join(EXPERIMENT_NAMES)}"
-    )
+    runner = _RUNNERS.get(cfg.name)
+    if runner is None:
+        raise ExperimentError(
+            f"unknown experiment {cfg.name!r}; names: {', '.join(EXPERIMENT_NAMES)}"
+        )
+    return runner(cfg)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Container, Iterable, Mapping
 
 INV = "inv"
 RSP = "rsp"
@@ -179,15 +179,6 @@ class History:
 def check_well_formed(h: History) -> None:
     """Raise MalformedHistoryError unless h is per-process well-formed."""
     h.operations()
-    seen_pending: set[tuple[int, str]] = set()
-    for op in h.operations():
-        key = (op.process, h.steps[op.inv_index].level)
-        if not op.complete:
-            if key in seen_pending:
-                raise MalformedHistoryError(
-                    f"process {op.process} has two pending operations"
-                )
-            seen_pending.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +360,8 @@ def _encode_payload(v: Any) -> Any:
 def _decode_payload(v: Any) -> Any:
     if isinstance(v, list):
         return tuple(_decode_payload(x) for x in v)
+    if isinstance(v, dict):
+        raise HistoryError("a JSON object is not a payload value")
     return v
 
 
@@ -407,9 +400,13 @@ def step_doc(s: Step) -> dict[str, Any]:
     }
 
 
-def step_from_doc(doc: Any, objects: Mapping[int, ObjectInfo]) -> Step:
+def step_from_doc(
+    doc: Any, objects: Mapping[int, ObjectInfo], processes: Container[int]
+) -> Step:
     """Inverse of step_doc; HistoryError on a non-object, a missing key,
-    a field of the wrong type or an object id missing from ``objects``."""
+    a field of the wrong type, a process missing from ``processes``, an
+    object id missing from ``objects``, a payload holding a JSON object
+    or an invocation whose payload is not an argument list."""
     kind, process, obj, op, payload, level = _fields(doc, _STEP_KEYS, "step")
     if kind not in _KINDS:
         raise HistoryError(f"step kind {kind!r} is not 'inv' or 'rsp'")
@@ -417,8 +414,12 @@ def step_from_doc(doc: Any, objects: Mapping[int, ObjectInfo]) -> Step:
         raise HistoryError(f"step level {level!r} is not 'base' or 'interpreted'")
     if not (_is_id(process) and _is_id(obj) and isinstance(op, str)):
         raise HistoryError("step process and object must be integers, op a string")
+    if process not in processes:
+        raise HistoryError(f"step process {process} is not in the process list")
     if obj not in objects:
         raise HistoryError(f"step object {obj} is not in the registry")
+    if kind == INV and not isinstance(payload, list):
+        raise HistoryError("an invocation payload must be a list of arguments")
     return Step(kind, process, obj, op, _decode_payload(payload), level)
 
 
@@ -482,11 +483,12 @@ def from_jsonl(text: str) -> History:
     objects, processes = _fields(header, ("objects", "processes"), "header")
     objects = objects_from_doc(objects)
     processes = processes_from_doc(processes)
+    listed = frozenset(processes)
     steps = []
     for i, ln in enumerate(lines[1:]):
         rec = json.loads(ln)
         try:
-            steps.append(step_from_doc(rec, objects))
+            steps.append(step_from_doc(rec, objects, listed))
         except HistoryError as exc:
             raise HistoryError(f"line {i + 2}: {exc}") from None
         if rec.get("index") != i:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import ceil, isqrt, sqrt
+from math import ceil, isfinite, isqrt, sqrt
 from typing import Callable, Mapping
 
 from .engine import (
@@ -520,8 +520,15 @@ def estimate_phi(
 
 
 def k_max_for(n: int, delta: float = 0.5) -> int:
-    """Contention cap: smallest integer at least (1 + delta) * sqrt(n)."""
+    """Contention cap: smallest integer at least (1 + delta) * sqrt(n).
+
+    ValueError unless n is a perfect square and the cap is a finite
+    integer of at least 1.
+    """
     m = isqrt(n)
     if m * m != n:
         raise ValueError(f"process count must be a perfect square, got {n}")
-    return ceil((1 + delta) * m)
+    scale = (1 + delta) * m
+    if not (isfinite(scale) and scale > 0):
+        raise ValueError(f"(1 + delta) * sqrt(n) must be finite and positive, got {scale}")
+    return ceil(scale)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through click's test runner."""
 
+import functools
 import hashlib
 import json
 import os
@@ -67,6 +68,30 @@ def test_experiment_bad_loadbalance_n_is_usage_error(runner, n):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Error: loadbalance needs" in result.output
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+def test_experiment_bad_loadbalance_delta_is_usage_error(runner, delta):
+    result = runner.invoke(main, ["experiment", "loadbalance", "--delta", delta])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [ln for ln in result.output.splitlines() if "Error" in ln]
+    assert len(errors) == 1 and errors[0].startswith("Error: loadbalance needs")
+
+
+@pytest.mark.parametrize("name", ["snapshot", "srsw-register", "hw-queue"])
+def test_budget_exhausted_exact_rows_are_inconclusive(runner, name):
+    result = runner.invoke(
+        main, ["experiment", name, "--budget", "5", "--format", "json"]
+    )
+    assert result.exit_code == 1
+    doc = json.loads(result.output)
+    assert doc["config"]["budget"] == 5
+    implemented = [r for r in doc["rows"] if r["variant"].startswith("implemented-")]
+    assert implemented and all(
+        r["verdict"] == "inconclusive" and r["value"] == "" for r in implemented
+    )
+    assert all(r["verdict"] == "ok" for r in doc["rows"] if r not in implemented)
 
 
 def test_experiment_zero_loadbalance_trials_is_usage_error(runner):
@@ -346,6 +371,41 @@ def _string_node_id():
     return json.dumps(doc)
 
 
+def _register_write(**inv):
+    # Process 0 writes 1 to a register.  ``inv`` overrides fields of the
+    # invocation; a process or op override reaches the response too, so
+    # the pair still matches.
+    w = {"kind": INV, "process": 0, "object": 0, "op": "write",
+         "payload": [1], "level": BASE, **inv}
+    return w, {**w, "kind": RSP, "payload": None}
+
+
+_REGISTER = {"0": {"type": "register", "level": BASE,
+                   "params": {"key": "R"}, "impl": None}}
+
+
+def _write_history(**inv):
+    header = {"objects": _REGISTER, "processes": [0]}
+    steps = [{"index": i, **s} for i, s in enumerate(_register_write(**inv))]
+    return "\n".join(json.dumps(d) for d in [header, *steps]) + "\n"
+
+
+def _write_tree(**inv):
+    w, r = _register_write(**inv)
+    nodes = [{"id": 0, "parent": None, "step": None},
+             {"id": 1, "parent": 0, "step": w},
+             {"id": 2, "parent": 1, "step": r}]
+    return json.dumps({"processes": [0], "objects": _REGISTER, "nodes": nodes})
+
+
+STEP_HOLES = {
+    "unlisted-process": {"process": 7},
+    "object-payload": {"payload": [{"v": 1}]},
+    "scalar-invocation-payload": {"payload": 5},
+    "op-the-spec-rejects": {"op": "frob"},
+}
+
+
 def _nodes_not_a_list():
     doc = json.loads(counter_race_tree().to_json())
     doc["nodes"] = 5
@@ -373,6 +433,13 @@ def _node_without_step():
         ("check-lin", _step_with_bad_level),
         ("check-strong-lin", _string_node_id),
         ("check-strong-lin", _nodes_not_a_list),
+        *[
+            pytest.param(command, functools.partial(encode, **fields),
+                         id=f"{command}-{hole}")
+            for hole, fields in STEP_HOLES.items()
+            for command, encode in (("check-lin", _write_history),
+                                    ("check-strong-lin", _write_tree))
+        ],
     ],
     ids=lambda v: v.__name__.strip("_") if callable(v) else v,
 )
@@ -385,6 +452,18 @@ def test_malformed_input_is_usage_error(runner, tmp_path, command, make_text):
     assert "Traceback" not in result.output
     errors = [ln for ln in result.output.splitlines() if "Error" in ln]
     assert len(errors) == 1 and errors[0].startswith("Error: ")
+
+
+@pytest.mark.parametrize(
+    "command, encode",
+    [("check-lin", _write_history), ("check-strong-lin", _write_tree)],
+)
+def test_register_write_control_is_accepted(runner, tmp_path, command, encode):
+    # The unmodified input behind the STEP_HOLES cases decodes and
+    # linearizes, so each of those cases fails for its own field.
+    src = tmp_path / "input"
+    src.write_text(encode())
+    assert runner.invoke(main, [command, str(src)]).exit_code == 0
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

@@ -157,6 +157,21 @@ def test_mismatched_expectation_flips_the_verdict(monkeypatch):
     assert [r.verdict for r in rep.rows] == ["ok", "fail"]
 
 
+def test_reports_emit_every_claim_once_in_table_order():
+    # EXPECTED is the row list: no claim is orphaned, none is emitted
+    # twice, and an implemented variant names its schedule's class.
+    names = [*EXAMPLES, "strong-lin-suite"]
+    emitted = [
+        (r.experiment, r.variant, r.metric)
+        for name in names
+        for r in run_named_experiment(ExperimentConfig(name)).rows
+    ]
+    assert emitted == list(EXPECTED)
+    for name, variant, _metric in EXPECTED:
+        if variant.startswith("implemented-"):
+            assert variant == f"implemented-{EXAMPLES[name]().schedule.klass}"
+
+
 def test_loadbalance_report_passes_at_small_scale():
     rep = run_named_experiment(ExperimentConfig("loadbalance", n=16, trials=150, seed=3))
     assert rep.ok
