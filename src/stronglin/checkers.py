@@ -4,21 +4,19 @@ A prefix-closed set of interpreted histories forms a tree: one node per
 prefix, one appended step per edge, branching only where a coin flip
 response differs.  This module decides linearizability of a single
 history, searches for prefix-preserving linearization witnesses over
-whole trees, normalizes such witnesses, extracts linearization points
-for timed executions, and exercises the locality and equivalence
-arguments on concrete run sets.  Everything here is exhaustive by
-design and guarded accordingly; these are desk-scale tools, not model
-checkers.
+whole trees, re-validates and normalizes such witnesses, and composes
+per-object witnesses into one for a multi-object tree (locality, stated
+as a claim of the checker suite).  ``common_linearization`` is the
+matching oracle of the snapshot reachability test.  Everything here is
+exhaustive by design and guarded accordingly; these are desk-scale
+tools, not model checkers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
@@ -33,12 +31,11 @@ from .histories import (
     OperationInstance,
     SeqSpec,
     Step,
-    TimedExecution,
     _dumps,
     _fields,
     _is_id,
+    happens_before,
     interpret,
-    interpreted_positions,
     objects_doc,
     objects_from_doc,
     processes_from_doc,
@@ -64,11 +61,6 @@ class CheckerError(Exception):
 
 class TreeError(CheckerError):
     """A history tree violating its structural invariants."""
-
-
-def _hb(a: OperationInstance, b: OperationInstance) -> bool:
-    # a happens before b: a completed and responded before b was invoked.
-    return a.rsp_index is not None and a.rsp_index < b.inv_index
 
 
 def _is_flip_step(objects: Mapping[int, ObjectInfo], s: Step) -> bool:
@@ -109,6 +101,15 @@ class TreeNode:
     parent: int | None
     step: Step | None
     coin_outcome: Any = None
+
+
+def _tree_node(
+    objects: Mapping[int, ObjectInfo], nid: int, parent: int | None, step: Step | None
+) -> TreeNode:
+    """The node for ``step``, its coin outcome derived from the step: the
+    payload of a flip response, None for any other step."""
+    flip = step is not None and step.is_rsp() and _is_flip_step(objects, step)
+    return TreeNode(nid, parent, step, step.payload if flip else None)
 
 
 class HistoryTree:
@@ -209,12 +210,7 @@ class HistoryTree:
                 nxt = edge.get((cur, s))
                 if nxt is None:
                     nxt = len(nodes)
-                    outcome = (
-                        s.payload
-                        if s.is_rsp() and _is_flip_step(objects, s)
-                        else None
-                    )
-                    nodes[nxt] = TreeNode(nxt, cur, s, outcome)
+                    nodes[nxt] = _tree_node(objects, nxt, cur, s)
                     children[nxt] = []
                     children[cur].append(nxt)
                     edge[(cur, s)] = nxt
@@ -263,7 +259,14 @@ class HistoryTree:
                 if parent not in nodes or parent >= nid:
                     raise TreeError(f"node {nid}: tree is not prefix-closed")
                 step = step_from_doc(sd, objects, listed)
-            nodes[nid] = TreeNode(nid, parent, step, rec.get("coin_outcome"))
+            node = _tree_node(objects, nid, parent, step)
+            # The field is optional and redundant with the step; compared
+            # as JSON text, so neither true nor 1.0 passes for 1.
+            if "coin_outcome" in rec and _dumps(rec["coin_outcome"]) != _dumps(
+                node.coin_outcome
+            ):
+                raise TreeError(f"node {nid}: coin_outcome disagrees with its step")
+            nodes[nid] = node
             children[nid] = []
             if parent is not None:
                 children[parent].append(nid)
@@ -456,7 +459,10 @@ def _candidates(ops: list[OperationInstance]) -> list[tuple]:
 
 
 def _preds(ops: list[OperationInstance]) -> dict[int, frozenset]:
-    return {o.inv_index: frozenset(q.inv_index for q in ops if _hb(q, o)) for o in ops}
+    return {
+        o.inv_index: frozenset(q.inv_index for q in ops if happens_before(q, o))
+        for o in ops
+    }
 
 
 def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
@@ -640,7 +646,7 @@ def witness_violations(
         order_ok = True
         for i in range(len(resolved)):
             for j in range(i + 1, len(resolved)):
-                if _hb(resolved[j], resolved[i]):
+                if happens_before(resolved[j], resolved[i]):
                     out.append(f"node {nid}: image order violates happens-before")
                     order_ok = False
                     break
@@ -697,7 +703,7 @@ def normality_violations(tree: HistoryTree, witness: Witness) -> list[str]:
                 continue
             before = by_key[img[i - 1].key]
             cf = by_key[e.key]
-            if not _hb(before, cf):
+            if not happens_before(before, cf):
                 out.append(
                     f"node {nid}: flip at image position {i} follows a "
                     f"concurrent operation"
@@ -730,9 +736,9 @@ def normalize_witness(
             lo = 0
             hi = len(base)
             for i, e in enumerate(base):
-                if _hb(by_key[e.key], cf_op):
+                if happens_before(by_key[e.key], cf_op):
                     lo = i + 1
-                if _hb(cf_op, by_key[e.key]):
+                if happens_before(cf_op, by_key[e.key]):
                     hi = min(hi, i)
             if lo > hi:
                 raise CheckerError(
@@ -744,108 +750,6 @@ def normalize_witness(
     if bad:
         raise CheckerError(f"normalization produced a bad witness: {bad[0]}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Linearization points over timed executions
-# ---------------------------------------------------------------------------
-
-
-def _match_image(
-    hi: History, f_image: History
-) -> list[tuple[OperationInstance, OperationInstance]]:
-    """Pair image ops with history ops, in image order.
-
-    Raises CheckerError unless the image is a linearization shape-wise:
-    contains every completed op with its actual response, adds at most
-    the pending ones, and orders everything consistently with
-    happens-before.
-    """
-    try:
-        if not f_image.is_sequential():
-            raise CheckerError("image is not sequential")
-        img_ops = f_image.operations()
-    except MalformedHistoryError as exc:
-        raise CheckerError(f"image is not a history: {exc}") from None
-    pairs: list[tuple[OperationInstance, OperationInstance]] = []
-    for p in set(op.process for op in img_ops):
-        hist_p = [o for o in hi.operations() if o.process == p]
-        img_p = [o for o in img_ops if o.process == p]
-        if len(img_p) > len(hist_p):
-            raise CheckerError(f"image has extra operations for process {p}")
-        for io, ho in zip(img_p, hist_p):
-            if (io.obj, io.op, io.args) != (ho.obj, ho.op, ho.args):
-                raise CheckerError(f"image operation mismatch for process {p}")
-            if ho.complete and io.ret != ho.ret:
-                raise CheckerError(f"image response mismatch for process {p}")
-            pairs.append((io, ho))
-        done = sum(1 for o in hist_p if o.complete)
-        if len(img_p) < done:
-            raise CheckerError(f"image omits a completed operation of process {p}")
-    pairs.sort(key=lambda pr: pr[0].inv_index)
-    pos = {
-        (ho.process, ho.inv_index): i for i, (_io, ho) in enumerate(pairs)
-    }
-    for _ia, ha in pairs:
-        for _ib, hb_ in pairs:
-            if _hb(ha, hb_) and not (
-                pos[(ha.process, ha.inv_index)] < pos[(hb_.process, hb_.inv_index)]
-            ):
-                raise CheckerError("image order contradicts happens-before")
-    return pairs
-
-
-def extract_linearization_points(
-    e: TimedExecution, f_image: History
-) -> dict[OperationInstance, Any]:
-    """Linearization points for an execution's image, by the midpoint rule.
-
-    The first image op sits at its invocation time; each later one at
-    the maximum of its own invocation time and the midpoint between its
-    predecessor's point and the next step of the execution after it (a
-    full unit out when no step follows).  Ops missing from the image
-    map to infinity.  Exact rational arithmetic throughout.
-    """
-    h = e.history()
-    hi = interpret(h)
-    kept = interpreted_positions(h)
-    pairs = _match_image(hi, f_image)
-    times = e.times()
-    ts = sorted(times)
-
-    def t_star(t: Fraction) -> Fraction:
-        i = bisect_right(ts, t)
-        if i < len(ts):
-            return (t + ts[i]) / 2
-        return t + 1
-
-    points: dict[OperationInstance, Any] = {}
-    prev: Fraction | None = None
-    for _io, ho in pairs:
-        t_inv = times[kept[ho.inv_index]]
-        cur = t_inv if prev is None else max(t_inv, t_star(prev))
-        points[ho] = cur
-        prev = cur
-    for op in hi.operations():
-        if op not in points:
-            points[op] = math.inf
-    return points
-
-
-def timed_linearization(
-    e: TimedExecution, f_image: History
-) -> TimedExecution:
-    """The image as a timed sequential execution, each op atomic at its point."""
-    points = extract_linearization_points(e, f_image)
-    hi = interpret(e.history())
-    pairs = _match_image(hi, f_image)
-    out = []
-    for io, ho in pairs:
-        t = points[ho]
-        lvl = hi.steps[ho.inv_index].level
-        out.append((Step(INV, ho.process, ho.obj, ho.op, ho.args, lvl), t))
-        out.append((Step(RSP, ho.process, ho.obj, ho.op, io.ret, lvl), t))
-    return TimedExecution(tuple(out), e.processes, e.objects)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +799,7 @@ def project_tree(tree: HistoryTree, oid: int) -> HistoryTree:
         ch = edge.get((cur, s))
         if ch is None:
             ch = len(nodes)
-            nodes[ch] = TreeNode(ch, cur, s)
+            nodes[ch] = _tree_node(tree.objects, ch, cur, s)
             children[ch] = []
             children[cur].append(ch)
             edge[(cur, s)] = ch
@@ -1000,15 +904,8 @@ def check_locality(
 
 
 # ---------------------------------------------------------------------------
-# Equivalence of run sets
+# Common linearization of two runs
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    equivalent: bool
-    failures: tuple
-    witnesses: Mapping[tuple, History | None]
 
 
 def _program_key(h: History, op: OperationInstance) -> tuple:
@@ -1030,7 +927,10 @@ def common_linearization(
     key of their object; a completed op whose twin is missing, or whose
     recorded responses disagree, rules a common linearization out
     immediately.  Otherwise the same commit search as linearize_one
-    runs against the union of both happens-before orders.
+    runs against the union of both happens-before orders.  No report
+    calls it: it is the oracle of
+    ``test_snapshot_branch_pair_is_unreachable_atomically``, which asks
+    whether an atomic run can match an implemented one.
     """
     cands, pairs = [], []
     for p in sorted(set(h1.processes) | set(h2.processes)):
@@ -1067,31 +967,12 @@ def common_linearization(
 
     preds = {
         o1.inv_index: frozenset(
-            q1.inv_index for q1, q2 in pairs if _hb(q1, o1) or _hb(q2, o2)
+            q1.inv_index
+            for q1, q2 in pairs
+            if happens_before(q1, o1) or happens_before(q2, o2)
         )
         for o1, o2 in pairs
     }
     need = frozenset(key for key, _k, _o, ret in cands if ret is not _REPLAYED)
     found = next(_linearizations(cands, preds, need, spec_of, {}), None)
     return None if found is None else image_history(h1, found[0])
-
-
-def check_equivalence(
-    runs_implemented: Mapping[tuple, Any],
-    runs_atomic: Mapping[tuple, Any],
-    key_specs: Mapping[str, SeqSpec],
-) -> EquivalenceVerdict:
-    """Coin vector by coin vector, hunt for common linearizations."""
-    if set(runs_implemented) != set(runs_atomic):
-        raise CheckerError("runs indexed by different coin vectors")
-
-    def hist(v) -> History:
-        return interpret(v.history if hasattr(v, "history") else v)
-
-    witnesses: dict[tuple, History | None] = {}
-    for c in sorted(runs_implemented):
-        witnesses[c] = common_linearization(
-            hist(runs_implemented[c]), hist(runs_atomic[c]), key_specs
-        )
-    failures = tuple(c for c, w in sorted(witnesses.items()) if w is None)
-    return EquivalenceVerdict(not failures, failures, witnesses)

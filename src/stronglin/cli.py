@@ -52,8 +52,8 @@ def _shared(fn: Callable) -> Callable:
                       help="Process count for the load-balance experiment."),
         click.option("--delta", type=float, default=0.5, show_default=True,
                       help="Contention-cutoff slack in k_max."),
-        click.option("--budget", type=int, default=10_000, show_default=True,
-                      help="Step budget per run."),
+        click.option("--budget", type=click.IntRange(min=1), default=10_000,
+                      show_default=True, help="Step budget per run."),
         click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                       default="csv", show_default=True),
         click.option("--out", default="-", show_default=True,

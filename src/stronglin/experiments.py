@@ -7,10 +7,10 @@ routes are distinguishable, and every claim here is settled either by
 exact enumeration over coin vectors or by exhaustive game search at the
 example's tiny size.  The load-balance experiment covers the sampled
 regime, and the checker suite replays the strong-linearizability
-fixtures.  The EXPECTED table is the one list of exact claims: the
-example reports and the suite emit exactly its rows, in table order,
-and take the expected column from it, so a regression surfaces as a
-verdict flip rather than a silently recomputed constant.
+fixtures, locality among them.  The EXPECTED table is the one list of
+exact claims: the example reports and the suite emit exactly its rows,
+in table order, and take the expected column from it, so a regression
+surfaces as a verdict flip rather than a silently recomputed constant.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .checkers import (
     HistoryTree,
+    check_locality,
     check_strong_lin,
     default_specs,
     image_history,
     normalize_witness,
+    project_tree,
     witness_violations,
 )
 from .engine import (
@@ -44,6 +46,7 @@ from .engine import (
 )
 from .histories import (
     BASE,
+    INTERPRETED,
     INV,
     RSP,
     History,
@@ -452,6 +455,82 @@ def mutex_counter_tree() -> HistoryTree:
     return HistoryTree.from_runs(runs, omega=(0, 1))
 
 
+def mutex_counter_runs() -> dict[tuple, RunRecord]:
+    """Runs of two clients over two lock-based counters, one per coin.
+
+    Client 0 increments C1, flips, and increments C2; client 1
+    increments C2 once.  Each client runs to completion in pid order,
+    so C1 is done before the flip and only C2 sees both clients.
+    """
+
+    def make_program(pid: int) -> Any:
+        def flipper() -> Any:
+            yield ("invoke", "C1", "fetch_inc", ())
+            yield ("flip",)
+            yield ("invoke", "C2", "fetch_inc", ())
+            return None
+
+        def bumper() -> Any:
+            yield ("invoke", "C2", "fetch_inc", ())
+            return None
+
+        return flipper() if pid == 0 else bumper()
+
+    counter = CATALOG["mutex-wrapped-counter"]
+    alg = AlgorithmSpec(
+        (0, 1),
+        (Binding("C1", impl=counter()), Binding("C2", impl=counter())),
+        make_program,
+        (0, 1),
+    )
+    return {(c,): run(alg, drain_policy((0, 1)), VectorCoins((c,))) for c in (0, 1)}
+
+
+def queue_counter_tree() -> HistoryTree:
+    """An implemented queue beside an unrelated implemented counter.
+
+    The queue's projection repeats the obstruction of
+    hw_atomic_dequeue_tree: two overlapping enqueues complete, then the
+    flip decides which value the drain meets first.  The counter is
+    touched on one branch only.
+    """
+    objs = {
+        0: ObjectInfo("queue", INTERPRETED, (("key", "Q"),), impl="demo"),
+        1: ObjectInfo("coin", BASE, (("process", 0),)),
+        2: ObjectInfo("strong-counter", INTERPRETED, (("key", "C"),), impl="demo"),
+    }
+
+    def at(kind: str, p: int, obj: int, op: str, payload: Any = ()) -> Step:
+        return Step(kind, p, obj, op, payload, BASE if obj == 1 else INTERPRETED)
+
+    common = (
+        at(INV, 1, 0, "enqueue", (1,)),
+        at(INV, 2, 0, "enqueue", (2,)),
+        at(RSP, 1, 0, "enqueue", None),
+        at(RSP, 2, 0, "enqueue", None),
+        at(INV, 0, 1, "flip"),
+    )
+    h0 = common + (
+        at(RSP, 0, 1, "flip", 0),
+        at(INV, 0, 0, "dequeue"),
+        at(RSP, 0, 0, "dequeue", 1),
+        at(INV, 0, 2, "fetch_inc"),
+        at(RSP, 0, 2, "fetch_inc", 0),
+    )
+    h1 = common + (
+        at(RSP, 0, 1, "flip", 1),
+        at(INV, 0, 0, "dequeue"),
+        at(RSP, 0, 0, "dequeue", 2),
+        at(INV, 0, 0, "dequeue"),
+        at(RSP, 0, 0, "dequeue", 1),
+    )
+    runs = {
+        (0,): History(h0, (0, 1, 2), objs),
+        (1,): History(h1, (0, 1, 2), objs),
+    }
+    return HistoryTree.from_runs(runs, omega=(0, 1))
+
+
 def hw_atomic_dequeue_tree() -> HistoryTree:
     """Queue tree with overlapping enqueues and branch-dependent dequeues.
 
@@ -718,6 +797,16 @@ EXPECTED: dict[tuple[str, str, str], tuple[str, str]] = {
         "one strong adversary replays both early-flip images but no "
         "strong adversary replays the late-flip pair",
     ),
+    ("strong-lin-suite", "composed-mutex-counters", "locality"): (
+        "witness",
+        "each counter's projection has a witness; composing them step by "
+        "step gives one for both counters, as the direct search confirms",
+    ),
+    ("strong-lin-suite", "composed-queue-counter", "locality"): (
+        "none",
+        "the queue's projection has no witness, so locality predicts none "
+        "for the composed tree, and the direct search finds none",
+    ),
 }
 
 
@@ -846,6 +935,25 @@ def _witness_flag(tree: HistoryTree) -> str:
     return "witness"
 
 
+def _locality_flag(tree: HistoryTree) -> str:
+    """The witness flag by two routes, or ``disagree`` when they differ.
+
+    One route composes witnesses of the implemented objects' projections
+    (check_locality), and reads ``none`` when some projection has none;
+    the other searches the whole tree (_witness_flag).
+    """
+    specs = default_specs(tree.objects, tree.processes)
+    per_object = {
+        oid: project_tree(tree, oid)
+        for oid, info in tree.objects.items()
+        if info.level == INTERPRETED
+    }
+    status = check_locality(per_object, tree, specs).status
+    composed = {"witness": "witness", "not-applicable": "none"}.get(status, status)
+    direct = _witness_flag(tree)
+    return direct if composed == direct else "disagree"
+
+
 def _normalized_race_images() -> str:
     race = counter_race_tree()
     specs = default_specs(race.objects, race.processes)
@@ -868,6 +976,10 @@ def _suite_report(cfg: ExperimentConfig) -> Report:
         ("hw-atomic-dequeues", "witness"): _witness_flag(hw_atomic_dequeue_tree()),
         ("counter-race", "normalized-images"): _normalized_race_images(),
         ("counter-race", "schedulability-split"): "split" if split else "no-split",
+        ("composed-mutex-counters", "locality"): _locality_flag(
+            HistoryTree.from_runs(mutex_counter_runs(), omega=(0, 1))
+        ),
+        ("composed-queue-counter", "locality"): _locality_flag(queue_counter_tree()),
     }
     rows = _claim_rows(cfg.name, lambda variant, metric: values[variant, metric])
     return Report(cfg.name, cfg.echo(), rows)

@@ -6,19 +6,23 @@ steps are the outer boundaries of implemented-object method calls,
 ``"base"`` steps belong to base objects (atomic registers, counters,
 coins and so on).  Interpretation erases the base steps that fall inside
 a method call of the same process, which turns a low-level history into
-the history of the same program run against atomic objects.
+the history of the same program run against atomic objects.  Pairing
+steps into operations, the happens-before order on them (the one rule
+every checker uses) and replay against sequential specifications live
+here too.
 
 Everything in this module is a pure function over immutable values.
 The interchange format is JSON Lines: a header line with the object
 registry followed by one step per line, with a canonical field order so
-that serialize -> parse -> serialize is byte-identical.
+that serialize -> parse -> serialize is byte-identical.  The decoders
+are the input boundary of the command line: they reject a malformed
+record with HistoryError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Container, Iterable, Mapping
 
 INV = "inv"
@@ -46,7 +50,7 @@ class NotSequentialError(HistoryError):
 
 
 class UnknownIdError(HistoryError):
-    """A process or object id is not part of the history."""
+    """An object id has no specification to replay against."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +107,7 @@ class OperationInstance:
 class History:
     """An ordered step sequence plus the process/object registries.
 
-    The index of a step is its position; projections re-base indices.
+    The index of a step is its position.
     """
 
     steps: tuple[Step, ...] = ()
@@ -118,9 +122,6 @@ class History:
 
     def prefix(self, n: int) -> "History":
         return self.with_steps(self.steps[:n])
-
-    def is_prefix_of(self, other: "History") -> bool:
-        return self.steps == other.steps[: len(self.steps)]
 
     def operations(self, level: str | None = None) -> tuple[OperationInstance, ...]:
         """Pair invocations with responses, per process and per level.
@@ -176,103 +177,35 @@ class History:
         return True
 
 
-def check_well_formed(h: History) -> None:
-    """Raise MalformedHistoryError unless h is per-process well-formed."""
-    h.operations()
-
-
 # ---------------------------------------------------------------------------
-# Projections and interpretation
+# Interpretation and happens-before
 # ---------------------------------------------------------------------------
-
-
-def project_process(h: History, p: int) -> History:
-    """The subsequence of steps executed by process p, indices re-based."""
-    if p not in h.processes:
-        raise UnknownIdError(f"unknown process id {p}")
-    return h.with_steps(s for s in h.steps if s.process == p)
-
-
-def project_object(h: History, o: int) -> History:
-    """The subsequence of steps on object o."""
-    if o not in h.objects:
-        raise UnknownIdError(f"unknown object id {o}")
-    return h.with_steps(s for s in h.steps if s.obj == o)
-
-
-def project_method_intervals(h: History, o: int) -> History:
-    """All steps any process executes inside a method call on object o.
-
-    Includes the boundary invocation/response on o itself; a pending
-    method call contributes its steps without the final response.
-    """
-    info = h.objects.get(o)
-    if info is None:
-        raise UnknownIdError(f"unknown object id {o}")
-    if info.level != INTERPRETED:
-        raise HistoryError(f"object {o} is a base object")
-    inside: set[int] = set()
-    kept: list[Step] = []
-    for s in h.steps:
-        if s.obj == o and s.level == INTERPRETED:
-            if s.is_inv():
-                inside.add(s.process)
-                kept.append(s)
-            else:
-                kept.append(s)
-                inside.discard(s.process)
-        elif s.process in inside:
-            kept.append(s)
-    return h.with_steps(kept)
-
-
-def interpreted_positions(h: History) -> list[int]:
-    """Positions in h of the steps interpretation keeps: method boundary
-    steps, and base steps of a process that is inside no method call."""
-    depth: dict[int, int] = {}
-    kept: list[int] = []
-    for i, s in enumerate(h.steps):
-        if s.level == INTERPRETED:
-            kept.append(i)
-            depth[s.process] = depth.get(s.process, 0) + (1 if s.is_inv() else -1)
-        elif depth.get(s.process, 0) == 0:
-            kept.append(i)
-    return kept
 
 
 def interpret(h: History) -> History:
     """Erase base steps inside implemented method calls (the Gamma map).
 
     Method boundary steps and top-level atomic steps (including coin
-    flips) survive.  Idempotent.
+    flips) survive: a base step is kept only when its process is inside
+    no method call.  Idempotent.
     """
-    steps = h.steps
-    return h.with_steps([steps[i] for i in interpreted_positions(h)])
+    depth: dict[int, int] = {}
+    kept: list[Step] = []
+    for s in h.steps:
+        if s.level == INTERPRETED:
+            kept.append(s)
+            depth[s.process] = depth.get(s.process, 0) + (1 if s.is_inv() else -1)
+        elif depth.get(s.process, 0) == 0:
+            kept.append(s)
+    return h.with_steps(kept)
 
 
-def prefix_to_flip(h: History, k: int) -> History:
-    """The prefix ending with the k-th flip invocation (whole h if fewer)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seen = 0
-    for i, s in enumerate(h.steps):
-        if s.op == FLIP and s.is_inv():
-            seen += 1
-            if seen == k:
-                return h.prefix(i + 1)
-    return h
+def happens_before(a: OperationInstance, b: OperationInstance) -> bool:
+    """True iff a completed and responded before b was invoked.
 
-
-def happens_before(h: History, a: OperationInstance, b: OperationInstance) -> bool:
-    """True iff a is complete and a's response precedes b's invocation."""
-    for op in (a, b):
-        if op.inv_index >= len(h.steps):
-            raise HistoryError("operation does not belong to this history")
-        s = h.steps[op.inv_index]
-        if s.process != op.process or s.obj != op.obj or s.op != op.op:
-            raise HistoryError("operation does not belong to this history")
-    if h.steps[a.inv_index].level != h.steps[b.inv_index].level:
-        raise HistoryError("operations are on different levels")
+    Both operations must come from one history, whose step positions
+    their indices are; every checker orders operations by this rule.
+    """
     return a.rsp_index is not None and a.rsp_index < b.inv_index
 
 
@@ -315,35 +248,6 @@ def validate_sequential(h: History, specs: Mapping[int, SeqSpec]) -> bool:
         if op.complete and expected is not ANY_RESPONSE and expected != op.ret:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Timed executions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimedExecution:
-    """A history with non-decreasing timestamps attached to its steps."""
-
-    pairs: tuple[tuple[Step, Fraction], ...]
-    processes: tuple[int, ...] = ()
-    objects: Mapping[int, ObjectInfo] = field(default_factory=dict)
-
-    def history(self) -> History:
-        return History(tuple(s for s, _t in self.pairs), self.processes, self.objects)
-
-    def times(self) -> tuple[Fraction, ...]:
-        return tuple(t for _s, t in self.pairs)
-
-
-def timed_from_history(h: History) -> TimedExecution:
-    """Attach time i to the i-th step."""
-    return TimedExecution(
-        tuple((s, Fraction(i)) for i, s in enumerate(h.steps)),
-        h.processes,
-        h.objects,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +350,9 @@ def objects_from_doc(doc: Any) -> dict[int, ObjectInfo]:
         if not oid.isdecimal():
             raise HistoryError(f"object id {oid!r} is not an integer")
         type_name, level, params = _fields(entry, ("type", "level", "params"), what)
+        impl = entry.get("impl")
+        if not (isinstance(type_name, str) and (impl is None or isinstance(impl, str))):
+            raise HistoryError(f"{what} type must be a string, impl a string or null")
         if level not in _LEVELS:
             raise HistoryError(f"{what} level {level!r} is not 'base' or 'interpreted'")
         if not isinstance(params, dict):
@@ -454,7 +361,7 @@ def objects_from_doc(doc: Any) -> dict[int, ObjectInfo]:
             type_name,
             level,
             tuple((k, _decode_payload(v)) for k, v in params.items()),
-            entry.get("impl"),
+            impl,
         )
     return out
 

@@ -128,15 +128,3 @@ def exists_adversary(
 
     return search((), ())
 
-
-def records_for_branches(
-    alg: AlgorithmSpec, branches: Mapping[tuple, tuple], klass: str
-):
-    """Replay an existence-search result into per-coin-vector records."""
-    out = {}
-    for coins, grants in branches.items():
-        res = replay_grants(alg, grants, coins, klass)
-        if res[0] != "ok":
-            raise EngineError("stored branch no longer replays")
-        out[coins] = res[1].record()
-    return out

@@ -1,9 +1,8 @@
-"""History trees, witness search and validation, normalization, points,
-locality, and run-set equivalence."""
+"""History trees, witness search and validation, normalization, locality,
+and common linearizations of run pairs."""
 
 import itertools
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -18,19 +17,16 @@ from stronglin.checkers import (
     HistoryTree,
     ImageOp,
     TreeError,
-    check_equivalence,
     check_locality,
     check_strong_lin,
     common_linearization,
     default_specs,
-    extract_linearization_points,
     image_history,
     linearize_one,
     normality_violations,
     normalize_witness,
     project_tree,
     render_witness,
-    timed_linearization,
     validate_witness,
     witness_violations,
 )
@@ -42,6 +38,7 @@ from stronglin.engine import (
     run,
     scripted_policy,
 )
+from stronglin.experiments import mutex_counter_runs, queue_counter_tree
 from stronglin.histories import (
     ANY_RESPONSE,
     BASE,
@@ -53,7 +50,6 @@ from stronglin.histories import (
     ObjectInfo,
     Step,
     interpret,
-    timed_from_history,
     validate_sequential,
 )
 from stronglin.objects import (
@@ -131,31 +127,6 @@ def finish_in_order(order):
     return AdversaryPolicy("strong", make_decide=make_decide, name="in-order")
 
 
-def mutex_counter_runs():
-    def make_program(pid):
-        def prog():
-            if pid == 0:
-                a = yield ("invoke", "C1", "fetch_inc", ())
-                c = yield ("flip",)
-                b = yield ("invoke", "C2", "fetch_inc", ())
-                return (a, c, b)
-            r = yield ("invoke", "C2", "fetch_inc", ())
-            return r
-
-        return prog()
-
-    alg = AlgorithmSpec(
-        (0, 1),
-        (
-            Binding("C1", impl=mutex_wrapped(counter_spec())),
-            Binding("C2", impl=mutex_wrapped(counter_spec())),
-        ),
-        make_program,
-        omega=(0, 1),
-    )
-    return {(c,): run(alg, finish_in_order([0, 1]), VectorCoins([c])) for c in (0, 1)}
-
-
 # ---------------------------------------------------------------------------
 # Tree construction
 # ---------------------------------------------------------------------------
@@ -179,7 +150,8 @@ def test_history_of_is_prefix_monotone():
     for nid in tree.node_ids():
         pid = tree.parent(nid)
         if pid is not None:
-            assert tree.history_of(pid).is_prefix_of(tree.history_of(nid))
+            parent = tree.history_of(pid).steps
+            assert tree.history_of(nid).steps[: len(parent)] == parent
 
 
 def test_from_runs_rejects_divergence_at_non_flip():
@@ -821,130 +793,6 @@ def test_normalization_preserves_witness_properties(case):
 
 
 # ---------------------------------------------------------------------------
-# Linearization points
-# ---------------------------------------------------------------------------
-
-
-def test_points_follow_the_midpoint_rule():
-    h = History(
-        (inv(0, 0, "read"), inv(1, 0, "read"),
-         rsp(0, 0, "read", 0), rsp(1, 0, "read", 0)),
-        (0, 1), REG_OBJS,
-    )
-    e = timed_from_history(h)
-    ops = h.operations()
-    a = ImageOp(0, 0, 0, "read", (), 0)
-    b = ImageOp(1, 1, 0, "read", (), 0)
-
-    pts = extract_linearization_points(e, image_history(h, (b, a)))
-    by_proc = {op.process: pts[op] for op in ops}
-    assert by_proc[1] == Fraction(1)
-    assert by_proc[0] == Fraction(3, 2)  # max(0, midpoint of 1 and 2)
-
-    pts = extract_linearization_points(e, image_history(h, (a, b)))
-    by_proc = {op.process: pts[op] for op in ops}
-    assert by_proc[0] == Fraction(0)
-    assert by_proc[1] == Fraction(1)
-
-    # an operation left out of the image sits at infinity
-    pts = extract_linearization_points(e, image_history(h, ()))
-    assert all(t == math.inf for t in pts.values())
-
-
-def test_points_of_trailing_image_op_without_following_steps():
-    h = History((inv(0, 0, "read"), inv(1, 0, "read")), (0, 1), REG_OBJS)
-    e = timed_from_history(h)
-    a = ImageOp(0, 0, 0, "read", (), 0)
-    b = ImageOp(1, 1, 0, "read", (), 0)
-    pts = extract_linearization_points(e, image_history(h, (b, a)))
-    by_proc = {op.process: pts[op] for op in h.operations()}
-    assert by_proc[1] == Fraction(1)
-    assert by_proc[0] == Fraction(2)  # no step after time 1: T* = t + 1
-
-
-@settings(max_examples=500, deadline=None)
-@given(small_histories())
-def test_points_are_increasing_and_inside_intervals(case):
-    h, specs = case
-    img = linearize_one(h, specs)
-    if img is None:
-        return
-    e = timed_from_history(h)
-    pts = extract_linearization_points(e, img)
-    times = e.times()
-    finite = sorted(t for t in pts.values() if t != math.inf)
-    assert all(x < y for x, y in zip(finite, finite[1:]))
-    for op, t in pts.items():
-        if t == math.inf:
-            continue
-        assert t >= times[op.inv_index]
-        if op.complete:
-            assert t <= times[op.rsp_index]
-    timed = timed_linearization(e, img)
-    assert timed.history().is_sequential()
-    assert [t for _s, t in timed.pairs] == sorted(
-        t for t in pts.values() for _ in (0, 1) if t != math.inf
-    )
-
-
-def test_points_agree_on_prefixes():
-    def make_program(pid):
-        def prog():
-            if pid == 0:
-                yield ("invoke", "R", "write", (5,))
-                r = yield ("invoke", "R", "read", ())
-                return r
-            r = yield ("invoke", "R", "read", ())
-            return r
-
-        return prog()
-
-    alg = AlgorithmSpec(
-        (0, 1), (Binding("R", spec=register_spec()),), make_program
-    )
-    rec = run(alg, scripted_policy("strong", [0, 1, 0]), VectorCoins([]))
-    tree = HistoryTree.from_runs({(): rec})
-    specs = default_specs(tree.objects, tree.processes)
-    w = check_strong_lin(tree, specs)
-    assert w is not None
-    path = sorted(tree.node_ids())
-    leaf = path[-1]
-    e_leaf = timed_from_history(tree.history_of(leaf))
-    leaf_img = image_history(tree.history_of(leaf), w[leaf])
-    leaf_timed = timed_linearization(e_leaf, leaf_img)
-    for nid in path:
-        e = timed_from_history(tree.history_of(nid))
-        img = image_history(tree.history_of(nid), w[nid])
-        timed = timed_linearization(e, img)
-        assert timed.pairs == leaf_timed.pairs[: len(timed.pairs)]
-
-
-def test_bad_images_are_rejected_for_points():
-    h = History(
-        (inv(0, 0, "write", (1,)), rsp(0, 0, "write"),
-         inv(0, 0, "read"), rsp(0, 0, "read", 1)),
-        (0,), REG_OBJS,
-    )
-    e = timed_from_history(h)
-    w_op = ImageOp(0, 0, 0, "write", (1,), None)
-    r_op = ImageOp(0, 2, 0, "read", (), 1)
-    wrong_ret = ImageOp(0, 2, 0, "read", (), 9)
-    with pytest.raises(CheckerError):  # missing completed op
-        extract_linearization_points(e, image_history(h, (w_op,)))
-    with pytest.raises(CheckerError):  # response mismatch
-        extract_linearization_points(e, image_history(h, (w_op, wrong_ret)))
-    with pytest.raises(CheckerError):  # order contradicts happens-before
-        extract_linearization_points(e, image_history(h, (r_op, w_op)))
-    nonseq = History(
-        (inv(0, 0, "write", (1,)), inv(1, 0, "read"),
-         rsp(0, 0, "write"), rsp(1, 0, "read", 1)),
-        (0, 1), REG_OBJS,
-    )
-    with pytest.raises(CheckerError):
-        extract_linearization_points(e, nonseq)
-
-
-# ---------------------------------------------------------------------------
 # Locality
 # ---------------------------------------------------------------------------
 
@@ -975,41 +823,9 @@ def test_locality_single_object_reduction():
 
 
 def test_locality_not_applicable_without_per_object_witness():
-    # an "implemented queue" whose projected tree repeats the committed
+    # an implemented queue whose projected tree repeats the committed
     # enqueue obstruction, plus an unrelated implemented counter
-    objs = {
-        0: ObjectInfo("queue", INTERPRETED, (("key", "Q"),), impl="demo"),
-        1: ObjectInfo("coin", BASE, (("process", 0),)),
-        2: ObjectInfo("strong-counter", INTERPRETED, (("key", "C"),), impl="demo"),
-    }
-
-    def istep(ctor, p, obj, op, payload=()):
-        kind = INV if ctor is inv else RSP
-        lvl = INTERPRETED if obj in (0, 2) else BASE
-        return Step(kind, p, obj, op, payload, lvl)
-
-    common = (
-        istep(inv, 1, 0, "enqueue", (1,)),
-        istep(inv, 2, 0, "enqueue", (2,)),
-        istep(rsp, 1, 0, "enqueue", None),
-        istep(rsp, 2, 0, "enqueue", None),
-        istep(inv, 0, 1, "flip"),
-    )
-    h0 = common + (
-        istep(rsp, 0, 1, "flip", 0),
-        istep(inv, 0, 0, "dequeue"), istep(rsp, 0, 0, "dequeue", 1),
-        istep(inv, 0, 2, "fetch_inc"), istep(rsp, 0, 2, "fetch_inc", 0),
-    )
-    h1 = common + (
-        istep(rsp, 0, 1, "flip", 1),
-        istep(inv, 0, 0, "dequeue"), istep(rsp, 0, 0, "dequeue", 2),
-        istep(inv, 0, 0, "dequeue"), istep(rsp, 0, 0, "dequeue", 1),
-    )
-    runs = {
-        (0,): History(h0, (0, 1, 2), objs),
-        (1,): History(h1, (0, 1, 2), objs),
-    }
-    tree = HistoryTree.from_runs(runs, omega=(0, 1))
+    tree = queue_counter_tree()
     per = {o: project_tree(tree, o) for o in (0, 2)}
     specs = default_specs(tree.objects, tree.processes)
     verdict = check_locality(per, tree, specs)
@@ -1095,17 +911,15 @@ def test_locality_on_sampled_composed_runs(rng):
 
 
 # ---------------------------------------------------------------------------
-# Equivalence of run sets
+# Common linearizations of run pairs, coin vector by coin vector
 # ---------------------------------------------------------------------------
 
 
 def test_equivalence_of_identical_run_sets():
-    runs = mutex_counter_runs()
     key_specs = {"C1": counter_spec(), "C2": counter_spec()}
-    verdict = check_equivalence(runs, runs, key_specs)
-    assert verdict.equivalent
-    assert verdict.failures == ()
-    for c, w in verdict.witnesses.items():
+    for rec in mutex_counter_runs().values():
+        h = interpret(rec.history)
+        w = common_linearization(h, h, key_specs)
         assert w is not None and w.is_sequential()
 
 
@@ -1129,16 +943,12 @@ def test_mutex_counter_equivalent_to_atomic_counter():
     atomic_alg = AlgorithmSpec(
         (0, 1), (Binding("C", spec=counter_spec()),), make_program, omega=(0, 1)
     )
-    runs_impl = {
-        (c,): run(impl_alg, finish_in_order([1, 0]), VectorCoins([c]))
-        for c in (0, 1)
-    }
-    runs_atomic = {
-        (c,): run(atomic_alg, finish_in_order([1, 0]), VectorCoins([c]))
-        for c in (0, 1)
-    }
-    verdict = check_equivalence(runs_impl, runs_atomic, {"C": counter_spec()})
-    assert verdict.equivalent, verdict.failures
+    for c in (0, 1):
+        impl, atomic = (
+            interpret(run(alg, finish_in_order([1, 0]), VectorCoins([c])).history)
+            for alg in (impl_alg, atomic_alg)
+        )
+        assert common_linearization(impl, atomic, {"C": counter_spec()}) is not None, c
 
 
 def test_inequivalence_shows_failing_coin_vector():
@@ -1153,13 +963,9 @@ def test_inequivalence_shows_failing_coin_vector():
          inv(0, 0, "read"), rsp(0, 0, "read", 0)),
         (0,), objs1,
     )
-    verdict = check_equivalence(
-        {(): h_read5}, {(): h_read0}, {"R": register_spec()}
-    )
-    assert not verdict.equivalent
-    assert verdict.failures == ((),)
-    with pytest.raises(CheckerError):
-        check_equivalence({(0,): h_read5}, {(1,): h_read0}, {})
+    key_specs = {"R": register_spec()}
+    assert common_linearization(h_read5, h_read0, key_specs) is None
+    assert common_linearization(h_read5, h_read5, key_specs) is not None
 
 
 def test_common_linearization_tolerates_mismatched_pendings():
@@ -1302,11 +1108,6 @@ def test_cas_sketch_points_validate_as_a_linearization():
     )
     specs = default_specs(hi.objects, hi.processes)
     assert validate_sequential(image_history(hi, image), specs)
-
-    mid = extract_linearization_points(timed_from_history(raw),
-                                       image_history(hi, image))
-    assert all(t != math.inf for t in mid.values())
-    assert sorted(by_proc, key=lambda p: mid[by_proc[p]]) == order
 
 
 def test_cas_from_registers_certified_on_a_small_tree():

@@ -101,6 +101,20 @@ def test_experiment_zero_loadbalance_trials_is_usage_error(runner):
     assert "Error: loadbalance needs at least one trial" in result.output
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("name", ["srsw-register", "loadbalance"])
+def test_budget_below_one_is_usage_error(runner, name, budget):
+    # No run can take a single grant, so the report would be meaningless.
+    result = runner.invoke(
+        main, ["experiment", name, "--budget", budget, "--trials", "2"]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [ln for ln in result.output.splitlines() if "Error" in ln]
+    assert len(errors) == 1 and errors[0].startswith("Error: ")
+    assert "--budget" in errors[0]
+
+
 def test_budget_exhausted_loadbalance_rows_are_inconclusive(runner):
     result = runner.invoke(
         main,
@@ -406,6 +420,39 @@ STEP_HOLES = {
 }
 
 
+REGISTRY_HOLES = {
+    "list-type": {"type": []},
+    "integer-impl": {"impl": 5},
+}
+
+
+def _bad_registry(encode, **entry):
+    # The register's registry entry with ``entry`` overriding its fields.
+    objects = {"0": {**_REGISTER["0"], **entry}}
+    text = encode()
+    if encode is _write_history:
+        header, *steps = text.splitlines()
+        header = json.dumps({**json.loads(header), "objects": objects})
+        return "\n".join([header, *steps]) + "\n"
+    return json.dumps({**json.loads(text), "objects": objects})
+
+
+def _race_coin_outcome(value):
+    # The counter race with its first flip-response node claiming ``value``.
+    doc = json.loads(counter_race_tree().to_json())
+    node = next(n for n in doc["nodes"] if "coin_outcome" in n)
+    node["coin_outcome"] = value(node["coin_outcome"]) if callable(value) else value
+    return json.dumps(doc)
+
+
+COIN_OUTCOME_HOLES = {
+    "seven": 7,
+    "object": {"a": 1},
+    "boolean-lookalike": lambda outcome: bool(outcome),
+    "sibling-outcome": lambda outcome: 1 - outcome,
+}
+
+
 def _nodes_not_a_list():
     doc = json.loads(counter_race_tree().to_json())
     doc["nodes"] = 5
@@ -440,6 +487,18 @@ def _node_without_step():
             for command, encode in (("check-lin", _write_history),
                                     ("check-strong-lin", _write_tree))
         ],
+        *[
+            pytest.param(command, functools.partial(_bad_registry, encode, **fields),
+                         id=f"{command}-{hole}")
+            for hole, fields in REGISTRY_HOLES.items()
+            for command, encode in (("check-lin", _write_history),
+                                    ("check-strong-lin", _write_tree))
+        ],
+        *[
+            pytest.param("check-strong-lin", functools.partial(_race_coin_outcome, value),
+                         id=f"check-strong-lin-coin-outcome-{hole}")
+            for hole, value in COIN_OUTCOME_HOLES.items()
+        ],
     ],
     ids=lambda v: v.__name__.strip("_") if callable(v) else v,
 )
@@ -459,11 +518,21 @@ def test_malformed_input_is_usage_error(runner, tmp_path, command, make_text):
     [("check-lin", _write_history), ("check-strong-lin", _write_tree)],
 )
 def test_register_write_control_is_accepted(runner, tmp_path, command, encode):
-    # The unmodified input behind the STEP_HOLES cases decodes and
-    # linearizes, so each of those cases fails for its own field.
+    # The unmodified input behind the STEP_HOLES and REGISTRY_HOLES cases
+    # decodes and linearizes, so each of those cases fails for its own field.
     src = tmp_path / "input"
     src.write_text(encode())
     assert runner.invoke(main, [command, str(src)]).exit_code == 0
+
+
+def test_coin_outcome_is_derived_from_the_step():
+    # The field is optional: without it a tree decodes to the same bytes,
+    # so COIN_OUTCOME_HOLES fail only for the value they claim.
+    text = counter_race_tree().to_json()
+    doc = json.loads(text)
+    for node in doc["nodes"]:
+        node.pop("coin_outcome", None)
+    assert HistoryTree.from_json(json.dumps(doc)).to_json() == text
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

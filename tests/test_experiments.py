@@ -188,7 +188,9 @@ def test_loadbalance_rejects_non_square_n():
 def test_suite_report_all_green():
     rep = run_named_experiment(ExperimentConfig("strong-lin-suite"))
     assert rep.ok
-    assert [r.value for r in rep.rows] == ["witness", "none", "match", "split"]
+    assert [r.value for r in rep.rows] == [
+        "witness", "none", "match", "split", "witness", "none"
+    ]
 
 
 def test_unknown_experiment_lists_names():

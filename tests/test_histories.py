@@ -1,4 +1,5 @@
-"""History pairing, projection, interpretation and serialization."""
+"""History pairing, happens-before, interpretation, sequential validity and
+serialization."""
 
 import itertools
 
@@ -19,15 +20,9 @@ from stronglin.histories import (
     SeqSpec,
     Step,
     UnknownIdError,
-    check_well_formed,
     from_jsonl,
     happens_before,
     interpret,
-    prefix_to_flip,
-    project_method_intervals,
-    project_object,
-    project_process,
-    timed_from_history,
     to_jsonl,
     validate_sequential,
 )
@@ -104,16 +99,8 @@ def histories(draw):
 
 
 @given(histories())
-def test_projections_partition_history(h):
-    queues = {p: list(project_process(h, p).steps) for p in h.processes}
-    for s in h.steps:
-        assert queues[s.process].pop(0) == s
-    assert all(not q for q in queues.values())
-
-
-@given(histories())
 def test_well_formed_by_construction(h):
-    check_well_formed(h)
+    h.operations()  # raises MalformedHistoryError on a pairing failure
 
 
 @given(histories())
@@ -124,8 +111,11 @@ def test_interpret_idempotent(h):
 
 @given(histories())
 def test_interpret_commutes_with_process_projection(h):
+    def only(h, p):
+        return h.with_steps(s for s in h.steps if s.process == p)
+
     for p in h.processes:
-        assert project_process(interpret(h), p) == interpret(project_process(h, p))
+        assert only(interpret(h), p) == interpret(only(h, p))
 
 
 @given(histories())
@@ -163,10 +153,10 @@ def test_operations_indices_match_steps(h):
 def test_happens_before_is_a_strict_partial_order(h):
     ops = h.operations(level=BASE)
     for a in ops:
-        assert not (a.complete and happens_before(h, a, a))
+        assert not (a.complete and happens_before(a, a))
     for a, b, c in itertools.product(ops, repeat=3):
-        if happens_before(h, a, b) and happens_before(h, b, c):
-            assert happens_before(h, a, c)
+        if happens_before(a, b) and happens_before(b, c):
+            assert happens_before(a, c)
 
 
 def test_happens_before_total_iff_sequential():
@@ -181,7 +171,7 @@ def test_happens_before_total_iff_sequential():
         REGISTRY,
     )
     a, b = h.operations()
-    assert happens_before(h, a, b) and not happens_before(h, b, a)
+    assert happens_before(a, b) and not happens_before(b, a)
     overlapping = History(
         (
             inv(0, 0, "write", (1,)),
@@ -193,28 +183,8 @@ def test_happens_before_total_iff_sequential():
         REGISTRY,
     )
     a, b = overlapping.operations()
-    assert not happens_before(overlapping, a, b)
-    assert not happens_before(overlapping, b, a)
-
-
-def test_happens_before_rejects_cross_level_and_foreign_operations():
-    h = History(
-        (
-            inv(0, 1, "get", (), INTERPRETED),
-            inv(0, 2, "read"),
-            rsp(0, 2, "read", 0),
-            rsp(0, 1, "get", 0, INTERPRETED),
-        ),
-        (0,),
-        REGISTRY,
-    )
-    meth = h.operations(level=INTERPRETED)[0]
-    base = h.operations(level=BASE)[0]
-    with pytest.raises(Exception):
-        happens_before(h, base, meth)
-    other = History((inv(2, 0, "read"),), (2,), REGISTRY).operations()[0]
-    with pytest.raises(Exception):
-        happens_before(h, other, meth)
+    assert not happens_before(a, b)
+    assert not happens_before(b, a)
 
 
 def test_pairing_rejects_double_invocation_and_orphan_response():
@@ -227,62 +197,6 @@ def test_pairing_rejects_double_invocation_and_orphan_response():
     bad = History((inv(0, 0, "read"), rsp(0, 0, "write")), (0,), REGISTRY)
     with pytest.raises(MalformedHistoryError):
         bad.operations()
-
-
-def test_projection_unknown_ids():
-    h = History((), (0,), REGISTRY)
-    with pytest.raises(UnknownIdError):
-        project_process(h, 5)
-    with pytest.raises(UnknownIdError):
-        project_object(h, 99)
-
-
-def test_method_interval_projection_captures_concurrent_steps():
-    h = History(
-        (
-            inv(0, 1, "get", (), INTERPRETED),
-            inv(1, 0, "write", (1,)),  # outside any method call on 1
-            inv(0, 2, "read"),
-            rsp(1, 0, "write"),
-            rsp(0, 2, "read", 0),
-            rsp(0, 1, "get", 0, INTERPRETED),
-        ),
-        (0, 1),
-        REGISTRY,
-    )
-    proj = project_method_intervals(h, 1)
-    assert [s.obj for s in proj.steps] == [1, 2, 2, 1]
-    with pytest.raises(Exception):
-        project_method_intervals(h, 0)  # base object
-
-
-def test_prefix_to_flip():
-    h = History(
-        (
-            inv(0, 0, "write", (1,)),
-            rsp(0, 0, "write"),
-            inv(0, 10, "flip"),
-            rsp(0, 10, "flip", 1),
-            inv(0, 10, "flip"),
-            rsp(0, 10, "flip", 0),
-        ),
-        (0,),
-        REGISTRY,
-    )
-    assert len(prefix_to_flip(h, 1)) == 3
-    assert len(prefix_to_flip(h, 2)) == 5
-    assert prefix_to_flip(h, 3) == h  # fewer than 3 flips: whole history
-    no_flips = h.prefix(2)
-    assert prefix_to_flip(no_flips, 1) == no_flips
-    with pytest.raises(ValueError):
-        prefix_to_flip(h, 0)
-
-
-@given(histories(), st.integers(1, 4))
-def test_prefix_to_flip_is_monotone_prefix(h, k):
-    pk = prefix_to_flip(h, k)
-    assert pk.is_prefix_of(h)
-    assert prefix_to_flip(h, k + 1).steps[: len(pk)] == pk.steps
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +273,8 @@ def test_validate_sequential_ignores_trailing_pending_and_any_response():
 
 
 # ---------------------------------------------------------------------------
-# Timed executions and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-
-@given(histories())
-def test_timed_from_history_round_trips(h):
-    e = timed_from_history(h)
-    assert e.history() == h
-    assert list(e.times()) == list(range(len(h)))
 
 
 @given(histories())

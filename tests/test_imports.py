@@ -55,3 +55,58 @@ def test_top_level_imports_are_used(path):
     ]
     unused = [name for name in imported if name not in used]
     assert not unused, f"{path.name}: unused imports {', '.join(unused)}"
+
+
+# Definitions no report, command or benchmark reaches, each with the
+# reason it stays in the package anyway.
+UNUSED_ON_PURPOSE = {
+    "common_linearization": "oracle of test_snapshot_branch_pair_is_unreachable_atomically",
+    "scripted_policy": "the engine's scripted-schedule primitive; tests pin schedules with it",
+}
+SOURCES = MODULES + sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
+
+
+def _named(node):
+    """Every name a statement mentions: identifiers, attributes, imported
+    names, and string constants, since bench/ rebinds functions by name."""
+    names = _used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def _is_click_command(node):
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def test_every_definition_has_a_consumer():
+    # A top-level function or class of the package must be named by some
+    # other statement of src/ or bench/; tests alone do not keep it.
+    statements = [
+        (path, node) for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    named = [(node, _named(node)) for _path, node in statements]
+    unused = []
+    for path, node in statements:
+        if path.parent != PACKAGE or not isinstance(
+            node, (ast.FunctionDef, ast.ClassDef)
+        ):
+            continue
+        if _is_click_command(node) or node.name in UNUSED_ON_PURPOSE:
+            continue
+        if not any(node.name in names for other, names in named if other is not node):
+            unused.append(f"{path.name}:{node.name}")
+    assert not unused, f"definitions without a consumer: {', '.join(unused)}"
+    defined = {node.name for _path, node in statements if hasattr(node, "name")}
+    assert set(UNUSED_ON_PURPOSE) <= defined

@@ -25,7 +25,6 @@ from stronglin.histories import interpret
 from stronglin.search import (
     exists_adversary,
     optimal_expectation,
-    records_for_branches,
     replay_grants,
 )
 
@@ -101,14 +100,13 @@ def test_replay_and_tree_round_trip():
     alg = mrsw_register_example().atomic
     targets = {(-1,): -1, (1,): 1}
     found = exists_adversary(alg, (-1, 1), _read_targets(targets), klass="strong")
+    runs = {}
     for coins, grants in found.items():
         status, sim = replay_grants(alg, grants, coins, "strong")
         assert status == "ok"
         assert sim.record().returns[1] == targets[coins]
-    records = records_for_branches(alg, found, klass="strong")
-    tree = HistoryTree.from_runs(
-        {c: interpret(r.history) for c, r in records.items()}, omega=(-1, 1)
-    )
+        runs[coins] = interpret(sim.record().history)
+    tree = HistoryTree.from_runs(runs, omega=(-1, 1))
     assert len(tree.leaves()) == 2
 
 
