@@ -7,7 +7,8 @@ history, searches for prefix-preserving linearization witnesses over
 whole trees, re-validates and normalizes such witnesses, and composes
 per-object witnesses into one for a multi-object tree (locality, stated
 as a claim of the checker suite).  ``common_linearization`` is the
-matching oracle of the snapshot reachability test.  Everything here is
+matching oracle of the snapshot reachability test.  Specifications come
+from registry entries alone (``default_specs``).  Everything here is
 exhaustive by design and guarded accordingly; these are desk-scale
 tools, not model checkers.
 """
@@ -42,17 +43,7 @@ from .histories import (
     step_doc,
     step_from_doc,
 )
-from .objects import (
-    cas_spec,
-    coin_spec,
-    counter_spec,
-    llsc_spec,
-    queue_spec,
-    register_spec,
-    rmw_cell_spec,
-    snapshot_spec,
-    test_and_set_spec,
-)
+from .objects import coin_spec, spec_of_entry
 
 
 class CheckerError(Exception):
@@ -110,6 +101,26 @@ def _tree_node(
     payload of a flip response, None for any other step."""
     flip = step is not None and step.is_rsp() and _is_flip_step(objects, step)
     return TreeNode(nid, parent, step, step.payload if flip else None)
+
+
+class _PrefixTree:
+    """A prefix tree being grown: one node per distinct (parent, step)."""
+
+    def __init__(self, objects: Mapping[int, ObjectInfo]):
+        self.objects = objects
+        self.nodes = {0: TreeNode(0, None, None)}
+        self.children: dict[int, list[int]] = {0: []}
+        self._edge: dict[tuple[int, Step], int] = {}
+
+    def child(self, cur: int, s: Step) -> int:
+        """The node ``s`` leads to from ``cur``, added on first use."""
+        nxt = self._edge.get((cur, s))
+        if nxt is None:
+            nxt = self._edge[(cur, s)] = len(self.nodes)
+            self.nodes[nxt] = _tree_node(self.objects, nxt, cur, s)
+            self.children[nxt] = []
+            self.children[cur].append(nxt)
+        return nxt
 
 
 class HistoryTree:
@@ -201,20 +212,12 @@ class HistoryTree:
         for h in hists[1:]:
             if h.processes != processes or dict(h.objects) != dict(objects):
                 raise TreeError("runs disagree on processes or objects")
-        nodes = {0: TreeNode(0, None, None)}
-        children: dict[int, list[int]] = {0: []}
-        edge: dict[tuple[int, Step], int] = {}
+        grown = _PrefixTree(objects)
         for h in hists:
             cur = 0
             for s in h.steps:
-                nxt = edge.get((cur, s))
-                if nxt is None:
-                    nxt = len(nodes)
-                    nodes[nxt] = _tree_node(objects, nxt, cur, s)
-                    children[nxt] = []
-                    children[cur].append(nxt)
-                    edge[(cur, s)] = nxt
-                cur = nxt
+                cur = grown.child(cur, s)
+        nodes, children = grown.nodes, grown.children
         _check_branches(objects, nodes, children)
         tree = cls(processes, objects, nodes, children)
         if omega is not None:
@@ -345,31 +348,17 @@ def _spec_for(specs: Mapping[int, SeqSpec], oid: int) -> SeqSpec:
 def default_specs(
     objects: Mapping[int, ObjectInfo], processes: tuple[int, ...]
 ) -> dict[int, SeqSpec]:
-    """Specifications inferred from type names, with default initial values.
-
-    Serialized trees do not carry initial states, so deserialized ones
-    are checked against zero-initialized objects; snapshot width comes
-    from the process registry.
-    """
-    factories: dict[str, Callable[[], SeqSpec]] = {
-        "register": register_spec,
-        "snapshot": lambda: snapshot_spec(max(len(processes), 1)),
-        "queue": queue_spec,
-        "strong-counter": counter_spec,
-        "cas": cas_spec,
-        "llsc-register": llsc_spec,
-        "rmw-cell": rmw_cell_spec,
-        "test-and-set": test_and_set_spec,
-        "coin": coin_spec,
-    }
+    """The specification each registry entry names (objects.spec_of_entry),
+    except for base objects an implementation owns, which no interpreted
+    history shows.  CheckerError for an entry that names none."""
     out = {}
     for oid, info in objects.items():
         if any(k == "owner" for k, _v in info.params):
-            continue  # internal to some implementation; never visible interpreted
-        make = factories.get(info.type_name)
-        if make is None:
-            raise CheckerError(f"cannot infer a specification for {info.type_name!r}")
-        out[oid] = make()
+            continue
+        try:
+            out[oid] = spec_of_entry(info, processes)
+        except ValueError as exc:
+            raise CheckerError(f"object {oid}: {exc}") from None
     return out
 
 
@@ -413,7 +402,8 @@ def _linearizations(
     order ends as soon as it covers ``need``.  A (committed, states)
     pair is recorded dead only when nothing below it yielded, so the
     memo changes neither what is yielded nor its order.  A spec that
-    rejects an operation (ValueError) raises CheckerError.
+    rejects an operation (ValueError) or cannot apply it to the values
+    at hand (TypeError) raises CheckerError.
     """
     dead: set = set()
 
@@ -432,7 +422,7 @@ def _linearizations(
             state = states.get(skey, spec.initial_state)
             try:
                 state2, resp = spec.transition(state, op.op, op.args, op.process)
-            except ValueError as exc:
+            except (ValueError, TypeError) as exc:
                 raise CheckerError(f"object {op.obj} rejects {op.op!r}: {exc}") from None
             if want is _REPLAYED:
                 if resp is ANY_RESPONSE:
@@ -784,27 +774,15 @@ def project_tree(tree: HistoryTree, oid: int) -> HistoryTree:
         raise TreeError(f"unknown object {oid}")
     if info.level != INTERPRETED:
         raise TreeError(f"object {oid} is a base object")
-    nodes = {0: TreeNode(0, None, None)}
-    children: dict[int, list[int]] = {0: []}
-    edge: dict[tuple[int, Step], int] = {}
+    grown = _PrefixTree(tree.objects)
     cursor = {tree.root: 0}
     for nid in tree.node_ids():
         if nid == tree.root:
             continue
         s = tree.step(nid)
         cur = cursor[tree.parent(nid)]
-        if s.obj != oid:
-            cursor[nid] = cur
-            continue
-        ch = edge.get((cur, s))
-        if ch is None:
-            ch = len(nodes)
-            nodes[ch] = _tree_node(tree.objects, ch, cur, s)
-            children[ch] = []
-            children[cur].append(ch)
-            edge[(cur, s)] = ch
-        cursor[nid] = ch
-    return HistoryTree(tree.processes, tree.objects, nodes, children)
+        cursor[nid] = grown.child(cur, s) if s.obj == oid else cur
+    return HistoryTree(tree.processes, tree.objects, grown.nodes, grown.children)
 
 
 def _child_with_step(tree: HistoryTree, nid: int, s: Step) -> int | None:

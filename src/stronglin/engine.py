@@ -257,16 +257,14 @@ class Simulation:
 
         for b in alg.bindings:
             if b.spec is not None:
-                oid = alloc(b.spec, b.spec.type_name, (("key", b.key),), BASE)
+                params = (("key", b.key),) + b.spec.params
+                oid = alloc(b.spec, b.spec.type_name, params, BASE)
                 self.targets[b.key] = ("atomic", oid, None, None, None)
             else:
-                impl = b.impl
+                impl, target = b.impl, b.impl.target_spec
+                params = (("key", b.key),) + target.params
                 toid = alloc(
-                    impl.target_spec,
-                    impl.type_name,
-                    (("key", b.key),),
-                    INTERPRETED,
-                    impl=impl.impl_name,
+                    target, target.type_name, params, INTERPRETED, impl=impl.impl_name
                 )
                 owned: set = set()
 
@@ -282,9 +280,9 @@ class Simulation:
                 ialloc = make_alloc(owned, b.key)
                 state = impl.setup(ialloc)
                 self.targets[b.key] = ("impl", toid, impl, state, (ialloc, owned))
+        coin = coin_spec()
         self.coin_oid = {
-            p: alloc(coin_spec(), "coin", (("process", p),), BASE)
-            for p in alg.processes
+            p: alloc(coin, "coin", (("process", p),), BASE) for p in alg.processes
         }
         self.procs = {p: _ProcState(alg.make_program(p)) for p in alg.processes}
         self._unfinished = len(self.procs)

@@ -51,7 +51,6 @@ from .histories import (
     RSP,
     History,
     ObjectInfo,
-    SeqSpec,
     Step,
     interpret,
 )
@@ -69,9 +68,6 @@ from .objects import (
     aadgms_snapshot,
     counter_spec,
     herlihy_wing_queue,
-    queue_spec,
-    register_spec,
-    snapshot_spec,
     vidyasankar_register,
     vitanyi_awerbuch_mrsw,
 )
@@ -205,7 +201,6 @@ def _example(
     name: str,
     procs: tuple[int, ...],
     key: str,
-    spec: SeqSpec,
     impl: ImplProgram,
     make_program: Callable[[int], Any],
     omega: tuple[int, ...],
@@ -213,7 +208,7 @@ def _example(
     payoff: Callable[[RunRecord], Fraction],
     goal: str,
 ) -> Example:
-    """One program run against ``key`` bound to ``spec`` and to ``impl``."""
+    """One program run against ``key`` bound to ``impl`` and to its spec."""
 
     def alg(binding: Binding) -> AlgorithmSpec:
         return AlgorithmSpec(procs, (binding,), make_program, omega)
@@ -221,7 +216,7 @@ def _example(
     return Example(
         name,
         omega,
-        alg(Binding(key, spec=spec)),
+        alg(Binding(key, spec=impl.target_spec)),
         alg(Binding(key, impl=impl)),
         schedule,
         payoff,
@@ -266,7 +261,7 @@ def snapshot_example() -> Example:
         name="steal-embedded-view",
     )
     return _example(
-        "snapshot", (0, 1, 2), "S", snapshot_spec(3), aadgms_snapshot(3),
+        "snapshot", (0, 1, 2), "S", aadgms_snapshot(3),
         make_program, (-1, 1), schedule, _snapshot_payoff, "min",
     )
 
@@ -307,9 +302,8 @@ def srsw_register_example() -> Example:
         "oblivious", schedule=(1, 1) + (0,) * 7 + (1,), name="up-down-race"
     )
     return _example(
-        "srsw-register", (0, 1), "R", register_spec(1, domain_bound=3),
-        vidyasankar_register(3, 1), _register_program(2), (0, 2), schedule,
-        _reader_payoff, "min",
+        "srsw-register", (0, 1), "R", vidyasankar_register(3, 1),
+        _register_program(2), (0, 2), schedule, _reader_payoff, "min",
     )
 
 
@@ -327,7 +321,7 @@ def mrsw_register_example() -> Example:
         name="relay-steal",
     )
     return _example(
-        "mrsw-register", (0, 1, 2), "R", register_spec(0), vitanyi_awerbuch_mrsw(),
+        "mrsw-register", (0, 1, 2), "R", vitanyi_awerbuch_mrsw(),
         _register_program(1), (-1, 1), schedule, _reader_payoff, "min",
     )
 
@@ -385,7 +379,7 @@ def hw_queue_example() -> Example:
         name="held-write",
     )
     return _example(
-        "hw-queue", (0, 1, 2), "Q", queue_spec(), herlihy_wing_queue(),
+        "hw-queue", (0, 1, 2), "Q", herlihy_wing_queue(),
         make_program, (0, 1), schedule, _queue_payoff, "max",
     )
 

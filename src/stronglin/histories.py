@@ -213,20 +213,33 @@ def happens_before(a: OperationInstance, b: OperationInstance) -> bool:
 # Sequential specifications and validity
 # ---------------------------------------------------------------------------
 
-#: transition(state, op_name, args, process) -> (new_state, response).
-#: The process id is part of the invocation (snapshot components and
-#: LL/SC link flags depend on it).  A response of ANY_RESPONSE means
-#: every recorded value is acceptable (coins).
+#: The response of a coin flip: every recorded outcome is acceptable.
 ANY_RESPONSE = object()
 
 
 @dataclass(frozen=True)
 class SeqSpec:
-    """Deterministic sequential type specification."""
+    """Deterministic sequential type specification.
+
+    ``ops`` maps each operation to (arity, step), where ``step(state,
+    process, *args)`` gives (new_state, response).  ``params`` are the
+    factory arguments off their defaults, which registry entries carry.
+    """
 
     type_name: str
     initial_state: Any
-    transition: Callable[[Any, str, tuple, int], tuple[Any, Any]]
+    ops: Mapping[str, tuple[int, Callable[..., tuple[Any, Any]]]]
+    params: tuple[tuple[str, Any], ...] = ()
+
+    def transition(self, state: Any, op: str, args: tuple, process: int) -> tuple:
+        """(new_state, response) of one invocation; ValueError for an
+        operation the type does not declare or a wrong argument count."""
+        arity, step = self.ops.get(op, (None, None))
+        if step is None:
+            raise ValueError(f"{self.type_name} does not support {op!r}")
+        if len(args) != arity:
+            raise ValueError(f"{op} takes {arity} argument(s), got {len(args)}")
+        return step(state, process, *args)
 
 
 def validate_sequential(h: History, specs: Mapping[int, SeqSpec]) -> bool:

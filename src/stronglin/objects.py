@@ -2,7 +2,8 @@
 
 Two layers live here.  The spec factories (``register_spec`` and
 friends) give deterministic sequential specifications used both for
-atomic base objects and for validity checking.  The ``ImplProgram``
+atomic base objects and for validity checking; ``spec_of_entry``
+rebuilds one from an object's registry entry.  The ``ImplProgram``
 constructors package the classic constructions as step machines:
 each method body is a generator that yields one base-object invocation
 per step, receives the response, and returns the method's result.
@@ -14,99 +15,108 @@ per successful install); everything else is laid out during setup.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from math import isqrt
 from typing import Any, Callable
 
-from .histories import ANY_RESPONSE, BOTTOM, SeqSpec
+from .histories import ANY_RESPONSE, BOTTOM, ObjectInfo, SeqSpec
 
 # ---------------------------------------------------------------------------
 # Sequential specifications
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _defaults(make: Callable[..., SeqSpec]) -> dict[str, Any]:
+    """The keyword parameters of a spec factory with their defaults."""
+    params = inspect.signature(make).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def _changed(make: Callable[..., SeqSpec], *values: Any) -> tuple:
+    """Keyword parameters of ``make``, valued in order, off their defaults."""
+    named = zip(_defaults(make).items(), values)
+    return tuple((k, v) for (k, default), v in named if v != default)
+
+
+def _observe(state, process):
+    return state, state
+
+
+def _overwrite(state, process, v):
+    return v, None
+
+
+def _increment(state, process):
+    return state + 1, state
+
+
 def register_spec(initial: Any = 0, domain_bound: int | None = None) -> SeqSpec:
     """Read/write register.  With ``domain_bound`` set, writes outside
     {0..domain_bound} are rejected (the multivalued SRSW type)."""
 
-    def transition(state, op, args, process):
-        if op == "write":
-            (v,) = args
-            if domain_bound is not None and not (0 <= v <= domain_bound):
-                raise ValueError(f"write value {v} outside 0..{domain_bound}")
-            return v, None
-        if op == "read":
-            return state, state
-        raise ValueError(f"register does not support {op!r}")
+    def write(state, process, v):
+        if domain_bound is not None and not 0 <= v <= domain_bound:
+            raise ValueError(f"write value {v} outside 0..{domain_bound}")
+        return v, None
 
-    name = "register" if domain_bound is None else f"register<{domain_bound}>"
-    return SeqSpec(name, initial, transition)
+    ops = {"write": (1, write), "read": (0, _observe)}
+    changed = _changed(register_spec, initial, domain_bound)
+    return SeqSpec("register", initial, ops, changed)
 
 
 def snapshot_spec(n: int, initial: int = 0) -> SeqSpec:
     """n-component snapshot; update writes the caller's own component."""
 
-    def transition(state, op, args, process):
-        if op == "update":
-            (v,) = args
-            if not 0 <= process < n:
-                raise ValueError(f"process {process} has no snapshot component")
-            s = list(state)
-            s[process] = v
-            return tuple(s), None
-        if op == "scan":
-            return state, state
-        raise ValueError(f"snapshot does not support {op!r}")
+    def update(state, process, v):
+        if not 0 <= process < n:
+            raise ValueError(f"process {process} has no snapshot component")
+        s = list(state)
+        s[process] = v
+        return tuple(s), None
 
-    return SeqSpec("snapshot", (initial,) * n, transition)
+    ops = {"update": (1, update), "scan": (0, _observe)}
+    return SeqSpec("snapshot", (initial,) * n, ops, _changed(snapshot_spec, initial))
 
 
 def queue_spec() -> SeqSpec:
     """FIFO queue; dequeue on empty returns the reserved empty marker."""
 
-    def transition(state, op, args, process):
-        if op == "enqueue":
-            (v,) = args
-            return state + (v,), None
-        if op == "dequeue":
-            if not state:
-                return state, BOTTOM
-            return state[1:], state[0]
-        raise ValueError(f"queue does not support {op!r}")
+    def enqueue(state, process, v):
+        return state + (v,), None
 
-    return SeqSpec("queue", (), transition)
+    def dequeue(state, process):
+        if not state:
+            return state, BOTTOM
+        return state[1:], state[0]
+
+    return SeqSpec("queue", (), {"enqueue": (1, enqueue), "dequeue": (0, dequeue)})
 
 
 def counter_spec(initial: int = 0) -> SeqSpec:
     """Strong counter: fetch&inc / fetch&dec, both returning the prior
     value."""
 
-    def transition(state, op, args, process):
-        if op == "fetch_inc":
-            return state + 1, state
-        if op == "fetch_dec":
-            return state - 1, state
-        if op == "read":
-            return state, state
-        raise ValueError(f"counter does not support {op!r}")
+    def fetch_dec(state, process):
+        return state - 1, state
 
-    return SeqSpec("strong-counter", initial, transition)
+    ops = {"fetch_inc": (0, _increment), "fetch_dec": (0, fetch_dec),
+           "read": (0, _observe)}
+    return SeqSpec("strong-counter", initial, ops, _changed(counter_spec, initial))
 
 
 def cas_spec(initial: Any = 0) -> SeqSpec:
     """Compare-and-swap object returning the prior value."""
 
-    def transition(state, op, args, process):
-        if op == "cas":
-            x, y = args
-            if state == x:
-                return y, x
-            return state, state
-        if op == "read":
-            return state, state
-        raise ValueError(f"cas object does not support {op!r}")
+    def cas(state, process, x, y):
+        if state == x:
+            return y, x
+        return state, state
 
-    return SeqSpec("cas", initial, transition)
+    ops = {"cas": (2, cas), "read": (0, _observe)}
+    return SeqSpec("cas", initial, ops, _changed(cas_spec, initial))
 
 
 def llsc_spec(initial: Any = 0) -> SeqSpec:
@@ -116,66 +126,85 @@ def llsc_spec(initial: Any = 0) -> SeqSpec:
     intervened since (both clear every link).  SC returns 1 or 0.
     """
 
-    def transition(state, op, args, process):
+    def ll(state, process):
         value, links = state
-        if op == "ll":
-            return (value, links | {process}), value
-        if op == "sc":
-            (v,) = args
-            if process in links:
-                return (v, frozenset()), 1
-            return state, 0
-        if op == "write":
-            (v,) = args
-            return (v, frozenset()), None
-        if op == "read":
-            return state, value
-        raise ValueError(f"ll/sc register does not support {op!r}")
+        return (value, links | {process}), value
 
-    return SeqSpec("llsc-register", (initial, frozenset()), transition)
+    def sc(state, process, v):
+        if process in state[1]:
+            return (v, frozenset()), 1
+        return state, 0
+
+    def write(state, process, v):
+        return (v, frozenset()), None
+
+    def read(state, process):
+        return state, state[0]
+
+    ops = {"ll": (0, ll), "sc": (1, sc), "write": (1, write), "read": (0, read)}
+    changed = _changed(llsc_spec, initial)
+    return SeqSpec("llsc-register", (initial, frozenset()), ops, changed)
 
 
 def rmw_cell_spec(initial: Any = 0) -> SeqSpec:
     """Read-modify-write cell: read, write, fetch&set, fetch&inc."""
 
-    def transition(state, op, args, process):
-        if op == "read":
-            return state, state
-        if op == "write":
-            (v,) = args
-            return v, None
-        if op == "fetch_set":
-            (v,) = args
-            return v, state
-        if op == "fetch_inc":
-            return state + 1, state
-        raise ValueError(f"rmw cell does not support {op!r}")
+    def fetch_set(state, process, v):
+        return v, state
 
-    return SeqSpec("rmw-cell", initial, transition)
+    ops = {"read": (0, _observe), "write": (1, _overwrite),
+           "fetch_set": (1, fetch_set), "fetch_inc": (0, _increment)}
+    return SeqSpec("rmw-cell", initial, ops, _changed(rmw_cell_spec, initial))
 
 
 def test_and_set_spec() -> SeqSpec:
     """One-shot test&set bit returning the prior value (0 means won)."""
 
-    def transition(state, op, args, process):
-        if op == "test_set":
-            return 1, state
-        if op == "read":
-            return state, state
-        raise ValueError(f"test&set does not support {op!r}")
+    def test_set(state, process):
+        return 1, state
 
-    return SeqSpec("test-and-set", 0, transition)
+    ops = {"test_set": (0, test_set), "read": (0, _observe)}
+    return SeqSpec("test-and-set", 0, ops)
 
 
 def coin_spec() -> SeqSpec:
     """Per-process coin; any recorded outcome validates."""
 
-    def transition(state, op, args, process):
-        if op == "flip":
-            return state, ANY_RESPONSE
-        raise ValueError(f"coin does not support {op!r}")
+    def flip(state, process):
+        return state, ANY_RESPONSE
 
-    return SeqSpec("coin", None, transition)
+    return SeqSpec("coin", None, {"flip": (0, flip)})
+
+
+#: Every sequential type by name.  The registry entry of an atomic or
+#: implemented object names its type here.
+SPECS: dict[str, Callable[..., SeqSpec]] = {
+    "register": register_spec,
+    "snapshot": snapshot_spec,
+    "queue": queue_spec,
+    "strong-counter": counter_spec,
+    "cas": cas_spec,
+    "llsc-register": llsc_spec,
+    "rmw-cell": rmw_cell_spec,
+    "test-and-set": test_and_set_spec,
+    "coin": coin_spec,
+}
+
+
+def spec_of_entry(info: ObjectInfo, processes: tuple[int, ...]) -> SeqSpec:
+    """The spec an entry names, built from its params other than ``key`` and
+    ``process``; a snapshot is as wide as the process list.  ValueError
+    for an unknown type or parameter."""
+    make = SPECS.get(info.type_name)
+    if make is None:
+        raise ValueError(f"no specification for type {info.type_name!r}")
+    args = {k: v for k, v in info.params if k not in ("key", "process")}
+    unknown = args.keys() - _defaults(make).keys()
+    if unknown:
+        raise ValueError(f"type {info.type_name!r} has no parameter {min(unknown)!r}")
+    if make is snapshot_spec:
+        return make(max(len(processes), 1), **args)
+    return make(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +220,14 @@ class ImplProgram:
     """An implemented object: a target type plus deterministic method
     bodies over its own base objects.
 
-    ``setup(alloc)`` lays out the base objects and returns the mutable
-    instance state (one engine run owns it).  ``body(state, alloc, p,
-    op, args)`` returns a generator yielding ("invoke", oid, op, args)
-    actions; its return value is the method response.
+    ``setup(alloc)`` lays out the base objects, whose immutable specs
+    every run shares, and returns the mutable instance state (one engine
+    run owns it).  ``body(state, alloc, p, op, args)`` returns a
+    generator yielding ("invoke", oid, op, args) actions; its return
+    value is the method response.  A body issues no base operation for
+    an op it does not implement, and the engine rejects that call.
     """
 
-    type_name: str
     impl_name: str
     target_spec: SeqSpec
     setup: Callable[[Allocator], Any]
@@ -222,14 +252,15 @@ def vidyasankar_register(domain_bound: int, initial: int) -> ImplProgram:
     if not 0 <= initial <= domain_bound:
         raise ValueError(f"initial {initial} outside 0..{domain_bound}")
 
+    bit_specs = [
+        register_spec(1 if i == initial else 0, domain_bound=1)
+        for i in range(domain_bound + 1)
+    ]
+
     def setup(alloc):
         bits = tuple(
-            alloc(
-                register_spec(1 if i == initial else 0, domain_bound=1),
-                "bit-register",
-                (("index", i),),
-            )
-            for i in range(domain_bound + 1)
+            alloc(spec, "bit-register", (("index", i),))
+            for i, spec in enumerate(bit_specs)
         )
         return {"bits": bits}
 
@@ -256,10 +287,8 @@ def vidyasankar_register(domain_bound: int, initial: int) -> ImplProgram:
                 if b == 1:
                     val = j
             return val
-        raise ValueError(f"register does not support {op!r}")
 
     return ImplProgram(
-        "register",
         "vidyasankar-register",
         register_spec(initial, domain_bound=domain_bound),
         setup,
@@ -281,14 +310,11 @@ def aadgms_snapshot(n: int) -> ImplProgram:
     if n < 1:
         raise ValueError("need at least one component")
 
+    cell = register_spec((0, 0, (0,) * n))
+
     def setup(alloc):
         cells = tuple(
-            alloc(
-                register_spec((0, 0, (0,) * n)),
-                "snapshot-cell",
-                (("component", i),),
-            )
-            for i in range(n)
+            alloc(cell, "snapshot-cell", (("component", i),)) for i in range(n)
         )
         return {"cells": cells, "seq": {}}
 
@@ -324,9 +350,8 @@ def aadgms_snapshot(n: int) -> ImplProgram:
             state["seq"][p] = seq
             yield _write(cells[p], (v, seq, view))
             return None
-        raise ValueError(f"snapshot does not support {op!r}")
 
-    return ImplProgram("snapshot", "aadgms-snapshot", snapshot_spec(n), setup, body)
+    return ImplProgram("aadgms-snapshot", snapshot_spec(n), setup, body)
 
 
 def vitanyi_awerbuch_mrsw(
@@ -347,9 +372,11 @@ def vitanyi_awerbuch_mrsw(
     if readers != 2:
         raise ValueError("this construction is specialized to two readers")
 
+    link = register_spec((initial, 0))
+
     def setup(alloc):
         def reg(tag):
-            return alloc(register_spec((initial, 0)), "srsw-register", (("link", tag),))
+            return alloc(link, "srsw-register", (("link", tag),))
 
         wr = (reg("w-r1"), reg("w-r2"))
         rr = (
@@ -379,15 +406,8 @@ def vitanyi_awerbuch_mrsw(
             yield _write(state["rr"][i][0], best)
             yield _write(state["rr"][i][1], best)
             return best[0]
-        raise ValueError(f"register does not support {op!r}")
 
-    return ImplProgram(
-        "mrsw-register",
-        "vitanyi-awerbuch-mrsw",
-        register_spec(initial),
-        setup,
-        body,
-    )
+    return ImplProgram("vitanyi-awerbuch-mrsw", register_spec(initial), setup, body)
 
 
 def herlihy_wing_queue(capacity: int = 16) -> ImplProgram:
@@ -396,11 +416,12 @@ def herlihy_wing_queue(capacity: int = 16) -> ImplProgram:
     the empty marker, and retries forever while everything reads empty.
     """
 
+    counter, empty = rmw_cell_spec(0), rmw_cell_spec(BOTTOM)
+
     def setup(alloc):
-        tail = alloc(rmw_cell_spec(0), "tail-counter")
+        tail = alloc(counter, "tail-counter")
         items = tuple(
-            alloc(rmw_cell_spec(BOTTOM), "item-cell", (("index", i),))
-            for i in range(capacity)
+            alloc(empty, "item-cell", (("index", i),)) for i in range(capacity)
         )
         return {"tail": tail, "items": items}
 
@@ -420,9 +441,8 @@ def herlihy_wing_queue(capacity: int = 16) -> ImplProgram:
                     v = yield ("invoke", items[i], "fetch_set", (BOTTOM,))
                     if v != BOTTOM:
                         return v
-        raise ValueError(f"queue does not support {op!r}")
 
-    return ImplProgram("queue", "hw-queue", queue_spec(), setup, body)
+    return ImplProgram("hw-queue", queue_spec(), setup, body)
 
 
 def _llsc_loop(oid, delta):
@@ -437,17 +457,18 @@ def llsc_strong_counter() -> ImplProgram:
     """Lock-free strong counter over one LL/SC register.  The first
     shared access of every operation is the LL."""
 
+    reg = llsc_spec(0)
+
     def setup(alloc):
-        return {"reg": alloc(llsc_spec(0), "llsc-register")}
+        return {"reg": alloc(reg, "llsc-register")}
 
     def body(state, alloc, p, op, args):
         if op == "fetch_inc":
             return (yield from _llsc_loop(state["reg"], 1))
         if op == "fetch_dec":
             return (yield from _llsc_loop(state["reg"], -1))
-        raise ValueError(f"counter does not support {op!r}")
 
-    return ImplProgram("strong-counter", "llsc-counter", counter_spec(0), setup, body)
+    return ImplProgram("llsc-counter", counter_spec(0), setup, body)
 
 
 def writefirst_strong_counter(n: int) -> ImplProgram:
@@ -458,23 +479,21 @@ def writefirst_strong_counter(n: int) -> ImplProgram:
         raise ValueError("need at least one process")
     pool_size = max(1, isqrt(n))
 
+    reg, cell = llsc_spec(0), register_spec(0)
+
     def setup(alloc):
         pool = tuple(
-            alloc(register_spec(0), "announce-cell", (("index", i),))
-            for i in range(pool_size)
+            alloc(cell, "announce-cell", (("index", i),)) for i in range(pool_size)
         )
-        return {"reg": alloc(llsc_spec(0), "llsc-register"), "pool": pool}
+        return {"reg": alloc(reg, "llsc-register"), "pool": pool}
 
     def body(state, alloc, p, op, args):
         if op in ("fetch_inc", "fetch_dec"):
             yield _write(state["pool"][p % pool_size], p)
             delta = 1 if op == "fetch_inc" else -1
             return (yield from _llsc_loop(state["reg"], delta))
-        raise ValueError(f"counter does not support {op!r}")
 
-    return ImplProgram(
-        "strong-counter", "writefirst-counter", counter_spec(0), setup, body
-    )
+    return ImplProgram("writefirst-counter", counter_spec(0), setup, body)
 
 
 def cas_from_registers(initial: Any = 0) -> ImplProgram:
@@ -525,9 +544,8 @@ def cas_from_registers(initial: Any = 0) -> ImplProgram:
                 s = yield _read(signal)
                 if s != BOTTOM:
                     return s
-        raise ValueError(f"cas object does not support {op!r}")
 
-    return ImplProgram("cas", "cas-from-registers", cas_spec(initial), setup, body)
+    return ImplProgram("cas-from-registers", cas_spec(initial), setup, body)
 
 
 def mutex_wrapped(spec: SeqSpec) -> ImplProgram:
@@ -537,11 +555,10 @@ def mutex_wrapped(spec: SeqSpec) -> ImplProgram:
     it is statically the same line for every operation.
     """
 
+    lock, cell = llsc_spec(0), register_spec(spec.initial_state)
+
     def setup(alloc):
-        return {
-            "lock": alloc(llsc_spec(0), "lock"),
-            "cell": alloc(register_spec(spec.initial_state), "state-cell"),
-        }
+        return {"lock": alloc(lock, "lock"), "cell": alloc(cell, "state-cell")}
 
     def body(state, alloc, p, op, args):
         while True:
@@ -557,9 +574,7 @@ def mutex_wrapped(spec: SeqSpec) -> ImplProgram:
         yield _write(state["lock"], 0)
         return resp
 
-    return ImplProgram(
-        spec.type_name, f"mutex-wrapped-{spec.type_name}", spec, setup, body
-    )
+    return ImplProgram(f"mutex-wrapped-{spec.type_name}", spec, setup, body)
 
 
 #: String-addressable catalog for CLI and config selection.

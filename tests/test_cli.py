@@ -161,15 +161,15 @@ SIMULATE_DIGESTS = {
     ("mrsw-register", -1, "atomic", "drain"):
         "61af29800519fd5be51e4121fd9980546d544986b92ff654e306b9cae2957cf1",
     ("mrsw-register", -1, "implemented", "drain"):
-        "47d3691ba51fd2ecccb41f27c723292b74987dce35e26dc5e21a37a064fd962c",
+        "d6482cbbd76ffcd75b88b777f9b4db74986c60565ecf090149b626808c48a625",
     ("mrsw-register", -1, "implemented", "pinned"):
-        "8b11333ea5cf0fe67ba931ed10854d13300c95e0b302bf08826192ba23783320",
+        "2acada227a505b0e71a389a736777ae6ce3a4d338e0ffbb3421cc55d91639613",
     ("mrsw-register", 1, "atomic", "drain"):
         "083a4f3c091615e4987a4876ba41a453ab5331aafcbca867b260f0e10ce28b4c",
     ("mrsw-register", 1, "implemented", "drain"):
-        "ddea4884663bfec93ea9d47112417b2970e5609aed8da921b24e1fed5782f0a9",
+        "86bc5b9a76979ebef412f5b0801105c5ca187a4bbe607bf2d396f83a568c2233",
     ("mrsw-register", 1, "implemented", "pinned"):
-        "23738652b11bdb6de1a1e016821d49d3be77a113d09c45d6beedd0d943fe67ca",
+        "6778d09673e8ef2d95b2bd7476ee676618d72f34b6a77bc927643232416bd180",
     ("snapshot", -1, "atomic", "drain"):
         "0569537c124576a1b3f3aa7580ba484a7477bb787e50bef11b9cbd4e692dedb6",
     ("snapshot", -1, "implemented", "drain"):
@@ -183,17 +183,17 @@ SIMULATE_DIGESTS = {
     ("snapshot", 1, "implemented", "pinned"):
         "887a321cfd56010ed6bd4b68f6ff0c82255b97643886278c12b313980a98fcc8",
     ("srsw-register", 0, "atomic", "drain"):
-        "cd69303cf981b0a055fe4a8899c55026876acfff6d88375bc7ebb215a0f545ad",
+        "d2b4932368913d2f339e860fb8f32aeb54427c476382c4672f94038de717d005",
     ("srsw-register", 0, "implemented", "drain"):
-        "228cd23dba6befabe091bc5d86a7c8fce52e5bf341266b5e21ead0c25e2718d8",
+        "df436b0166f8f0e87eed8c3395da80b95dfe3cc60893994c77613e04c685ddec",
     ("srsw-register", 0, "implemented", "pinned"):
-        "6fc088bee711702805ea8ccb1b8a97239a162a15c5e506590a22c290c86f5ed9",
+        "b9b8395bac0c3b64368df7d201ad4b58d705d500f0bc2a8239d8d2305f63c861",
     ("srsw-register", 2, "atomic", "drain"):
-        "307483fc6593357dccfbea2376cc1866ef230d6b310c3ec1818ea8278ad46a5b",
+        "691c28c5164a8091136de30674a6cee8f8f20a8ab0b3af92ec1b1b4954f7f38f",
     ("srsw-register", 2, "implemented", "drain"):
-        "23050f88f3b51b7b9df27cdce02de8897b9a8570bcccdc36c00d85a9a1f16310",
+        "d2d79f7a5e2b7b785c40ae9a50c37c7fb24b901baba407d40f7c69507147d207",
     ("srsw-register", 2, "implemented", "pinned"):
-        "12c50235943852a080187eb5335e79bc1e6cdbc9941aa69dc728900f4d5ca26d",
+        "b435d4ed12861917750ed6a0eb65edb2174f9dc40b5cd3f65571cd4b66391632",
 }
 
 
@@ -210,14 +210,29 @@ SIMULATE_DIGESTS = {
     ids=str,
 )
 def test_simulate_history_bytes_are_pinned(runner, alg, coin, variant, policy):
+    digest = hashlib.sha256(_simulate(runner, alg, coin, variant, policy).encode())
+    assert digest.hexdigest() == SIMULATE_DIGESTS[alg, coin, variant, policy]
+
+
+def _simulate(runner, alg, coin, variant, policy):
     result = runner.invoke(
         main,
         ["simulate", "--alg", alg, "--coins", str(coin), "--variant", variant,
          "--policy", policy],
     )
     assert result.exit_code == 0
-    digest = hashlib.sha256(result.output.encode()).hexdigest()
-    assert digest == SIMULATE_DIGESTS[alg, coin, variant, policy]
+    return result.output
+
+
+@pytest.mark.parametrize("alg, coin, variant, policy", sorted(SIMULATE_DIGESTS), ids=str)
+def test_simulated_runs_linearize(runner, tmp_path, alg, coin, variant, policy):
+    # Each registry entry names the exact spec of its object, initial
+    # value and domain included, so every pinned run checks against it.
+    src = tmp_path / "run.jsonl"
+    src.write_text(_simulate(runner, alg, coin, variant, policy))
+    result = runner.invoke(main, ["check-lin", str(src)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["linearizable"] is True
 
 
 def test_one_trial_loadbalance_rows_are_inconclusive(runner):
@@ -268,17 +283,6 @@ def test_simulate_drain_works_on_atomic_variant(runner):
          "--variant", "atomic", "--policy", "drain"],
     )
     assert result.exit_code == 0
-
-
-def test_check_lin_round_trip(runner, tmp_path):
-    sim = runner.invoke(
-        main, ["simulate", "--alg", "hw-queue", "--coins", "0"]
-    )
-    src = tmp_path / "run.jsonl"
-    src.write_text(sim.output)
-    result = runner.invoke(main, ["check-lin", str(src)])
-    assert result.exit_code == 0
-    assert json.loads(result.output)["linearizable"] is True
 
 
 def test_check_lin_rejects_unlinearizable_history(runner, tmp_path):
@@ -385,31 +389,35 @@ def _string_node_id():
     return json.dumps(doc)
 
 
-def _register_write(**inv):
+def _register_write(ret=None, **inv):
     # Process 0 writes 1 to a register.  ``inv`` overrides fields of the
     # invocation; a process or op override reaches the response too, so
-    # the pair still matches.
+    # the pair still matches.  ``ret`` is the response payload.
     w = {"kind": INV, "process": 0, "object": 0, "op": "write",
          "payload": [1], "level": BASE, **inv}
-    return w, {**w, "kind": RSP, "payload": None}
+    return w, {**w, "kind": RSP, "payload": ret}
 
 
-_REGISTER = {"0": {"type": "register", "level": BASE,
-                   "params": {"key": "R"}, "impl": None}}
+_REGISTER = {"type": "register", "level": BASE, "params": {"key": "R"}, "impl": None}
 
 
-def _write_history(**inv):
-    header = {"objects": _REGISTER, "processes": [0]}
-    steps = [{"index": i, **s} for i, s in enumerate(_register_write(**inv))]
+def _registry(entry):
+    # The register's registry, ``entry`` overriding fields of its entry.
+    return {"0": {**_REGISTER, **(entry or {})}}
+
+
+def _write_history(entry=None, ret=None, **inv):
+    header = {"objects": _registry(entry), "processes": [0]}
+    steps = [{"index": i, **s} for i, s in enumerate(_register_write(ret, **inv))]
     return "\n".join(json.dumps(d) for d in [header, *steps]) + "\n"
 
 
-def _write_tree(**inv):
-    w, r = _register_write(**inv)
+def _write_tree(entry=None, ret=None, **inv):
+    w, r = _register_write(ret, **inv)
     nodes = [{"id": 0, "parent": None, "step": None},
              {"id": 1, "parent": 0, "step": w},
              {"id": 2, "parent": 1, "step": r}]
-    return json.dumps({"processes": [0], "objects": _REGISTER, "nodes": nodes})
+    return json.dumps({"processes": [0], "objects": _registry(entry), "nodes": nodes})
 
 
 STEP_HOLES = {
@@ -423,18 +431,30 @@ STEP_HOLES = {
 REGISTRY_HOLES = {
     "list-type": {"type": []},
     "integer-impl": {"impl": 5},
+    "param-the-spec-lacks": {"params": {"key": "R", "colour": 1}},
+    "string-domain-bound": {"params": {"key": "R", "domain_bound": "x"}},
 }
 
 
-def _bad_registry(encode, **entry):
-    # The register's registry entry with ``entry`` overriding its fields.
-    objects = {"0": {**_REGISTER["0"], **entry}}
-    text = encode()
-    if encode is _write_history:
-        header, *steps = text.splitlines()
-        header = json.dumps({**json.loads(header), "objects": objects})
-        return "\n".join([header, *steps]) + "\n"
-    return json.dumps({**json.loads(text), "objects": objects})
+# Calls with the wrong number of arguments, as (registry entry fields,
+# invocation fields, response, expected count, given count).
+ARITY_HOLES = {
+    "read-with-an-argument": ({}, {"op": "read", "payload": [5]}, 0, 0, 1),
+    "write-with-two-arguments": ({}, {"payload": [5, 6]}, None, 1, 2),
+    "fetch-inc-with-three-arguments": (
+        {"type": "strong-counter"}, {"op": "fetch_inc", "payload": [1, 2, 3]},
+        0, 0, 3,
+    ),
+    "flip-with-an-argument": (
+        {"type": "coin", "params": {"process": 0}}, {"op": "flip", "payload": [1]},
+        0, 0, 1,
+    ),
+}
+
+
+def _arity_hole(encode, hole):
+    entry, inv, ret, _want, _got = ARITY_HOLES[hole]
+    return encode(entry, ret, **inv)
 
 
 def _race_coin_outcome(value):
@@ -488,9 +508,16 @@ def _node_without_step():
                                     ("check-strong-lin", _write_tree))
         ],
         *[
-            pytest.param(command, functools.partial(_bad_registry, encode, **fields),
+            pytest.param(command, functools.partial(encode, entry=fields),
                          id=f"{command}-{hole}")
             for hole, fields in REGISTRY_HOLES.items()
+            for command, encode in (("check-lin", _write_history),
+                                    ("check-strong-lin", _write_tree))
+        ],
+        *[
+            pytest.param(command, functools.partial(_arity_hole, encode, hole),
+                         id=f"{command}-{hole}")
+            for hole in ARITY_HOLES
             for command, encode in (("check-lin", _write_history),
                                     ("check-strong-lin", _write_tree))
         ],
@@ -511,6 +538,17 @@ def test_malformed_input_is_usage_error(runner, tmp_path, command, make_text):
     assert "Traceback" not in result.output
     errors = [ln for ln in result.output.splitlines() if "Error" in ln]
     assert len(errors) == 1 and errors[0].startswith("Error: ")
+
+
+@pytest.mark.parametrize("hole", ARITY_HOLES)
+def test_wrong_argument_count_is_named(runner, tmp_path, hole):
+    # The spec's one arity rule words the rejection, whatever the type.
+    src = tmp_path / "input"
+    src.write_text(_arity_hole(_write_history, hole))
+    result = runner.invoke(main, ["check-lin", str(src)])
+    *_, want, got = ARITY_HOLES[hole]
+    assert result.exit_code == 2
+    assert result.output.rstrip().endswith(f"takes {want} argument(s), got {got}")
 
 
 @pytest.mark.parametrize(

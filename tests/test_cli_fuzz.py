@@ -17,11 +17,11 @@ from stronglin.checkers import HistoryTree
 from stronglin.cli import main
 from stronglin.engine import VectorCoins, run
 from stronglin.experiments import (
+    EXAMPLES,
     counter_race_tree,
     hw_atomic_dequeue_tree,
     mutex_counter_tree,
     queue_counter_tree,
-    srsw_register_example,
 )
 from stronglin.histories import from_jsonl, to_jsonl
 
@@ -47,11 +47,14 @@ def _trees():
 
 
 def _histories():
-    # One leaf of each tree, plus a raw run whose base steps sit inside
-    # implemented method calls.
-    ex = srsw_register_example()
-    raw = run(ex.implemented, ex.schedule, VectorCoins((0,))).history
-    return [t.history_of(t.leaves()[0]) for t in _trees()] + [raw]
+    # One leaf of each tree, plus the pinned implemented run of each
+    # example: raw histories whose base steps sit inside method calls and
+    # whose registries carry spec arguments.
+    raws = []
+    for _name, make in sorted(EXAMPLES.items()):
+        ex = make()
+        raws.append(run(ex.implemented, ex.schedule, VectorCoins(ex.omega[:1])).history)
+    return [t.history_of(t.leaves()[0]) for t in _trees()] + raws
 
 
 BASE_HISTORIES = [[json.loads(ln) for ln in to_jsonl(h).splitlines()] for h in _histories()]
@@ -146,7 +149,10 @@ def test_check_strong_lin_exit_codes_on_arbitrary_input(workdir, text):
     ],
 )
 def test_unmutated_inputs_are_accepted(workdir, command, texts):
-    # The documents the mutations start from decode, so a rejection of a
-    # mutated one is the mutation's doing.
-    for text in texts:
-        assert _exit_code(workdir, command, text, lambda _t: None) != 2
+    # The documents the mutations start from decode and check, so a
+    # rejection of a mutated one is the mutation's doing.  Every history
+    # linearizes; the trees include one without a witness.
+    codes = [_exit_code(workdir, command, text, lambda _t: None) for text in texts]
+    assert 2 not in codes
+    if command == "check-lin":
+        assert set(codes) == {0}

@@ -400,7 +400,7 @@ def test_naturalness_violation_is_caught():
         yield ("invoke", 9999, "read", ())
         return None
 
-    rogue = ImplProgram("register", "rogue", register_spec(0), setup, body)
+    rogue = ImplProgram("rogue", register_spec(0), setup, body)
 
     def prog(p):
         def gen():
@@ -422,7 +422,7 @@ def test_method_with_no_base_operation_is_caught():
         return 5
         yield  # pragma: no cover
 
-    lazy = ImplProgram("register", "lazy", register_spec(0), setup, body)
+    lazy = ImplProgram("lazy", register_spec(0), setup, body)
 
     def prog(p):
         def gen():

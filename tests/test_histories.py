@@ -205,14 +205,13 @@ def test_pairing_rejects_double_invocation_and_orphan_response():
 
 
 def register_spec(initial=0):
-    def transition(state, op, args, process):
-        if op == "write":
-            return args[0], None
-        if op == "read":
-            return state, state
-        raise ValueError(op)
+    def write(state, process, v):
+        return v, None
 
-    return SeqSpec("register", initial, transition)
+    def read(state, process):
+        return state, state
+
+    return SeqSpec("register", initial, {"write": (1, write), "read": (0, read)})
 
 
 def oracle_register_run(choices):
@@ -259,7 +258,7 @@ def test_validate_sequential_errors_are_not_false():
 
 
 def test_validate_sequential_ignores_trailing_pending_and_any_response():
-    coin = SeqSpec("coin", None, lambda s, op, a, p: (s, ANY_RESPONSE))
+    coin = SeqSpec("coin", None, {"flip": (0, lambda s, p: (s, ANY_RESPONSE))})
     h = History(
         (
             inv(0, 10, "flip"),

@@ -1,5 +1,6 @@
 """Sequential specs and the implemented constructions."""
 
+import inspect
 import itertools
 
 import pytest
@@ -16,9 +17,19 @@ from stronglin.engine import (
     run,
     scripted_policy,
 )
-from stronglin.histories import BASE, BOTTOM, History, interpret, validate_sequential
+from stronglin import objects
+from stronglin.histories import (
+    BASE,
+    BOTTOM,
+    INTERPRETED,
+    History,
+    ObjectInfo,
+    interpret,
+    validate_sequential,
+)
 from stronglin.objects import (
     CATALOG,
+    SPECS,
     aadgms_snapshot,
     cas_from_registers,
     cas_spec,
@@ -30,6 +41,7 @@ from stronglin.objects import (
     queue_spec,
     register_spec,
     snapshot_spec,
+    spec_of_entry,
     test_and_set_spec as tas_spec,
     vidyasankar_register,
     vitanyi_awerbuch_mrsw,
@@ -459,3 +471,84 @@ def test_catalog_names():
         "mutex-wrapped-counter",
     ):
         assert name in CATALOG
+
+
+# ---------------------------------------------------------------------------
+# The type table
+# ---------------------------------------------------------------------------
+
+
+def test_every_spec_factory_is_in_the_table_under_its_type_name():
+    # A type missing here could not be rebuilt from a registry entry, so
+    # check-lin could not check an object of it.
+    factories = {
+        f for name, f in vars(objects).items()
+        if name.endswith("_spec") and inspect.isfunction(f)
+    }
+    assert factories == set(SPECS.values())
+    for name, make in SPECS.items():
+        spec = spec_of_entry(ObjectInfo(name, BASE), (0, 1))
+        assert spec.type_name == name and spec.params == ()
+
+
+def _catalog_instances():
+    # Each construction of the catalog, its required arguments all 2.
+    out = {}
+    for impl_name, make in CATALOG.items():
+        params = inspect.signature(make).parameters.values()
+        out[impl_name] = make(*[2 for p in params if p.default is p.empty])
+    return out
+
+
+def test_catalog_targets_rebuild_from_their_registry_entry():
+    for impl_name, impl in _catalog_instances().items():
+        target = impl.target_spec
+        assert target.type_name in SPECS
+        info = ObjectInfo(
+            target.type_name, INTERPRETED, (("key", "X"),) + target.params, impl_name
+        )
+        rebuilt = spec_of_entry(info, (0, 1))
+        assert (rebuilt.initial_state, rebuilt.params) == (
+            target.initial_state, target.params
+        ), impl_name
+
+
+def test_spec_records_only_arguments_off_their_defaults():
+    assert register_spec(1, domain_bound=3).params == (
+        ("initial", 1), ("domain_bound", 3)
+    )
+    assert counter_spec(0).params == ()
+    assert snapshot_spec(3, initial=2).params == (("initial", 2),)
+
+
+def test_registry_entry_with_an_unknown_type_or_parameter_is_rejected():
+    with pytest.raises(ValueError, match="widget"):
+        spec_of_entry(ObjectInfo("widget", BASE), (0,))
+    with pytest.raises(ValueError, match="colour"):
+        spec_of_entry(ObjectInfo("register", BASE, (("colour", 1),)), (0,))
+
+
+def test_every_operation_checks_its_argument_count():
+    for name in SPECS:
+        spec = spec_of_entry(ObjectInfo(name, BASE), (0, 1))
+        for op, (arity, _step) in spec.ops.items():
+            with pytest.raises(ValueError, match=f"takes {arity} argument"):
+                spec.transition(spec.initial_state, op, (0,) * (arity + 1), 0)
+        with pytest.raises(ValueError, match="does not support"):
+            spec.transition(spec.initial_state, "frob", (), 0)
+
+
+def test_an_operation_a_construction_lacks_is_rejected():
+    # Bodies keep no unknown-op branch of their own: a call that issues
+    # no base operation is the engine's to reject; the mutex wrapper
+    # defers to its spec.
+    def prog(p):
+        def gen():
+            yield ("invoke", "X", "frob", ())
+
+        return gen()
+
+    for impl in _catalog_instances().values():
+        alg = AlgorithmSpec((0,), (Binding("X", impl=impl),), prog)
+        with pytest.raises((EngineError, ValueError), match="no base|not support"):
+            run(alg, scripted_policy("strong", [0] * 8), VectorCoins(()))
