@@ -53,13 +53,21 @@ def _increment(state, process):
     return state + 1, state
 
 
+def _check_domain(what: str, v: Any, domain_bound: int) -> None:
+    # The multivalued register holds the integers 0..bound; floats and
+    # booleans compare like integers, so rule them out by type.
+    if type(v) is not int or not 0 <= v <= domain_bound:
+        raise ValueError(f"{what} {v!r} outside 0..{domain_bound}")
+
+
 def register_spec(initial: Any = 0, domain_bound: int | None = None) -> SeqSpec:
     """Read/write register.  With ``domain_bound`` set, writes outside
-    {0..domain_bound} are rejected (the multivalued SRSW type)."""
+    the integers {0..domain_bound} are rejected (the multivalued SRSW
+    type)."""
 
     def write(state, process, v):
-        if domain_bound is not None and not 0 <= v <= domain_bound:
-            raise ValueError(f"write value {v} outside 0..{domain_bound}")
+        if domain_bound is not None:
+            _check_domain("write value", v, domain_bound)
         return v, None
 
     ops = {"write": (1, write), "read": (0, _observe)}
@@ -249,8 +257,7 @@ def vidyasankar_register(domain_bound: int, initial: int) -> ImplProgram:
     scans upward to the first set bit, then downward, returning the
     lowest set bit it saw on the way back.
     """
-    if not 0 <= initial <= domain_bound:
-        raise ValueError(f"initial {initial} outside 0..{domain_bound}")
+    _check_domain("initial", initial, domain_bound)
 
     bit_specs = [
         register_spec(1 if i == initial else 0, domain_bound=1)
@@ -268,8 +275,7 @@ def vidyasankar_register(domain_bound: int, initial: int) -> ImplProgram:
         bits = state["bits"]
         if op == "write":
             (v,) = args
-            if not 0 <= v <= domain_bound:
-                raise ValueError(f"write value {v} outside 0..{domain_bound}")
+            _check_domain("write value", v, domain_bound)
             yield _write(bits[v], 1)
             for j in range(v - 1, -1, -1):
                 yield _write(bits[j], 0)

@@ -9,8 +9,21 @@ with weak-style flip bundling it is exactly the weak ones.
 
 The existence search walks the same tree but asks for one decision tree
 whose every completed branch satisfies a predicate, for example "the
-interpreted history equals this target image".  Nodes are replayed from
-scratch; inputs are tiny by design and guarded.
+interpreted history equals this target image".
+
+Both searches go depth first, and a node holds a live ``Simulation`` at
+its own state: the grants and coins on the path to it.  A node's
+children are taken in pid order.  The last live process's child keeps
+the parent's simulation and is granted in place; every other child is
+a fork, replayed from the root with ``replay_grants`` from the parent's
+grants and coins, so each fork is taken before the parent is mutated.
+A grant that flips past the path's coins raises ``NeedCoinError`` after
+the engine has logged the grant, which leaves that simulation unusable:
+it is dropped, and each coin outcome is replayed from the root.
+
+``node_cap`` counts game nodes: the root, one per grant decision
+(whether or not the grant needs a coin) and one per coin outcome.
+Inputs are tiny by design and guarded by it and by ``grant_cap``.
 """
 
 from __future__ import annotations
@@ -38,6 +51,57 @@ def replay_grants(alg: AlgorithmSpec, grants: tuple, coins: tuple, klass: str):
     return ("ok", sim)
 
 
+class _Walk:
+    """Node count, caps and the one fork/handoff rule of both searches."""
+
+    def __init__(self, alg: AlgorithmSpec, omega: tuple, klass: str, what: str, node_cap: int):
+        self.alg, self.omega, self.klass = alg, omega, klass
+        self.what, self.node_cap = what, node_cap
+        self.nodes = self.forks = self.deepest = 0
+
+    def _visit(self, depth: int) -> None:
+        self.nodes += 1
+        self.deepest = max(self.deepest, depth)
+        if self.nodes > self.node_cap:
+            raise EngineError(
+                f"{self.what} search exceeded {self.node_cap} nodes "
+                f"({self.forks} forks, deepest run {self.deepest} grants)"
+            )
+
+    def _fork(self, grants: tuple, coins: tuple) -> Simulation:
+        # A grant flips at most once, so a replay to a visited node, or to
+        # one coin past it, never runs out of coins.
+        self.forks += 1
+        return replay_grants(self.alg, grants, coins, self.klass)[1]
+
+    def root(self) -> Simulation:
+        self._visit(0)
+        return replay_grants(self.alg, (), (), self.klass)[1]
+
+    def children(self, sim: Simulation):
+        """Yield the children of the node ``sim`` holds, in pid order:
+        ("ok", child) or ("need_coin", steps_before_failed_grant, nodes),
+        where ``nodes`` lazily yields one node per outcome in omega."""
+        live = sim.live_pids()
+        for i, q in enumerate(live):
+            grants, coins = tuple(sim.grants), sim.coins.vector
+            self._visit(len(grants) + 1)
+            child = sim if i == len(live) - 1 else self._fork(grants, coins)
+            before = len(child.steps)
+            try:
+                child.grant(q)
+            except NeedCoinError:
+                steps = tuple(child.steps[:before])
+                yield ("need_coin", steps, self._flips(grants + (q,), coins))
+            else:
+                yield ("ok", child)
+
+    def _flips(self, grants: tuple, coins: tuple):
+        for w in self.omega:
+            self._visit(len(grants))
+            yield self._fork(grants, coins + (w,))
+
+
 def optimal_expectation(
     alg: AlgorithmSpec,
     omega: tuple,
@@ -52,30 +116,27 @@ def optimal_expectation(
     Runs must complete every process (programs here are finite); the
     payoff is averaged uniformly over omega at every flip.
     """
-    nodes = 0
+    walk = _Walk(alg, omega, klass, "optimal", node_cap)
 
-    def value(grants: tuple, coins: tuple) -> Fraction:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise EngineError(f"optimal search exceeded {node_cap} nodes")
-        res = replay_grants(alg, grants, coins, klass)
-        if res[0] == "need_coin":
-            total = sum(value(grants, coins + (w,)) for w in omega)
-            return Fraction(total, len(omega))
-        sim = res[1]
+    def value(sim: Simulation) -> Fraction:
         if sim.all_finished():
             return Fraction(payoff(sim.record()))
-        if len(grants) >= grant_cap:
-            raise EngineError(f"optimal search exceeded {grant_cap} grants per run")
+        if len(sim.grants) >= grant_cap:
+            raise EngineError(
+                f"optimal search exceeded {grant_cap} grants per run "
+                f"(processes {list(sim.live_pids())} still live)"
+            )
         best = None
-        for q in sim.live_pids():
-            v = value(grants + (q,), coins)
+        for res in walk.children(sim):
+            if res[0] == "need_coin":
+                v = Fraction(sum(value(s) for s in res[2]), len(omega))
+            else:
+                v = value(res[1])
             if best is None or (v > best if maximize else v < best):
                 best = v
         return best
 
-    return value((), ())
+    return value(walk.root())
 
 
 def exists_adversary(
@@ -95,36 +156,34 @@ def exists_adversary(
     construction), or None.  ``prefix_ok(steps, coins)`` prunes partial
     runs; it must be monotone (False stays False under extension).
     """
-    nodes = 0
+    walk = _Walk(alg, omega, klass, "existence", node_cap)
 
-    def search(grants: tuple, coins: tuple):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise EngineError(f"existence search exceeded {node_cap} nodes")
-        res = replay_grants(alg, grants, coins, klass)
-        if res[0] == "need_coin":
-            if prefix_ok is not None and not prefix_ok(res[1], coins):
-                return None
-            branches: dict = {}
-            for w in omega:
-                sub = search(grants, coins + (w,))
-                if sub is None:
-                    return None
-                branches.update(sub)
-            return branches
-        sim = res[1]
+    def search(sim: Simulation):
+        coins = sim.coins.vector
         if prefix_ok is not None and not prefix_ok(tuple(sim.steps), coins):
             return None
         if sim.all_finished():
-            return {coins: grants} if leaf_ok(sim.record(), coins) else None
-        if len(grants) >= grant_cap:
+            return {coins: tuple(sim.grants)} if leaf_ok(sim.record(), coins) else None
+        if len(sim.grants) >= grant_cap:
             return None
-        for q in sim.live_pids():
-            sub = search(grants + (q,), coins)
+        for res in walk.children(sim):
+            if res[0] == "ok":
+                sub = search(res[1])
+            elif prefix_ok is None or prefix_ok(res[1], coins):
+                sub = every_flip(res[2])
+            else:
+                sub = None
             if sub is not None:
                 return sub
         return None
 
-    return search((), ())
+    def every_flip(nodes) -> dict | None:
+        branches: dict = {}
+        for sim in nodes:
+            sub = search(sim)
+            if sub is None:
+                return None
+            branches.update(sub)
+        return branches
 
+    return search(walk.root())

@@ -436,6 +436,15 @@ REGISTRY_HOLES = {
 }
 
 
+# Writes outside the integers 0..3 to a register with ``domain_bound`` 3;
+# a float and a boolean compare like in-range integers.
+DOMAIN_HOLES = {
+    "fractional-write": [2.5],
+    "boolean-write": [True],
+}
+_BOUNDED = {"params": {"key": "R", "domain_bound": 3}}
+
+
 # Calls with the wrong number of arguments, as (registry entry fields,
 # invocation fields, response, expected count, given count).
 ARITY_HOLES = {
@@ -511,6 +520,14 @@ def _node_without_step():
             pytest.param(command, functools.partial(encode, entry=fields),
                          id=f"{command}-{hole}")
             for hole, fields in REGISTRY_HOLES.items()
+            for command, encode in (("check-lin", _write_history),
+                                    ("check-strong-lin", _write_tree))
+        ],
+        *[
+            pytest.param(command,
+                         functools.partial(encode, entry=_BOUNDED, payload=payload),
+                         id=f"{command}-{hole}")
+            for hole, payload in DOMAIN_HOLES.items()
             for command, encode in (("check-lin", _write_history),
                                     ("check-strong-lin", _write_tree))
         ],

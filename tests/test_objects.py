@@ -101,8 +101,10 @@ def test_cas_spec():
 
 def test_register_domain_bound():
     spec = register_spec(0, domain_bound=3)
-    with pytest.raises(ValueError):
-        replay(spec, [("write", (4,), 0)])
+    # The domain is the integers 0..3: a float or a boolean in range is out.
+    for v in (4, -1, 2.5, True):
+        with pytest.raises(ValueError):
+            replay(spec, [("write", (v,), 0)])
 
 
 def test_snapshot_spec_component_ownership():
@@ -266,10 +268,12 @@ def test_va_mrsw_sequential_use(calls):
 def test_vidyasankar_solo_read_and_write_validation():
     responses, _ = run_calls(vidyasankar_register(3, 1), [(1, "read", ())], nproc=2)
     assert responses == [1]
-    with pytest.raises(ValueError):
-        run_calls(vidyasankar_register(3, 1), [(0, "write", (4,))], nproc=2)
-    with pytest.raises(ValueError):
-        vidyasankar_register(3, 9)
+    for v in (4, 2.5, True):
+        with pytest.raises(ValueError):
+            run_calls(vidyasankar_register(3, 1), [(0, "write", (v,))], nproc=2)
+    for initial in (9, 1.0):
+        with pytest.raises(ValueError):
+            vidyasankar_register(3, initial)
 
 
 def test_vidyasankar_representation_invariant():

@@ -10,10 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+from stronglin import engine, experiments, search
 from stronglin.checkers import HistoryTree
-from stronglin.engine import EngineError
+from stronglin.engine import EngineError, Simulation
 from stronglin.experiments import (
+    RACE_EARLY_FLIP,
+    RACE_LATE_FLIP,
     atomic_value,
+    coschedulable,
     hw_queue_example,
     implemented_value,
     mrsw_register_example,
@@ -21,11 +25,18 @@ from stronglin.experiments import (
     srsw_register_example,
     _queue_payoff_unordered,
 )
-from stronglin.histories import interpret
+from stronglin.histories import Step, interpret
 from stronglin.search import (
     exists_adversary,
     optimal_expectation,
     replay_grants,
+)
+
+EXAMPLES = (
+    snapshot_example,
+    srsw_register_example,
+    mrsw_register_example,
+    hw_queue_example,
 )
 
 
@@ -112,7 +123,172 @@ def test_replay_and_tree_round_trip():
 
 def test_search_caps_are_enforced():
     ex = snapshot_example()
-    with pytest.raises(EngineError):
+    with pytest.raises(
+        EngineError,
+        match=r"^optimal search exceeded 5 nodes \(\d+ forks, deepest run \d+ grants\)$",
+    ):
         optimal_expectation(ex.atomic, ex.omega, ex.payoff, node_cap=5)
-    with pytest.raises(EngineError):
+    with pytest.raises(
+        EngineError,
+        match=r"^optimal search exceeded 2 grants per run \(processes \[1, 2\] still live\)$",
+    ):
         optimal_expectation(ex.atomic, ex.omega, ex.payoff, grant_cap=2)
+    with pytest.raises(
+        EngineError,
+        match=r"^existence search exceeded 7 nodes \(\d+ forks, deepest run \d+ grants\)$",
+    ):
+        exists_adversary(ex.atomic, ex.omega, lambda rec, coins: False, node_cap=7)
+
+
+# ---------------------------------------------------------------------------
+# Reference deciders: every node replayed from the root
+# ---------------------------------------------------------------------------
+# `optimal_expectation` and `exists_adversary` carry one live Simulation
+# down each path and replay
+# only to fork a sibling or to resolve a coin.  These are the plain
+# replay-from-root searches they replaced, kept as an independent oracle:
+# same exploration order, so values and returned maps must be identical.
+
+
+def _reference_optimal(alg, omega, payoff, klass="strong", maximize=False):
+    def value(grants, coins):
+        res = replay_grants(alg, grants, coins, klass)
+        if res[0] == "need_coin":
+            total = sum(value(grants, coins + (w,)) for w in omega)
+            return Fraction(total, len(omega))
+        sim = res[1]
+        if sim.all_finished():
+            return Fraction(payoff(sim.record()))
+        best = None
+        for q in sim.live_pids():
+            v = value(grants + (q,), coins)
+            if best is None or (v > best if maximize else v < best):
+                best = v
+        return best
+
+    return value((), ())
+
+
+def _reference_exists(alg, omega, leaf_ok, prefix_ok=None, klass="strong", grant_cap=200):
+    def search(grants, coins):
+        res = replay_grants(alg, grants, coins, klass)
+        if res[0] == "need_coin":
+            if prefix_ok is not None and not prefix_ok(res[1], coins):
+                return None
+            branches = {}
+            for w in omega:
+                sub = search(grants, coins + (w,))
+                if sub is None:
+                    return None
+                branches.update(sub)
+            return branches
+        sim = res[1]
+        if prefix_ok is not None and not prefix_ok(tuple(sim.steps), coins):
+            return None
+        if sim.all_finished():
+            return {coins: grants} if leaf_ok(sim.record(), coins) else None
+        if len(grants) >= grant_cap:
+            return None
+        for q in sim.live_pids():
+            sub = search(grants + (q,), coins)
+            if sub is not None:
+                return sub
+        return None
+
+    return search((), ())
+
+
+def _games():
+    # (id, algorithm, omega, payoff, class, goal)
+    for make in EXAMPLES:
+        ex = make()
+        for klass in ("weak", "strong"):
+            yield (f"{ex.name}-atomic-{klass}", ex.atomic, ex.omega, ex.payoff,
+                   klass, ex.goal)
+    ex = hw_queue_example()
+    yield ("hw-queue-atomic-unordered", ex.atomic, ex.omega,
+           _queue_payoff_unordered, "strong", "max")
+    ex = srsw_register_example()
+    for klass in ("weak", "strong"):
+        yield (f"srsw-register-implemented-{klass}", ex.implemented, ex.omega,
+               ex.payoff, klass, ex.goal)
+
+
+@pytest.mark.parametrize("game", list(_games()), ids=lambda g: g[0])
+def test_game_values_match_replay_from_root(game):
+    _name, alg, omega, payoff, klass, goal = game
+    kw = dict(klass=klass, maximize=(goal == "max"))
+    assert optimal_expectation(alg, omega, payoff, **kw) == _reference_optimal(
+        alg, omega, payoff, **kw
+    )
+
+
+def _reader_first(steps, coins):
+    # Monotone: the first step of a run never changes under extension.
+    return not steps or steps[0].process != 0
+
+
+@pytest.mark.parametrize(
+    "prefix_ok", [None, _reader_first], ids=["no-prefix", "reader-first"]
+)
+@pytest.mark.parametrize(
+    "want",
+    [{(-1,): -1, (1,): 1}, {(-1,): -1, (1,): 0}],
+    ids=["reachable", "inconsistent"],
+)
+def test_mrsw_decision_trees_match_replay_from_root(want, prefix_ok):
+    alg = mrsw_register_example().atomic
+    args = (alg, (-1, 1), _read_targets(want), prefix_ok)
+    found = exists_adversary(*args, klass="strong")
+    expected = _reference_exists(*args, klass="strong")
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert list(found.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize(
+    "targets", [RACE_EARLY_FLIP, RACE_LATE_FLIP], ids=["early", "late"]
+)
+def test_coschedulability_search_matches_replay_from_root(monkeypatch, targets):
+    calls = []
+
+    def recording(*args, **kwargs):
+        found = exists_adversary(*args, **kwargs)
+        calls.append((args, kwargs, found))
+        return found
+
+    monkeypatch.setattr(experiments, "exists_adversary", recording)
+    coschedulable(targets)
+    [(args, kwargs, found)] = calls
+    expected = _reference_exists(*args, **kwargs)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert list(found.items()) == list(expected.items())
+
+
+def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkeypatch):
+    # Replaying every node from the root builds 2,451 simulations here.
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return engine.Simulation(*args, **kwargs)
+
+    monkeypatch.setattr(search, "Simulation", counting)
+    ex = srsw_register_example()
+    value = optimal_expectation(ex.implemented, ex.omega, ex.payoff, klass="weak")
+    assert value == Fraction(1, 2)
+    assert 0 < len(built) <= 800
+
+
+def test_replay_grants_return_shapes():
+    # bench/tracing.py wraps replay_grants and reads res[0].
+    alg = srsw_register_example().atomic
+    status, steps = replay_grants(alg, (0, 0), (), "strong")
+    assert status == "need_coin"
+    assert isinstance(steps, tuple) and all(isinstance(s, Step) for s in steps)
+    assert [(s.kind, s.op) for s in steps] == [("inv", "write"), ("rsp", "write")]
+    status, sim = replay_grants(alg, (0, 0), (2,), "strong")
+    assert status == "ok"
+    assert isinstance(sim, Simulation)
+    assert sim.grants == [0, 0] and sim.record().coin_vector == (2,)
