@@ -520,11 +520,22 @@ def _image_extensions(
                 yield parent_img + ext, states
 
 
-class _Frame:
-    __slots__ = ("nid", "exts", "img", "kids", "results")
+def _dead_key(nid: int, img: tuple[ImageOp, ...], states: dict) -> tuple:
+    # What decides whether node ``nid``'s subtree completes under a parent
+    # image: its committed (key, ret) pairs and object states, not their order.
+    return (
+        nid,
+        frozenset((e.key, e.ret) for e in img),
+        tuple(sorted(states.items())),
+    )
 
-    def __init__(self, nid, exts):
+
+class _Frame:
+    __slots__ = ("nid", "dead_key", "exts", "img", "kids", "results")
+
+    def __init__(self, nid, dead_key, exts):
         self.nid = nid
+        self.dead_key = dead_key
         self.exts = exts
         self.img = None
         self.kids: Iterator[_Frame] = iter(())
@@ -542,8 +553,14 @@ def check_strong_lin(
     Depth-first over the tree: each node picks an image extending its
     parent's, fewest new commitments first, and a choice is kept only
     while every child subtree can complete under it; exhausting a
-    node's choices backtracks into the parent.  Returned witnesses
-    re-validate independently (see witness_violations).
+    node's choices backtracks into the parent.  A child that ran out of
+    images is remembered as dead under its parent image's committed
+    (key, ret) pairs and object states, which are all its subtree
+    depends on; a later parent image reaching the same triple is
+    dropped at once.  That prunes only subtrees that would fail again,
+    so the order of the search and the witness it finds are unchanged.
+    Returned witnesses re-validate independently (see
+    witness_violations).
     """
     if len(tree) > node_cap:
         raise TreeError(f"tree has {len(tree)} nodes, cap is {node_cap}")
@@ -554,7 +571,8 @@ def check_strong_lin(
                 f"node {nid} has {pending} pending operations, cap is {pending_cap}"
             )
 
-    frames = [_Frame(tree.root, _image_extensions(tree, tree.root, (), {}, specs))]
+    dead: set = set()
+    frames = [_Frame(tree.root, None, _image_extensions(tree, tree.root, (), {}, specs))]
     while frames:
         f = frames[-1]
         if f.img is None:
@@ -563,11 +581,15 @@ def check_strong_lin(
                 # probe it put back in front.
                 kids = []
                 for c in tree.children(f.nid):
+                    key = _dead_key(c, img, states)
+                    if key in dead:
+                        break
                     exts = _image_extensions(tree, c, img, states, specs)
                     first = next(exts, None)
                     if first is None:
+                        dead.add(key)
                         break
-                    kids.append(_Frame(c, itertools.chain((first,), exts)))
+                    kids.append(_Frame(c, key, itertools.chain((first,), exts)))
                 else:
                     f.img, f.kids, f.results = img, iter(kids), {}
                     break
@@ -575,6 +597,7 @@ def check_strong_lin(
                 frames.pop()
                 if not frames:
                     return None
+                dead.add(f.dead_key)
                 frames[-1].img = None
                 continue
         kid = next(f.kids, None)
@@ -604,7 +627,6 @@ def witness_violations(
         if img is None:
             out.append(f"node {nid}: no image")
             continue
-        hist = tree.history_of(nid)
         by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
         resolved = []
         bad = False
@@ -621,27 +643,29 @@ def witness_violations(
             resolved.append(op)
         if bad:
             continue
-        keys = [(o.process, o.inv_index) for o in resolved]
-        if len(set(keys)) != len(keys):
+        keys = {(o.process, o.inv_index) for o in resolved}
+        if len(keys) != len(resolved):
             out.append(f"node {nid}: duplicate operation in image")
             continue
         missing = [
             o
             for o in tree.ops_of(nid)
-            if o.complete and (o.process, o.inv_index) not in set(keys)
+            if o.complete and (o.process, o.inv_index) not in keys
         ]
         if missing:
             out.append(f"node {nid}: completed operation missing from image")
             continue
+        # An op happens before some op placed ahead of it iff it happens
+        # before the one of those invoked last.
         order_ok = True
-        for i in range(len(resolved)):
-            for j in range(i + 1, len(resolved)):
-                if happens_before(resolved[j], resolved[i]):
-                    out.append(f"node {nid}: image order violates happens-before")
-                    order_ok = False
-                    break
-            if not order_ok:
+        latest = None
+        for o in resolved:
+            if latest is not None and happens_before(o, latest):
+                out.append(f"node {nid}: image order violates happens-before")
+                order_ok = False
                 break
+            if latest is None or o.inv_index > latest.inv_index:
+                latest = o
         if not order_ok:
             continue
         states: dict = {}
@@ -721,20 +745,22 @@ def normalize_witness(
             img.pop()
         flips = [e for e in img if hist.objects[e.obj].type_name == "coin"]
         base = [e for e in img if hist.objects[e.obj].type_name != "coin"]
+        base_ops = [by_key[e.key] for e in base]
         for cf in sorted(flips, key=lambda e: e.inv_index):
             cf_op = by_key[cf.key]
             lo = 0
             hi = len(base)
-            for i, e in enumerate(base):
-                if happens_before(by_key[e.key], cf_op):
+            for i, op in enumerate(base_ops):
+                if happens_before(op, cf_op):
                     lo = i + 1
-                if happens_before(cf_op, by_key[e.key]):
+                if happens_before(cf_op, op):
                     hi = min(hi, i)
             if lo > hi:
                 raise CheckerError(
                     f"node {nid}: no order-respecting slot for a flip"
                 )
             base.insert(lo, cf)
+            base_ops.insert(lo, cf_op)
         out[nid] = tuple(base)
     bad = witness_violations(tree, out, specs) + normality_violations(tree, out)
     if bad:

@@ -282,8 +282,11 @@ def _decode_payload(v: Any) -> Any:
     return v
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
+
+
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    return _ENCODER.encode(obj)
 
 
 def _fields(doc: Any, keys: tuple[str, ...], what: str) -> list:

@@ -167,12 +167,9 @@ def exists_adversary(
         if len(sim.grants) >= grant_cap:
             return None
         for res in walk.children(sim):
-            if res[0] == "ok":
-                sub = search(res[1])
-            elif prefix_ok is None or prefix_ok(res[1], coins):
-                sub = every_flip(res[2])
-            else:
-                sub = None
+            # A need-coin child's steps and coins are this node's, which
+            # prefix_ok has already accepted.
+            sub = search(res[1]) if res[0] == "ok" else every_flip(res[2])
             if sub is not None:
                 return sub
         return None

@@ -1,6 +1,7 @@
 """History trees, witness search and validation, normalization, locality,
 and common linearizations of run pairs."""
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stronglin import checkers
 from stronglin.checkers import (
     CheckerError,
     _candidates,
@@ -38,7 +40,11 @@ from stronglin.engine import (
     run,
     scripted_policy,
 )
-from stronglin.experiments import mutex_counter_runs, queue_counter_tree
+from stronglin.experiments import (
+    hw_atomic_dequeue_tree,
+    mutex_counter_runs,
+    queue_counter_tree,
+)
 from stronglin.histories import (
     ANY_RESPONSE,
     BASE,
@@ -49,6 +55,7 @@ from stronglin.histories import (
     History,
     ObjectInfo,
     Step,
+    happens_before,
     interpret,
     validate_sequential,
 )
@@ -463,20 +470,20 @@ def test_single_path_tree_agrees_with_linearize_one(case):
         assert witness_violations(tree, w, specs) == []
 
 
-def committed_enqueue_tree():
-    """Two completed concurrent enqueues, then a flip whose branches
-    demand opposite dequeue orders.  Each leaf linearizes on its own,
-    but no image for the shared prefix survives both branches."""
+def committed_enqueue_tree(enqueues=2):
+    """Completed concurrent enqueues of 1, 2, ..., then a flip whose
+    branches demand opposite orders of 1 and 2.  Each leaf linearizes on
+    its own, but no image for the shared prefix survives both branches,
+    and the search learns that only after trying every enqueue order."""
     objs = {
         0: ObjectInfo("queue", BASE, (("key", "Q"),)),
         1: ObjectInfo("coin", BASE, (("process", 0),)),
     }
+    racers = range(1, enqueues + 1)
     common = (
-        inv(1, 0, "enqueue", (1,)),
-        inv(2, 0, "enqueue", (2,)),
-        rsp(1, 0, "enqueue"),
-        rsp(2, 0, "enqueue"),
-        inv(0, 1, "flip"),
+        tuple(inv(p, 0, "enqueue", (p,)) for p in racers)
+        + tuple(rsp(p, 0, "enqueue") for p in racers)
+        + (inv(0, 1, "flip"),)
     )
     h0 = common + (
         rsp(0, 1, "flip", 0),
@@ -487,10 +494,8 @@ def committed_enqueue_tree():
         inv(0, 0, "dequeue"), rsp(0, 0, "dequeue", 2),
         inv(0, 0, "dequeue"), rsp(0, 0, "dequeue", 1),
     )
-    runs = {
-        (0,): History(h0, (0, 1, 2), objs),
-        (1,): History(h1, (0, 1, 2), objs),
-    }
+    procs = tuple(range(enqueues + 1))
+    runs = {(0,): History(h0, procs, objs), (1,): History(h1, procs, objs)}
     return HistoryTree.from_runs(runs, omega=(0, 1))
 
 
@@ -570,17 +575,18 @@ def brute_strong_linearizable(tree, specs):
 
 
 @st.composite
-def tiny_trees(draw):
-    """Racing updates around one flip of process 0.
+def tiny_trees(draw, max_flips=1):
+    """Racing updates around flips of process 0.
 
-    Processes 1 and 2 invoke one update each before the flip, and a
-    drawn subset of them respond before it, in a drawn order.  In each
+    Processes 1 and 2 invoke one update each before the first flip, and
+    a drawn subset of them respond before it, in a drawn order.  In each
     branch they then take a few more steps and process 0 observes the
-    object once or twice, all with freely drawn responses.  So some
-    draws have linearizable leaves but no prefix-preserving witness: the
-    racing operations that completed before the flip must be ordered
-    there, and the two branches can demand opposite orders.  Observers
-    return the initial value or one some invocation passed in.
+    object once or twice, all with freely drawn responses; with
+    ``max_flips`` 2, a branch may then flip again and repeat that.  So
+    some draws have linearizable leaves but no prefix-preserving
+    witness: the racing operations that completed before a flip must be
+    ordered there, and the branches can demand opposite orders.
+    Observers return the initial value or one some invocation passed in.
     """
     flavor = draw(st.sampled_from(["register", "queue"]))
     objs = REG_OBJS if flavor == "register" else QUEUE_OBJS
@@ -606,21 +612,29 @@ def tiny_trees(draw):
     for p in order[: draw(st.integers(0, len(order)))]:
         prefix.append(response(p, open_op.pop(p), prefix))
     prefix.append(inv(0, 1, "flip"))
+    flips = draw(st.integers(1, max_flips)) if max_flips > 1 else 1
     runs = {}
-    for c in (0, 1):
-        steps = prefix + [rsp(0, 1, "flip", c)]
-        pending = dict(open_op)
-        for _ in range(draw(st.integers(0, 2))):
-            p = draw(st.sampled_from(racers))
-            if p in pending:
-                steps.append(response(p, pending.pop(p), steps))
+
+    def branches(prefix, open_op, coins):
+        for c in (0, 1):
+            steps = prefix + [rsp(0, 1, "flip", c)]
+            pending = dict(open_op)
+            for _ in range(draw(st.integers(0, 2))):
+                p = draw(st.sampled_from(racers))
+                if p in pending:
+                    steps.append(response(p, pending.pop(p), steps))
+                else:
+                    steps.append(invocation(p, draw(st.booleans())))
+                    pending[p] = steps[-1].op
+            for _ in range(draw(st.integers(1, 2))):
+                steps.append(invocation(0, False))
+                steps.append(response(0, steps[-1].op, steps))
+            if len(coins) + 1 < flips:
+                branches(steps + [inv(0, 1, "flip")], pending, coins + (c,))
             else:
-                steps.append(invocation(p, draw(st.booleans())))
-                pending[p] = steps[-1].op
-        for _ in range(draw(st.integers(1, 2))):
-            steps.append(invocation(0, False))
-            steps.append(response(0, steps[-1].op, steps))
-        runs[(c,)] = History(tuple(steps), tuple(range(nproc)), objs)
+                runs[coins + (c,)] = History(tuple(steps), tuple(range(nproc)), objs)
+
+    branches(prefix, open_op, ())
     tree = HistoryTree.from_runs(runs, omega=(0, 1))
     return tree, default_specs(tree.objects, tree.processes)
 
@@ -633,6 +647,145 @@ def test_check_strong_lin_matches_brute_force(case):
     assert (got is not None) == brute_strong_linearizable(tree, specs)
     if got is not None:
         assert witness_violations(tree, got, specs) == []
+
+
+# ---------------------------------------------------------------------------
+# The dead-subtree memo against the unmemoized search
+# ---------------------------------------------------------------------------
+
+
+def unmemoized_strong_lin(tree, specs):
+    """check_strong_lin's frame loop without its dead-subtree memo.
+
+    The reference the memo must agree with, witness for witness: the
+    memo may skip only subtrees that this loop explores and abandons.
+    """
+
+    class Frame:
+        def __init__(self, nid, exts):
+            self.nid, self.exts = nid, exts
+            self.img, self.kids, self.results = None, iter(()), {}
+
+    def extensions(nid, img, states):
+        return checkers._image_extensions(tree, nid, img, states, specs)
+
+    frames = [Frame(tree.root, extensions(tree.root, (), {}))]
+    while frames:
+        f = frames[-1]
+        if f.img is None:
+            for img, states in f.exts:
+                kids = []
+                for c in tree.children(f.nid):
+                    exts = extensions(c, img, states)
+                    first = next(exts, None)
+                    if first is None:
+                        break
+                    kids.append(Frame(c, itertools.chain((first,), exts)))
+                else:
+                    f.img, f.kids, f.results = img, iter(kids), {}
+                    break
+            else:
+                frames.pop()
+                if not frames:
+                    return None
+                frames[-1].img = None
+                continue
+        kid = next(f.kids, None)
+        if kid is not None:
+            frames.append(kid)
+            continue
+        solved = {f.nid: f.img, **f.results}
+        frames.pop()
+        if not frames:
+            return solved
+        frames[-1].results.update(solved)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_trees(max_flips=2))
+def test_memoized_search_matches_unmemoized_search(case):
+    tree, specs = case
+    assert check_strong_lin(tree, specs) == unmemoized_strong_lin(tree, specs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        hw_atomic_dequeue_tree,
+        queue_counter_tree,
+        functools.partial(committed_enqueue_tree, 3),
+        functools.partial(committed_enqueue_tree, 4),
+        functools.partial(committed_enqueue_tree, 5),
+    ],
+    ids=["hw-atomic-dequeue", "queue-counter", "enqueues-3", "enqueues-4", "enqueues-5"],
+)
+def test_memo_prunes_refutations_without_changing_them(make, monkeypatch):
+    tree = make()
+    specs = default_specs(tree.objects, tree.processes)
+    calls = {"memo": 0, "reference": 0}
+    side = "memo"
+    real = checkers._image_extensions
+
+    def counted(*args):
+        calls[side] += 1
+        return real(*args)
+
+    monkeypatch.setattr(checkers, "_image_extensions", counted)
+    got = check_strong_lin(tree, specs)
+    side = "reference"
+    assert got == unmemoized_strong_lin(tree, specs)
+    assert calls["memo"] < calls["reference"]
+
+
+def pending_increments_tree():
+    """Two pending increments that a completed third one must follow.
+
+    Process 3's increment returns 2 before the flip, so every image
+    there commits the increments of processes 1 and 2 ahead of it.
+    Either order leaves the counter at 3; only the responses tell the
+    orders apart.  Both branches need process 2's increment first, which
+    is the second order the search tries.
+    """
+    objs = {
+        0: ObjectInfo("strong-counter", BASE, (("key", "X"),)),
+        1: ObjectInfo("coin", BASE, (("process", 0),)),
+    }
+    common = (
+        inv(1, 0, "fetch_inc"),
+        inv(2, 0, "fetch_inc"),
+        inv(3, 0, "fetch_inc"),
+        rsp(3, 0, "fetch_inc", 2),
+        inv(0, 1, "flip"),
+    )
+    h0 = common + (rsp(0, 1, "flip", 0), rsp(1, 0, "fetch_inc", 1))
+    h1 = common + (rsp(0, 1, "flip", 1), rsp(2, 0, "fetch_inc", 0))
+    runs = {(0,): History(h0, (0, 1, 2, 3), objs), (1,): History(h1, (0, 1, 2, 3), objs)}
+    return HistoryTree.from_runs(runs, omega=(0, 1))
+
+
+def test_memo_tells_parent_images_apart_by_their_responses():
+    tree = pending_increments_tree()
+    specs = default_specs(tree.objects, tree.processes)
+    got = check_strong_lin(tree, specs)
+    assert got is not None and got == unmemoized_strong_lin(tree, specs)
+    branch = next(n for n in tree.node_ids() if len(tree.children(n)) > 1)
+    assert [(e.process, e.ret) for e in got[branch]] == [(2, 0), (1, 1), (3, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_histories(), st.data())
+def test_image_order_check_matches_pairwise_definition(case, data):
+    # witness_violations checks the order in one pass; the definition
+    # asks of every pair whether the later op happens before the earlier.
+    h, specs = case
+    tree = HistoryTree.from_runs({(0,): h})
+    leaf = tree.leaves()[0]
+    ops = data.draw(st.permutations(tree.ops_of(leaf)))
+    image = tuple(ImageOp(o.process, o.inv_index, o.obj, o.op, o.args, o.ret) for o in ops)
+    late = any(happens_before(b, a) for i, a in enumerate(ops) for b in ops[i + 1:])
+    flagged = f"node {leaf}: image order violates happens-before"
+    assert (flagged in witness_violations(tree, {leaf: image}, specs)) == late
 
 
 def test_tampered_witnesses_are_rejected():

@@ -591,21 +591,25 @@ def test_coin_outcome_is_derived_from_the_step():
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    tree = tmp_path / "race.json"
-    tree.write_text(counter_race_tree().to_json())
+    race, dequeue = tmp_path / "race.json", tmp_path / "dequeue.json"
+    race.write_text(counter_race_tree().to_json())
+    # Refuting this tree prunes through the witness search's memo of dead
+    # subtrees, a set keyed by frozensets.
+    dequeue.write_text(hw_atomic_dequeue_tree().to_json())
     env = dict(os.environ, PYTHONPATH=str(Path(stronglin.__file__).parent.parent))
     commands = [
-        ["experiment", "strong-lin-suite", "--format", "json"],
-        ["check-strong-lin", str(tree)],
+        (["experiment", "strong-lin-suite", "--format", "json"], 0),
+        (["check-strong-lin", str(race)], 0),
+        (["check-strong-lin", str(dequeue)], 1),
     ]
-    for argv in commands:
+    for argv, code in commands:
         outs = []
         for seed in ("0", "1"):
             done = subprocess.run(
                 [sys.executable, "-m", "stronglin.cli", *argv],
                 env={**env, "PYTHONHASHSEED": seed},
                 capture_output=True,
-                check=True,
             )
+            assert done.returncode == code, (argv, done.stderr)
             outs.append(done.stdout)
         assert outs[0] == outs[1], argv
