@@ -123,7 +123,7 @@ class History:
     def prefix(self, n: int) -> "History":
         return self.with_steps(self.steps[:n])
 
-    def operations(self, level: str | None = None) -> tuple[OperationInstance, ...]:
+    def operations(self) -> tuple[OperationInstance, ...]:
         """Pair invocations with responses, per process and per level.
 
         A process has at most one open operation per level (an open
@@ -162,8 +162,6 @@ class History:
                     j, None, p, inv_step.obj, inv_step.op, inv_step.payload, None
                 )
             )
-        if level is not None:
-            done = [o for o in done if self.steps[o.inv_index].level == level]
         return tuple(sorted(done, key=lambda o: o.inv_index))
 
     def is_sequential(self) -> bool:

@@ -375,26 +375,6 @@ def round_robin_policy(n: int) -> AdversaryPolicy:
     return AdversaryPolicy("weak", make_decide=make_decide, name="round-robin")
 
 
-def solo_sequential_policy(n: int) -> AdversaryPolicy:
-    """Processes run one after the other, each to completion."""
-
-    def make_decide():
-        # Finished processes stay finished, so the cursor never moves back.
-        cur = 0
-
-        def decide(view):
-            nonlocal cur
-            while cur < n and view.finished(cur):
-                cur += 1
-            return cur if cur < n else None
-
-        return decide
-
-    return AdversaryPolicy(
-        "weak", make_decide=make_decide, name="solo-sequential"
-    )
-
-
 def stagger_policy(n: int, batch: int) -> AdversaryPolicy:
     """Round-robin within ID-ordered batches of the given size; a batch
     must finish before the next one starts, capping contention at the
@@ -433,7 +413,8 @@ def scripted_weak_families(n: int, k_max: int) -> dict[str, Callable[[int], Adve
     per-process families for the estimator."""
     return {
         "round-robin": lambda p: round_robin_policy(n),
-        "solo-sequential": lambda p: solo_sequential_policy(n),
+        # A batch of one runs the processes one after the other.
+        "solo-sequential": lambda p: stagger_policy(n, 1),
         "stagger": lambda p: stagger_policy(n, k_max),
     }
 

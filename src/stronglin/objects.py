@@ -361,10 +361,7 @@ def aadgms_snapshot(n: int) -> ImplProgram:
 
 
 def vitanyi_awerbuch_mrsw(
-    readers: int = 2,
-    initial: int = 0,
-    writer: int = 0,
-    reader_ids: tuple[int, int] = (1, 2),
+    initial: int = 0, reader_ids: tuple[int, int] = (1, 2)
 ) -> ImplProgram:
     """Two-reader MRSW register from six SRSW registers.
 
@@ -375,9 +372,6 @@ def vitanyi_awerbuch_mrsw(
     ties), republishes it to both reader-to-reader cells for its index,
     and returns the value.
     """
-    if readers != 2:
-        raise ValueError("this construction is specialized to two readers")
-
     link = register_spec((initial, 0))
 
     def setup(alloc):

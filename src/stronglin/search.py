@@ -13,17 +13,21 @@ interpreted history equals this target image".
 
 Both searches go depth first, and a node holds a live ``Simulation`` at
 its own state: the grants and coins on the path to it.  A node's
-children are taken in pid order.  The last live process's child keeps
-the parent's simulation and is granted in place; every other child is
-a fork, replayed from the root with ``replay_grants`` from the parent's
-grants and coins, so each fork is taken before the parent is mutated.
-A grant that flips past the path's coins raises ``NeedCoinError`` after
-the engine has logged the grant, which leaves that simulation unusable:
-it is dropped, and each coin outcome is replayed from the root.
+children are taken in pid order, one per live process, and each child
+is the list of equally likely successors that one grant of that process
+leads to: one, or one per outcome in omega when
+``Simulation.flips_next`` says the grant starts with a flip.  The
+node's last successor keeps the node's simulation and is granted in
+place, its coin vector first extended by the outcome when the grant
+flips; every other successor is a fork, replayed from the root with
+``replay_grants`` from the path's grants and coins, so each fork is
+taken before the node is mutated.  A grant flips at most once, so no
+fork runs out of coins.
 
 ``node_cap`` counts game nodes: the root, one per grant decision
-(whether or not the grant needs a coin) and one per coin outcome.
-Inputs are tiny by design and guarded by it and by ``grant_cap``.
+(whether or not the grant flips) and one per coin outcome.  Inputs are
+tiny by design and guarded by it and by ``grant_cap``, the longest run
+either search follows; both caps raise ``EngineError``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from .engine import AlgorithmSpec, EngineError, NeedCoinError, Simulation, VectorCoins
-from .histories import Step
 
 
 def replay_grants(alg: AlgorithmSpec, grants: tuple, coins: tuple, klass: str):
@@ -52,11 +55,12 @@ def replay_grants(alg: AlgorithmSpec, grants: tuple, coins: tuple, klass: str):
 
 
 class _Walk:
-    """Node count, caps and the one fork/handoff rule of both searches."""
+    """Node count, caps and the one successor/handoff rule of both searches."""
 
-    def __init__(self, alg: AlgorithmSpec, omega: tuple, klass: str, what: str, node_cap: int):
+    def __init__(self, alg: AlgorithmSpec, omega: tuple, klass: str, what: str,
+                 node_cap: int, grant_cap: int):
         self.alg, self.omega, self.klass = alg, omega, klass
-        self.what, self.node_cap = what, node_cap
+        self.what, self.node_cap, self.grant_cap = what, node_cap, grant_cap
         self.nodes = self.forks = self.deepest = 0
 
     def _visit(self, depth: int) -> None:
@@ -68,38 +72,39 @@ class _Walk:
                 f"({self.forks} forks, deepest run {self.deepest} grants)"
             )
 
-    def _fork(self, grants: tuple, coins: tuple) -> Simulation:
-        # A grant flips at most once, so a replay to a visited node, or to
-        # one coin past it, never runs out of coins.
-        self.forks += 1
-        return replay_grants(self.alg, grants, coins, self.klass)[1]
-
     def root(self) -> Simulation:
         self._visit(0)
         return replay_grants(self.alg, (), (), self.klass)[1]
 
     def children(self, sim: Simulation):
-        """Yield the children of the node ``sim`` holds, in pid order:
-        ("ok", child) or ("need_coin", steps_before_failed_grant, nodes),
-        where ``nodes`` lazily yields one node per outcome in omega."""
+        """Yield, per live pid in pid order, an iterator over the equally
+        likely simulations that one grant of it leads to.  Raises at the
+        grant cap."""
+        grants, coins = tuple(sim.grants), sim.coins.vector
+        if len(grants) >= self.grant_cap:
+            raise EngineError(
+                f"{self.what} search exceeded {self.grant_cap} grants per run "
+                f"(processes {list(sim.live_pids())} still live)"
+            )
         live = sim.live_pids()
-        for i, q in enumerate(live):
-            grants, coins = tuple(sim.grants), sim.coins.vector
-            self._visit(len(grants) + 1)
-            child = sim if i == len(live) - 1 else self._fork(grants, coins)
-            before = len(child.steps)
-            try:
-                child.grant(q)
-            except NeedCoinError:
-                steps = tuple(child.steps[:before])
-                yield ("need_coin", steps, self._flips(grants + (q,), coins))
-            else:
-                yield ("ok", child)
+        for q in live:
+            yield self._successors(sim, grants + (q,), coins, q == live[-1])
 
-    def _flips(self, grants: tuple, coins: tuple):
-        for w in self.omega:
-            self._visit(len(grants))
-            yield self._fork(grants, coins + (w,))
+    def _successors(self, sim: Simulation, grants: tuple, coins: tuple, in_place: bool):
+        q = grants[-1]
+        self._visit(len(grants))
+        flips = sim.flips_next(q)
+        vectors = [coins + (w,) for w in self.omega] if flips else [coins]
+        for k, vector in enumerate(vectors, 1):
+            if flips:
+                self._visit(len(grants))
+            if in_place and k == len(vectors):
+                sim.coins.vector = vector
+                sim.grant(q)
+                yield sim
+            else:
+                self.forks += 1
+                yield replay_grants(self.alg, grants, vector, self.klass)[1]
 
 
 def optimal_expectation(
@@ -116,22 +121,15 @@ def optimal_expectation(
     Runs must complete every process (programs here are finite); the
     payoff is averaged uniformly over omega at every flip.
     """
-    walk = _Walk(alg, omega, klass, "optimal", node_cap)
+    walk = _Walk(alg, omega, klass, "optimal", node_cap, grant_cap)
 
     def value(sim: Simulation) -> Fraction:
         if sim.all_finished():
             return Fraction(payoff(sim.record()))
-        if len(sim.grants) >= grant_cap:
-            raise EngineError(
-                f"optimal search exceeded {grant_cap} grants per run "
-                f"(processes {list(sim.live_pids())} still live)"
-            )
         best = None
-        for res in walk.children(sim):
-            if res[0] == "need_coin":
-                v = Fraction(sum(value(s) for s in res[2]), len(omega))
-            else:
-                v = value(res[1])
+        for successors in walk.children(sim):
+            vals = [value(s) for s in successors]
+            v = vals[0] if len(vals) == 1 else Fraction(sum(vals), len(vals))
             if best is None or (v > best if maximize else v < best):
                 best = v
         return best
@@ -143,7 +141,6 @@ def exists_adversary(
     alg: AlgorithmSpec,
     omega: tuple,
     leaf_ok: Callable[[Any, tuple], bool],
-    prefix_ok: Callable[[tuple[Step, ...], tuple], bool] | None = None,
     klass: str = "strong",
     node_cap: int = 2_000_000,
     grant_cap: int = 200,
@@ -153,34 +150,24 @@ def exists_adversary(
 
     Returns a map from consumed coin vector to the grant sequence of
     that branch (branches share their pre-flip grant prefixes by
-    construction), or None.  ``prefix_ok(steps, coins)`` prunes partial
-    runs; it must be monotone (False stays False under extension).
+    construction), or None.
     """
-    walk = _Walk(alg, omega, klass, "existence", node_cap)
+    walk = _Walk(alg, omega, klass, "existence", node_cap, grant_cap)
 
-    def search(sim: Simulation):
+    def search(sim: Simulation) -> dict | None:
         coins = sim.coins.vector
-        if prefix_ok is not None and not prefix_ok(tuple(sim.steps), coins):
-            return None
         if sim.all_finished():
             return {coins: tuple(sim.grants)} if leaf_ok(sim.record(), coins) else None
-        if len(sim.grants) >= grant_cap:
-            return None
-        for res in walk.children(sim):
-            # A need-coin child's steps and coins are this node's, which
-            # prefix_ok has already accepted.
-            sub = search(res[1]) if res[0] == "ok" else every_flip(res[2])
-            if sub is not None:
-                return sub
+        for successors in walk.children(sim):
+            # A decision tree must cover every successor of its grant.
+            branches: dict = {}
+            for s in successors:
+                sub = search(s)
+                if sub is None:
+                    break
+                branches.update(sub)
+            else:
+                return branches
         return None
-
-    def every_flip(nodes) -> dict | None:
-        branches: dict = {}
-        for sim in nodes:
-            sub = search(sim)
-            if sub is None:
-                return None
-            branches.update(sub)
-        return branches
 
     return search(walk.root())

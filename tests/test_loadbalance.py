@@ -1,11 +1,13 @@
 """The balancing algorithm, the two-phase adversary, and the estimator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stronglin.engine import AdversaryPolicy, PerProcessCoins, run
-from stronglin.histories import BASE, RSP
+from stronglin.histories import BASE, FLIP, INV, RSP
 from stronglin.loadbalance import (
     adversary_ap,
     ap_run_report,
@@ -16,7 +18,6 @@ from stronglin.loadbalance import (
     loadbalance_algorithm,
     round_robin_policy,
     scripted_weak_families,
-    solo_sequential_policy,
     stagger_policy,
 )
 
@@ -57,7 +58,7 @@ def test_solo_counter_returns_zero_under_any_weak_schedule():
     policies = [
         adversary_ap(0, 4),
         round_robin_policy(4),
-        solo_sequential_policy(4),
+        stagger_policy(4, 1),
         stagger_policy(4, 2),
     ]
     for adv in policies:
@@ -174,13 +175,51 @@ def rescanning_stagger(n, batch):
 def test_cursor_schedules_match_rescanning_reference(kind, flips, batch):
     alg = loadbalance_algorithm(16, kind)
     pairs = [
-        (solo_sequential_policy(16), rescanning_solo_sequential(16)),
+        (stagger_policy(16, 1), rescanning_solo_sequential(16)),
         (stagger_policy(16, batch), rescanning_stagger(16, batch)),
     ]
     for fast, ref in pairs:
         a = run(alg, fast, PerProcessCoins({q: (flips[q],) for q in range(16)}))
         b = run(alg, ref, PerProcessCoins({q: (flips[q],) for q in range(16)}))
         assert a == b, fast.name
+
+
+def _seeded_coins(alg, seed):
+    rng = random.Random(seed)
+    return {q: (rng.choice(alg.omega),) for q in alg.processes}
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_solo_sequential_family_is_a_batch_of_one(n):
+    # The estimator's solo-sequential family is stagger_policy(n, 1); a
+    # batch of one must play exactly the grants of running each process
+    # to completion in pid order.
+    for kind in ("atomic", "llsc", "writefirst"):
+        alg = loadbalance_algorithm(n, kind)
+        family = scripted_weak_families(n, k_max_for(n))["solo-sequential"]
+        for seed in range(3):
+            flips = _seeded_coins(alg, seed)
+            ref = run(alg, rescanning_solo_sequential(n), PerProcessCoins(flips))
+            got = run(alg, family(0), PerProcessCoins(flips))
+            assert got.history == ref.history
+            assert got.schedule == ref.schedule
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kind", ["llsc", "writefirst"])
+def test_two_phase_runs_keep_weak_flip_adjacency(kind, n):
+    # Every flip response is followed at once by an invocation of the
+    # same process: the weak-class restriction, read off the history.
+    alg = loadbalance_algorithm(n, kind)
+    for seed in range(8):
+        flips = _seeded_coins(alg, seed)
+        rec = run(alg, adversary_ap(seed % n, n), PerProcessCoins(flips))
+        steps = rec.history.steps
+        flip_rsps = [i for i, s in enumerate(steps) if s.op == FLIP and s.kind == RSP]
+        assert len(flip_rsps) == n
+        for i in flip_rsps:
+            nxt = steps[i + 1]
+            assert nxt.kind == INV and nxt.process == steps[i].process
 
 
 def test_ap_report_matches_flip_assignment():

@@ -140,14 +140,29 @@ def test_search_caps_are_enforced():
         exists_adversary(ex.atomic, ex.omega, lambda rec, coins: False, node_cap=7)
 
 
+def test_existence_grant_cap_raises_instead_of_answering_no():
+    # A run cut at the cap says nothing about the target, so the search
+    # must not report "no adversary" for it.
+    ex = snapshot_example()
+    with pytest.raises(
+        EngineError,
+        match=r"^existence search exceeded 2 grants per run \(processes \[1, 2\] still live\)$",
+    ):
+        exists_adversary(ex.atomic, ex.omega, lambda rec, coins: True, grant_cap=2)
+    # With room for a whole run, the same search answers.
+    found = exists_adversary(ex.atomic, ex.omega, lambda rec, coins: True, grant_cap=40)
+    assert found is not None
+
+
 # ---------------------------------------------------------------------------
 # Reference deciders: every node replayed from the root
 # ---------------------------------------------------------------------------
 # `optimal_expectation` and `exists_adversary` carry one live Simulation
-# down each path and replay
-# only to fork a sibling or to resolve a coin.  These are the plain
-# replay-from-root searches they replaced, kept as an independent oracle:
-# same exploration order, so values and returned maps must be identical.
+# down each path and replay only to fork a sibling successor.  These are
+# the plain replay-from-root searches they replaced, kept as an
+# independent oracle: they find each flip by running out of coins, and
+# they explore in the same order, so values and returned maps must be
+# identical.
 
 
 def _reference_optimal(alg, omega, payoff, klass="strong", maximize=False):
@@ -169,12 +184,10 @@ def _reference_optimal(alg, omega, payoff, klass="strong", maximize=False):
     return value((), ())
 
 
-def _reference_exists(alg, omega, leaf_ok, prefix_ok=None, klass="strong", grant_cap=200):
+def _reference_exists(alg, omega, leaf_ok, klass="strong", grant_cap=200):
     def search(grants, coins):
         res = replay_grants(alg, grants, coins, klass)
         if res[0] == "need_coin":
-            if prefix_ok is not None and not prefix_ok(res[1], coins):
-                return None
             branches = {}
             for w in omega:
                 sub = search(grants, coins + (w,))
@@ -183,12 +196,10 @@ def _reference_exists(alg, omega, leaf_ok, prefix_ok=None, klass="strong", grant
                 branches.update(sub)
             return branches
         sim = res[1]
-        if prefix_ok is not None and not prefix_ok(tuple(sim.steps), coins):
-            return None
         if sim.all_finished():
             return {coins: grants} if leaf_ok(sim.record(), coins) else None
         if len(grants) >= grant_cap:
-            return None
+            raise EngineError("reference search hit the grant cap")
         for q in sim.live_pids():
             sub = search(grants + (q,), coins)
             if sub is not None:
@@ -214,32 +225,78 @@ def _games():
                ex.payoff, klass, ex.goal)
 
 
+# Game nodes per search, and the forks that the former search made when
+# it found a flip only by running out of coins: it replayed that grant
+# once per outcome, where the successor rule grants the last outcome in
+# place.  Node counts are fixed by the game tree; forks may only fall.
+SEARCH_NODES_AND_FORK_BOUND = {
+    "snapshot-atomic-weak": (171, 85),
+    "snapshot-atomic-strong": (369, 145),
+    "srsw-register-atomic-weak": (16, 8),
+    "srsw-register-atomic-strong": (26, 10),
+    "mrsw-register-atomic-weak": (65, 34),
+    "mrsw-register-atomic-strong": (123, 50),
+    "hw-queue-atomic-weak": (205, 70),
+    "hw-queue-atomic-strong": (315, 94),
+    "hw-queue-atomic-unordered": (315, 94),
+    "srsw-register-implemented-weak": (2451, 731),
+    "srsw-register-implemented-strong": (2451, 731),
+    "coschedulable-early": (49, 24),
+    "coschedulable-late": (47, 23),
+}
+
+
+def _record_walks(monkeypatch):
+    """Rebind the search's walk and replay to recording wrappers; return
+    the list of walks made and the list of replay statuses."""
+    walks, statuses = [], []
+
+    class Recording(search._Walk):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            walks.append(self)
+
+    def recording_replay(*args, **kwargs):
+        res = replay_grants(*args, **kwargs)
+        statuses.append(res[0])
+        return res
+
+    monkeypatch.setattr(search, "_Walk", Recording)
+    monkeypatch.setattr(search, "replay_grants", recording_replay)
+    return walks, statuses
+
+
+def _assert_walk_pinned(name, walks, statuses):
+    nodes, fork_bound = SEARCH_NODES_AND_FORK_BOUND[name]
+    [walk] = walks
+    assert walk.nodes == nodes
+    assert 0 < walk.forks <= fork_bound
+    # Root plus forks, and no fork ever runs out of coins.
+    assert len(statuses) == walk.forks + 1
+    assert set(statuses) == {"ok"}
+
+
 @pytest.mark.parametrize("game", list(_games()), ids=lambda g: g[0])
-def test_game_values_match_replay_from_root(game):
-    _name, alg, omega, payoff, klass, goal = game
+def test_game_values_match_replay_from_root(monkeypatch, game):
+    name, alg, omega, payoff, klass, goal = game
     kw = dict(klass=klass, maximize=(goal == "max"))
-    assert optimal_expectation(alg, omega, payoff, **kw) == _reference_optimal(
-        alg, omega, payoff, **kw
-    )
+    walks, statuses = _record_walks(monkeypatch)
+    value = optimal_expectation(alg, omega, payoff, **kw)
+    _assert_walk_pinned(name, walks, statuses)
+    assert value == _reference_optimal(alg, omega, payoff, **kw)
 
 
-def _reader_first(steps, coins):
-    # Monotone: the first step of a run never changes under extension.
-    return not steps or steps[0].process != 0
-
-
-@pytest.mark.parametrize(
-    "prefix_ok", [None, _reader_first], ids=["no-prefix", "reader-first"]
-)
 @pytest.mark.parametrize(
     "want",
     [{(-1,): -1, (1,): 1}, {(-1,): -1, (1,): 0}],
     ids=["reachable", "inconsistent"],
 )
-def test_mrsw_decision_trees_match_replay_from_root(want, prefix_ok):
+def test_mrsw_decision_trees_match_replay_from_root(monkeypatch, want):
     alg = mrsw_register_example().atomic
-    args = (alg, (-1, 1), _read_targets(want), prefix_ok)
+    args = (alg, (-1, 1), _read_targets(want))
+    _walks, statuses = _record_walks(monkeypatch)
     found = exists_adversary(*args, klass="strong")
+    assert set(statuses) == {"ok"}
     expected = _reference_exists(*args, klass="strong")
     assert (found is None) == (expected is None)
     if found is not None:
@@ -247,9 +304,11 @@ def test_mrsw_decision_trees_match_replay_from_root(want, prefix_ok):
 
 
 @pytest.mark.parametrize(
-    "targets", [RACE_EARLY_FLIP, RACE_LATE_FLIP], ids=["early", "late"]
+    "name, targets",
+    [("early", RACE_EARLY_FLIP), ("late", RACE_LATE_FLIP)],
+    ids=["early", "late"],
 )
-def test_coschedulability_search_matches_replay_from_root(monkeypatch, targets):
+def test_coschedulability_search_matches_replay_from_root(monkeypatch, name, targets):
     calls = []
 
     def recording(*args, **kwargs):
@@ -258,7 +317,9 @@ def test_coschedulability_search_matches_replay_from_root(monkeypatch, targets):
         return found
 
     monkeypatch.setattr(experiments, "exists_adversary", recording)
+    walks, statuses = _record_walks(monkeypatch)
     coschedulable(targets)
+    _assert_walk_pinned(f"coschedulable-{name}", walks, statuses)
     [(args, kwargs, found)] = calls
     expected = _reference_exists(*args, **kwargs)
     assert (found is None) == (expected is None)
@@ -267,7 +328,8 @@ def test_coschedulability_search_matches_replay_from_root(monkeypatch, targets):
 
 
 def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkeypatch):
-    # Replaying every node from the root builds 2,451 simulations here.
+    # Replaying every node from the root builds 2,451 simulations here;
+    # the root plus 667 forks are built.
     built = []
 
     def counting(*args, **kwargs):
@@ -278,7 +340,7 @@ def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkey
     ex = srsw_register_example()
     value = optimal_expectation(ex.implemented, ex.omega, ex.payoff, klass="weak")
     assert value == Fraction(1, 2)
-    assert 0 < len(built) <= 800
+    assert 0 < len(built) <= 668
 
 
 def test_replay_grants_return_shapes():
