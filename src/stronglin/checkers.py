@@ -144,7 +144,6 @@ class HistoryTree:
         self._children = {nid: tuple(ch) for nid, ch in children.items()}
         if 0 not in self._nodes or self._nodes[0].parent is not None:
             raise TreeError("tree has no root")
-        self._hist: dict[int, History] = {}
         self._ops: dict[int, tuple[OperationInstance, ...]] = {}
 
     root = 0
@@ -168,16 +167,12 @@ class HistoryTree:
         return tuple(n for n in self.node_ids() if not self.children(n))
 
     def history_of(self, nid: int) -> History:
-        got = self._hist.get(nid)
-        if got is None:
-            node = self._nodes[nid]
-            if node.parent is None:
-                got = History((), self.processes, self.objects)
-            else:
-                parent = self.history_of(node.parent)
-                got = parent.with_steps(parent.steps + (node.step,))
-            self._hist[nid] = got
-        return got
+        steps = []
+        node = self._nodes[nid]
+        while node.parent is not None:
+            steps.append(node.step)
+            node = self._nodes[node.parent]
+        return History(tuple(reversed(steps)), self.processes, self.objects)
 
     def ops_of(self, nid: int) -> tuple[OperationInstance, ...]:
         got = self._ops.get(nid)
@@ -708,12 +703,11 @@ def normality_violations(tree: HistoryTree, witness: Witness) -> list[str]:
     """Nodes where a flip directly follows an op it is concurrent with."""
     out = []
     for nid in tree.node_ids():
-        hist = tree.history_of(nid)
         by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
         img = witness[nid]
         for i in range(1, len(img)):
             e = img[i]
-            if hist.objects[e.obj].type_name != "coin":
+            if tree.objects[e.obj].type_name != "coin":
                 continue
             before = by_key[img[i - 1].key]
             cf = by_key[e.key]
@@ -738,13 +732,12 @@ def normalize_witness(
     validate_witness(tree, witness, specs)
     out: dict[int, tuple[ImageOp, ...]] = {}
     for nid in tree.node_ids():
-        hist = tree.history_of(nid)
         by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
         img = list(witness[nid])
         while img and not by_key[img[-1].key].complete:
             img.pop()
-        flips = [e for e in img if hist.objects[e.obj].type_name == "coin"]
-        base = [e for e in img if hist.objects[e.obj].type_name != "coin"]
+        flips = [e for e in img if tree.objects[e.obj].type_name == "coin"]
+        base = [e for e in img if tree.objects[e.obj].type_name != "coin"]
         base_ops = [by_key[e.key] for e in base]
         for cf in sorted(flips, key=lambda e: e.inv_index):
             cf_op = by_key[cf.key]
@@ -788,8 +781,9 @@ class LocalityVerdict:
     detail: str = ""
 
 
-def project_tree(tree: HistoryTree, oid: int) -> HistoryTree:
-    """The tree of per-object projections of every history in the tree.
+def project_tree(tree: HistoryTree, oid: int) -> tuple[HistoryTree, dict[int, int]]:
+    """The tree of per-object projections of every history in the tree,
+    and the projected node each tree node lands on.
 
     Distinct branches whose projections coincide merge, so the result
     is the prefix tree of a plain set of histories and may branch at
@@ -808,79 +802,57 @@ def project_tree(tree: HistoryTree, oid: int) -> HistoryTree:
         s = tree.step(nid)
         cur = cursor[tree.parent(nid)]
         cursor[nid] = grown.child(cur, s) if s.obj == oid else cur
-    return HistoryTree(tree.processes, tree.objects, grown.nodes, grown.children)
+    proj = HistoryTree(tree.processes, tree.objects, grown.nodes, grown.children)
+    return proj, cursor
 
 
-def _child_with_step(tree: HistoryTree, nid: int, s: Step) -> int | None:
-    for ch in tree.children(nid):
-        if tree.step(ch) == s:
-            return ch
-    return None
+def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityVerdict:
+    """Compose per-object witnesses into one for the whole tree.
 
-
-def check_locality(
-    per_object_trees: Mapping[int, HistoryTree],
-    combined: HistoryTree,
-    specs: Mapping[int, SeqSpec],
-) -> LocalityVerdict:
-    """Compose per-object witnesses into one for the combined tree.
-
-    The combined image grows edge by edge: a step on implemented object
-    O_j appends whatever O_j's own witness committed between the two
-    projected prefixes (translated back to combined indices); a
-    top-level atomic or coin response appends that one op.  The result
-    is re-validated against the combined tree, so a failure here is a
-    counterexample report against the inputs.
+    Each implemented object O_j is projected out (project_tree) and
+    searched alone.  The combined image then grows edge by edge: a step
+    on O_j appends whatever O_j's own witness committed between the
+    projected nodes the edge's two ends land on (translated back to
+    tree indices); a top-level atomic or coin response appends that one
+    op.  The result is re-validated against the tree, so a failure here
+    is a counterexample report against the implementations.
     """
-    impl = sorted(
-        oid for oid, info in combined.objects.items() if info.level == INTERPRETED
-    )
-    if sorted(per_object_trees) != impl:
-        raise TreeError("projection mismatch: per-object trees do not cover "
-                        "exactly the implemented objects")
-    witnesses = {}
+    impl = sorted(oid for oid, info in tree.objects.items() if info.level == INTERPRETED)
+    images = {}
     for oid in impl:
-        w = check_strong_lin(per_object_trees[oid], specs)
+        proj, lands = project_tree(tree, oid)
+        w = check_strong_lin(proj, specs)
         if w is None:
             return LocalityVerdict(
                 "not-applicable", None, f"object {oid} admits no witness"
             )
-        witnesses[oid] = w
+        images[oid] = {nid: w[pn] for nid, pn in lands.items()}
 
-    comb: dict[int, tuple[ImageOp, ...]] = {combined.root: ()}
-    cursors = {combined.root: {oid: per_object_trees[oid].root for oid in impl}}
-    posmap = {combined.root: {oid: () for oid in impl}}
-    visited = {oid: {per_object_trees[oid].root} for oid in impl}
-    for nid in combined.node_ids():
-        if nid == combined.root:
+    comb: dict[int, tuple[ImageOp, ...]] = {tree.root: ()}
+    depth = {tree.root: 0}
+    posmap = {tree.root: {oid: () for oid in impl}}
+    for nid in tree.node_ids():
+        if nid == tree.root:
             continue
-        pnid = combined.parent(nid)
-        s = combined.step(nid)
-        at = len(combined.history_of(pnid).steps)
-        pcur, ppos, pimg = cursors[pnid], posmap[pnid], comb[pnid]
-        info = combined.objects[s.obj]
-        if info.level == INTERPRETED:
+        pnid, s = tree.parent(nid), tree.step(nid)
+        at = depth[pnid]
+        depth[nid] = at + 1
+        ppos, pimg = posmap[pnid], comb[pnid]
+        if tree.objects[s.obj].level == INTERPRETED:
             oid = s.obj
-            t = per_object_trees[oid]
-            nxt = _child_with_step(t, pcur[oid], s)
-            if nxt is None:
-                raise TreeError(
-                    f"projection mismatch: object {oid} tree lacks a projected step"
-                )
-            visited[oid].add(nxt)
             newpos = ppos[oid] + (at,)
-            lam = witnesses[oid][nxt][len(witnesses[oid][pcur[oid]]) :]
+            lam = images[oid][nid][len(images[oid][pnid]) :]
             comb[nid] = pimg + tuple(
                 ImageOp(x.process, newpos[x.inv_index], x.obj, x.op, x.args, x.ret)
                 for x in lam
             )
-            cursors[nid] = {**pcur, oid: nxt}
             posmap[nid] = {**ppos, oid: newpos}
         else:
             if s.is_rsp():
-                prev = combined.history_of(pnid).steps[-1]
+                prev = tree.step(pnid)
                 if not (
-                    prev.is_inv()
+                    prev is not None
+                    and prev.is_inv()
                     and (prev.process, prev.obj, prev.op)
                     == (s.process, s.obj, s.op)
                 ):
@@ -892,16 +864,8 @@ def check_locality(
                 )
             else:
                 comb[nid] = pimg
-            cursors[nid] = pcur
             posmap[nid] = ppos
-    for oid in impl:
-        unreached = set(per_object_trees[oid].leaves()) - visited[oid]
-        if unreached:
-            raise TreeError(
-                f"projection mismatch: object {oid} tree has histories no "
-                f"combined history projects to"
-            )
-    bad = witness_violations(combined, comb, specs)
+    bad = witness_violations(tree, comb, specs)
     if bad:
         return LocalityVerdict("counterexample", comb, bad[0])
     return LocalityVerdict("witness", comb, "")

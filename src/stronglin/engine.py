@@ -245,8 +245,8 @@ class Simulation:
         self.targets: dict[str, tuple] = {}
         registry, base_spec, base_state = self.registry, self.base_spec, self.base_state
 
-        # Allocators close over the run's tables, not over ``self``: method
-        # bodies keep theirs, and a cycle back to the Simulation would leave
+        # Allocators close over the run's tables, not over ``self``: instance
+        # state may keep one, and a cycle back to the Simulation would leave
         # every finished run, history and all, to the cycle collector.
         def alloc(spec, type_name, params, level, impl=None) -> int:
             oid = len(registry)
@@ -277,9 +277,8 @@ class Simulation:
 
                     return owned_alloc
 
-                ialloc = make_alloc(owned, b.key)
-                state = impl.setup(ialloc)
-                self.targets[b.key] = ("impl", toid, impl, state, (ialloc, owned))
+                state = impl.setup(make_alloc(owned, b.key))
+                self.targets[b.key] = ("impl", toid, impl, state, owned)
         coin = coin_spec()
         self.coin_oid = {
             p: alloc(coin, "coin", (("process", p),), BASE) for p in alg.processes
@@ -353,8 +352,8 @@ class Simulation:
                 self._active -= 1
 
     def _start_method(self, pid: int, key: str, op: str, args: tuple) -> None:
-        _kind, toid, impl, state, (ialloc, owned) = self.targets[key]
-        body = impl.body(state, ialloc, pid, op, args)
+        _kind, toid, impl, state, owned = self.targets[key]
+        body = impl.body(state, pid, op, args)
         m = _MethodState(body, toid, op, args, owned)
         try:
             m.pending_base = self._check_base_action(body.send(None), owned)

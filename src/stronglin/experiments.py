@@ -30,7 +30,6 @@ from .checkers import (
     default_specs,
     image_history,
     normalize_witness,
-    project_tree,
     witness_violations,
 )
 from .engine import (
@@ -442,10 +441,9 @@ def mutex_counter_tree() -> HistoryTree:
         make_program,
         (0, 1),
     )
-    runs = {}
-    for c in (0, 1):
-        rec = run(alg, alternating_policy((0, 1)), VectorCoins((c,)))
-        runs[(c,)] = interpret(rec.history)
+    runs = {
+        (c,): run(alg, alternating_policy((0, 1)), VectorCoins((c,))) for c in (0, 1)
+    }
     return HistoryTree.from_runs(runs, omega=(0, 1))
 
 
@@ -936,13 +934,7 @@ def _locality_flag(tree: HistoryTree) -> str:
     (check_locality), and reads ``none`` when some projection has none;
     the other searches the whole tree (_witness_flag).
     """
-    specs = default_specs(tree.objects, tree.processes)
-    per_object = {
-        oid: project_tree(tree, oid)
-        for oid, info in tree.objects.items()
-        if info.level == INTERPRETED
-    }
-    status = check_locality(per_object, tree, specs).status
+    status = check_locality(tree, default_specs(tree.objects, tree.processes)).status
     composed = {"witness": "witness", "not-applicable": "none"}.get(status, status)
     direct = _witness_flag(tree)
     return direct if composed == direct else "disagree"

@@ -8,9 +8,9 @@ constructors package the classic constructions as step machines:
 each method body is a generator that yields one base-object invocation
 per step, receives the response, and returns the method's result.
 
-Method bodies may allocate fresh base objects mid-run through the
-allocator handle (the compare-and-swap construction allocates a block
-per successful install); everything else is laid out during setup.
+Base objects are laid out during setup; the compare-and-swap
+construction also allocates a block per successful install, through a
+closure over the allocator that setup keeps in the instance state.
 """
 
 from __future__ import annotations
@@ -230,16 +230,16 @@ class ImplProgram:
 
     ``setup(alloc)`` lays out the base objects, whose immutable specs
     every run shares, and returns the mutable instance state (one engine
-    run owns it).  ``body(state, alloc, p, op, args)`` returns a
-    generator yielding ("invoke", oid, op, args) actions; its return
-    value is the method response.  A body issues no base operation for
-    an op it does not implement, and the engine rejects that call.
+    run owns it).  ``body(state, p, op, args)`` returns a generator
+    yielding ("invoke", oid, op, args) actions; its return value is the
+    method response.  A body issues no base operation for an op it does
+    not implement, and the engine rejects that call.
     """
 
     impl_name: str
     target_spec: SeqSpec
     setup: Callable[[Allocator], Any]
-    body: Callable[[Any, Allocator, int, str, tuple], Any]
+    body: Callable[[Any, int, str, tuple], Any]
 
 
 def _read(oid):
@@ -271,7 +271,7 @@ def vidyasankar_register(domain_bound: int, initial: int) -> ImplProgram:
         )
         return {"bits": bits}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         bits = state["bits"]
         if op == "write":
             (v,) = args
@@ -342,7 +342,7 @@ def aadgms_snapshot(n: int) -> ImplProgram:
                         return tuple(cur[j][2])
             prev = cur
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         cells = state["cells"]
         if op == "scan":
             view = yield from scan_views(cells)
@@ -360,11 +360,10 @@ def aadgms_snapshot(n: int) -> ImplProgram:
     return ImplProgram("aadgms-snapshot", snapshot_spec(n), setup, body)
 
 
-def vitanyi_awerbuch_mrsw(
-    initial: int = 0, reader_ids: tuple[int, int] = (1, 2)
-) -> ImplProgram:
-    """Two-reader MRSW register from six SRSW registers.
+def vitanyi_awerbuch_mrsw() -> ImplProgram:
+    """Two-reader MRSW register from six SRSW registers, initially 0.
 
+    Processes 1 and 2 read; a read by any other process is a ValueError.
     The writer bumps a local sequence number and publishes (value, seq)
     to one register per reader.  A reader collects the writer's cell
     and both reader-to-reader cells, adopts the pair with the highest
@@ -372,7 +371,7 @@ def vitanyi_awerbuch_mrsw(
     ties), republishes it to both reader-to-reader cells for its index,
     and returns the value.
     """
-    link = register_spec((initial, 0))
+    link = register_spec((0, 0))
 
     def setup(alloc):
         def reg(tag):
@@ -385,7 +384,7 @@ def vitanyi_awerbuch_mrsw(
         )
         return {"wr": wr, "rr": rr, "wseq": 0}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         if op == "write":
             (v,) = args
             state["wseq"] += 1
@@ -394,7 +393,9 @@ def vitanyi_awerbuch_mrsw(
             yield _write(state["wr"][1], pair)
             return None
         if op == "read":
-            i = reader_ids.index(p)
+            if p not in (1, 2):
+                raise ValueError(f"process {p} is not a reader (1 or 2)")
+            i = p - 1
             sources = (state["wr"][i], state["rr"][0][i], state["rr"][1][i])
             seen = []
             for oid in sources:
@@ -407,7 +408,7 @@ def vitanyi_awerbuch_mrsw(
             yield _write(state["rr"][i][1], best)
             return best[0]
 
-    return ImplProgram("vitanyi-awerbuch-mrsw", register_spec(initial), setup, body)
+    return ImplProgram("vitanyi-awerbuch-mrsw", register_spec(), setup, body)
 
 
 def herlihy_wing_queue(capacity: int = 16) -> ImplProgram:
@@ -425,7 +426,7 @@ def herlihy_wing_queue(capacity: int = 16) -> ImplProgram:
         )
         return {"tail": tail, "items": items}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         tail, items = state["tail"], state["items"]
         if op == "enqueue":
             (v,) = args
@@ -462,7 +463,7 @@ def llsc_strong_counter() -> ImplProgram:
     def setup(alloc):
         return {"reg": alloc(reg, "llsc-register")}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         if op == "fetch_inc":
             return (yield from _llsc_loop(state["reg"], 1))
         if op == "fetch_dec":
@@ -487,7 +488,7 @@ def writefirst_strong_counter(n: int) -> ImplProgram:
         )
         return {"reg": alloc(reg, "llsc-register"), "pool": pool}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         if op in ("fetch_inc", "fetch_dec"):
             yield _write(state["pool"][p % pool_size], p)
             delta = 1 if op == "fetch_inc" else -1
@@ -519,7 +520,7 @@ def cas_from_registers(initial: Any = 0) -> ImplProgram:
         cur = alloc(register_spec(0), "current-block")
         return {"cur": cur, "blocks": blocks, "next": 1, "new_block": new_block}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         if op == "read":
             b = yield _read(state["cur"])
             v = yield _read(state["blocks"][b][0])
@@ -560,7 +561,7 @@ def mutex_wrapped(spec: SeqSpec) -> ImplProgram:
     def setup(alloc):
         return {"lock": alloc(lock, "lock"), "cell": alloc(cell, "state-cell")}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         while True:
             held = yield ("invoke", state["lock"], "ll", ())
             if held:

@@ -17,7 +17,6 @@ from stronglin.checkers import (
     check_strong_lin,
     default_specs,
     normalize_witness,
-    project_tree,
     witness_violations,
 )
 from stronglin.experiments import (
@@ -36,7 +35,6 @@ from stronglin.experiments import (
     snapshot_example,
     srsw_register_example,
 )
-from stronglin.histories import INTERPRETED
 from stronglin.loadbalance import (
     adversary_ap,
     estimate_phi,
@@ -152,12 +150,7 @@ def test_criterion_7_checker_verdicts_and_schedulability():
         (queue_counter_tree(), "not-applicable"),
     ):
         tree_specs = default_specs(tree.objects, tree.processes)
-        per_object = {
-            oid: project_tree(tree, oid)
-            for oid, info in tree.objects.items()
-            if info.level == INTERPRETED
-        }
-        assert check_locality(per_object, tree, tree_specs).status == status
+        assert check_locality(tree, tree_specs).status == status
         assert (check_strong_lin(tree, tree_specs) is not None) == (status == "witness")
 
     assert time.monotonic() - t0 < 60.0

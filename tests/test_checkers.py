@@ -43,6 +43,7 @@ from stronglin.engine import (
 from stronglin.experiments import (
     hw_atomic_dequeue_tree,
     mutex_counter_runs,
+    mutex_counter_tree,
     queue_counter_tree,
 )
 from stronglin.histories import (
@@ -57,6 +58,8 @@ from stronglin.histories import (
     Step,
     happens_before,
     interpret,
+    objects_doc,
+    step_doc,
     validate_sequential,
 )
 from stronglin.objects import (
@@ -159,6 +162,19 @@ def test_history_of_is_prefix_monotone():
         if pid is not None:
             parent = tree.history_of(pid).steps
             assert tree.history_of(nid).steps[: len(parent)] == parent
+
+
+def test_history_of_walks_a_deep_chain_without_recursion():
+    steps = []
+    for k in range(1500):
+        steps += [inv(0, 0, "write", (k,)), rsp(0, 0, "write", None)]
+    nodes = [{"id": 0, "parent": None, "step": None}] + [
+        {"id": i + 1, "parent": i, "step": step_doc(s)} for i, s in enumerate(steps)
+    ]
+    doc = {"processes": [0], "objects": objects_doc(REG_OBJS), "nodes": nodes}
+    tree = HistoryTree.from_json(json.dumps(doc))
+    assert len(tree) == 3001
+    assert tree.history_of(3000).steps == tuple(steps)
 
 
 def test_from_runs_rejects_divergence_at_non_flip():
@@ -955,9 +971,8 @@ def test_locality_composes_mutex_counters():
     tree = HistoryTree.from_runs(runs, omega=(0, 1))
     impl = sorted(o for o, i in tree.objects.items() if i.level == INTERPRETED)
     assert len(impl) == 2
-    per = {o: project_tree(tree, o) for o in impl}
     specs = default_specs(tree.objects, tree.processes)
-    verdict = check_locality(per, tree, specs)
+    verdict = check_locality(tree, specs)
     assert verdict.status == "witness"
     assert witness_violations(tree, verdict.witness, specs) == []
 
@@ -968,7 +983,7 @@ def test_locality_single_object_reduction():
     impl = sorted(o for o, i in tree.objects.items() if i.level == INTERPRETED)
     specs = default_specs(tree.objects, tree.processes)
     for oid in impl:
-        proj = project_tree(tree, oid)
+        proj, _lands = project_tree(tree, oid)
         assert len(proj) <= len(tree)
         w = check_strong_lin(proj, specs)
         assert w is not None
@@ -979,24 +994,21 @@ def test_locality_not_applicable_without_per_object_witness():
     # an implemented queue whose projected tree repeats the committed
     # enqueue obstruction, plus an unrelated implemented counter
     tree = queue_counter_tree()
-    per = {o: project_tree(tree, o) for o in (0, 2)}
     specs = default_specs(tree.objects, tree.processes)
-    verdict = check_locality(per, tree, specs)
+    verdict = check_locality(tree, specs)
     assert verdict.status == "not-applicable"
     assert "object 0" in verdict.detail
 
 
-def test_locality_rejects_mismatched_projections():
-    runs = mutex_counter_runs()
-    tree = HistoryTree.from_runs(runs, omega=(0, 1))
-    impl = sorted(o for o, i in tree.objects.items() if i.level == INTERPRETED)
-    per = {o: project_tree(tree, o) for o in impl}
-    specs = default_specs(tree.objects, tree.processes)
-    with pytest.raises(TreeError):
-        check_locality({impl[0]: per[impl[0]]}, tree, specs)
-    swapped = {impl[0]: per[impl[1]], impl[1]: per[impl[0]]}
-    with pytest.raises(TreeError):
-        check_locality(swapped, tree, specs)
+def test_locality_rejects_an_atomic_response_without_its_invocation():
+    nodes = [
+        {"id": 0, "parent": None, "step": None},
+        {"id": 1, "parent": 0, "step": step_doc(rsp(0, 0, "read", 0))},
+    ]
+    doc = {"processes": [0], "objects": objects_doc(REG_OBJS), "nodes": nodes}
+    tree = HistoryTree.from_json(json.dumps(doc))
+    with pytest.raises(TreeError, match="not adjacent"):
+        check_locality(tree, default_specs(tree.objects, tree.processes))
 
 
 def test_project_tree_demands_interpreted_object():
@@ -1019,8 +1031,29 @@ def test_project_tree_merges_identical_branches():
         o for o in impl
         if ("key", "C1") in tree.objects[o].params
     )
-    proj = project_tree(tree, c1)
+    proj, _lands = project_tree(tree, c1)
     assert all(len(proj.children(n)) <= 1 for n in proj.node_ids())
+
+
+def test_project_tree_node_map_lands_on_the_filtered_history():
+    # The map check_locality composes through: every node lands on the
+    # projected node whose history is the node's own, filtered to the
+    # object.  These are the suite trees that have implemented objects.
+    trees = [
+        mutex_counter_tree(),
+        queue_counter_tree(),
+        HistoryTree.from_runs(mutex_counter_runs(), omega=(0, 1)),
+    ]
+    for tree in trees:
+        for oid, info in tree.objects.items():
+            if info.level != INTERPRETED:
+                continue
+            proj, lands = project_tree(tree, oid)
+            assert set(lands) == set(tree.node_ids())
+            assert set(lands.values()) == set(proj.node_ids())
+            for nid, pn in lands.items():
+                mine = [s for s in tree.history_of(nid).steps if s.obj == oid]
+                assert list(proj.history_of(pn).steps) == mine
 
 
 @settings(max_examples=100, deadline=None)
@@ -1055,10 +1088,8 @@ def test_locality_on_sampled_composed_runs(rng):
     adv = AdversaryPolicy("strong", make_decide=make_decide, name="random")
     rec = run(alg, adv, VectorCoins([]))
     tree = HistoryTree.from_runs({(): rec})
-    impl = sorted(o for o, i in tree.objects.items() if i.level == INTERPRETED)
-    per = {o: project_tree(tree, o) for o in impl}
     specs = default_specs(tree.objects, tree.processes)
-    verdict = check_locality(per, tree, specs)
+    verdict = check_locality(tree, specs)
     assert verdict.status == "witness"
     assert witness_violations(tree, verdict.witness, specs) == []
 

@@ -396,7 +396,7 @@ def test_naturalness_violation_is_caught():
     def setup(alloc):
         return {"own": alloc(register_spec(0), "cell")}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         yield ("invoke", 9999, "read", ())
         return None
 
@@ -418,7 +418,7 @@ def test_method_with_no_base_operation_is_caught():
         alloc(register_spec(0), "cell")
         return {}
 
-    def body(state, alloc, p, op, args):
+    def body(state, p, op, args):
         return 5
         yield  # pragma: no cover
 

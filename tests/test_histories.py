@@ -4,7 +4,7 @@ serialization."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from stronglin.histories import (

@@ -1,4 +1,5 @@
-"""Every top-level import in the package is used (a stdlib stand-in for pyflakes)."""
+"""Every top-level import in the package, its tests and its benchmark is used
+(a stdlib stand-in for pyflakes), and every package definition has a consumer."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import stronglin
 
 PACKAGE = Path(stronglin.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _bound_names(node):
@@ -42,7 +45,7 @@ def _used_names(tree):
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS + BENCH, ids=lambda p: p.name)
 def test_top_level_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
@@ -63,7 +66,7 @@ UNUSED_ON_PURPOSE = {
     "common_linearization": "oracle of test_snapshot_branch_pair_is_unreachable_atomically",
     "scripted_policy": "the engine's scripted-schedule primitive; tests pin schedules with it",
 }
-SOURCES = MODULES + sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
+SOURCES = MODULES + BENCH
 
 
 def _named(node):

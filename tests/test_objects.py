@@ -22,7 +22,6 @@ from stronglin.histories import (
     BASE,
     BOTTOM,
     INTERPRETED,
-    History,
     ObjectInfo,
     interpret,
     validate_sequential,
@@ -257,7 +256,7 @@ def test_va_mrsw_sequential_use(calls):
         (0, op, args) if op == "write" else (1 + (i % 2), op, args)
         for i, (_w, op, args) in enumerate(calls)
     ]
-    assert_sequential_use_valid(vitanyi_awerbuch_mrsw(0), calls, nproc=3)
+    assert_sequential_use_valid(vitanyi_awerbuch_mrsw(), calls, nproc=3)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +309,10 @@ def test_aadgms_update_then_scan():
 
 
 def test_va_solo_read_returns_initial():
-    responses, _ = run_calls(vitanyi_awerbuch_mrsw(0), [(1, "read", ())], nproc=3)
+    responses, _ = run_calls(vitanyi_awerbuch_mrsw(), [(1, "read", ())], nproc=3)
     assert responses == [0]
+    with pytest.raises(ValueError, match="process 0"):
+        run_calls(vitanyi_awerbuch_mrsw(), [(0, "read", ())], nproc=3)
 
 
 def test_hw_queue_solo():
