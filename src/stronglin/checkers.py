@@ -27,7 +27,6 @@ from .histories import (
     INV,
     RSP,
     History,
-    MalformedHistoryError,
     ObjectInfo,
     OperationInstance,
     SeqSpec,
@@ -144,7 +143,7 @@ class HistoryTree:
         self._children = {nid: tuple(ch) for nid, ch in children.items()}
         if 0 not in self._nodes or self._nodes[0].parent is not None:
             raise TreeError("tree has no root")
-        self._ops: dict[int, tuple[OperationInstance, ...]] = {}
+        self._frames: dict[int, tuple] = {0: ((), (), 0)}
 
     root = 0
 
@@ -175,14 +174,55 @@ class HistoryTree:
         return History(tuple(reversed(steps)), self.processes, self.objects)
 
     def ops_of(self, nid: int) -> tuple[OperationInstance, ...]:
-        got = self._ops.get(nid)
-        if got is None:
-            try:
-                got = self.history_of(nid).operations()
-            except MalformedHistoryError as exc:
-                raise TreeError(f"node {nid}: {exc}") from None
-            self._ops[nid] = got
-        return got
+        """``history_of(nid).operations()``, built from the parent's.
+
+        TreeError when the node's history does not pair.
+        """
+        return self._frame(nid)[0]
+
+    def _frame(self, nid: int) -> tuple:
+        """(operations, open operations, depth) of a node, cached.
+
+        The open operations are ((process, level), position) pairs.
+        Each step extends its parent's frame by one pairing move, so a
+        node costs one step, not a re-pairing of its whole history.
+        """
+        frames = self._frames
+        path = []
+        cur = nid
+        while cur not in frames:
+            path.append(cur)
+            cur = self._nodes[cur].parent
+        ops, open_ops, i = frames[cur]
+        for cur in reversed(path):
+            s = self._nodes[cur].step
+            key = (s.process, s.level)
+            pos = next((j for k, j in open_ops if k == key), None)
+            if s.is_inv():
+                if pos is not None:
+                    raise TreeError(
+                        f"node {nid}: process {s.process} invokes at step {i} "
+                        f"with an open {s.level} operation"
+                    )
+                open_ops += ((key, len(ops)),)
+                ops += (OperationInstance(i, None, s.process, s.obj, s.op, s.payload, None),)
+            else:
+                if pos is None:
+                    raise TreeError(f"node {nid}: response at step {i} has no open invocation")
+                inv = ops[pos]
+                if inv.obj != s.obj or inv.op != s.op:
+                    raise TreeError(
+                        f"node {nid}: response at step {i} does not match "
+                        f"invocation at {inv.inv_index}"
+                    )
+                open_ops = tuple(e for e in open_ops if e[0] != key)
+                done = OperationInstance(
+                    inv.inv_index, i, s.process, s.obj, s.op, inv.args, s.payload
+                )
+                ops = ops[:pos] + (done,) + ops[pos + 1:]
+            i += 1
+            frames[cur] = (ops, open_ops, i)
+        return frames[nid]
 
     # -- construction --------------------------------------------------------
 

@@ -190,9 +190,6 @@ class RunView:
     def finished(self, p: int) -> bool:
         return self._sim.procs[p].finished
 
-    def live(self) -> tuple[int, ...]:
-        return tuple(p for p in self._sim.alg.processes if not self.finished(p))
-
     def history(self) -> History:
         return self._sim.partial_history()
 
@@ -482,7 +479,7 @@ def derive_mark_state(h: History) -> MarkState:
     lled: dict[int, set] = {}
     sees: set = set()
     for s in h.steps:
-        if s.level != BASE or s.kind != RSP:
+        if s.kind != RSP or s.level != BASE:
             continue
         p, oid, op = s.process, s.obj, s.op
         if op in ("read", "ll"):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Iterable, Mapping
+from typing import Any, Callable, Container, Iterable, Mapping, NamedTuple
 
 INV = "inv"
 RSP = "rsp"
@@ -53,13 +53,14 @@ class UnknownIdError(HistoryError):
     """An object id has no specification to replay against."""
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     """One invocation or response.
 
     ``payload`` is the argument tuple for invocations and the return
     value for responses.  Payloads are integers, tuples of payloads,
-    ``BOTTOM`` or ``None``.
+    ``BOTTOM`` or ``None``.  A named tuple, because runs build one per
+    invocation and response: fields are read-only, and the hash is that
+    of the field tuple.
     """
 
     kind: str

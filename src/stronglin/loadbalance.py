@@ -17,6 +17,7 @@ the averaged estimate is comparable against it on both sides.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil, isfinite, isqrt, sqrt
 from typing import Callable, Mapping
@@ -32,7 +33,7 @@ from .engine import (
     derive_mark_state,
     run,
 )
-from .histories import BASE, INV, RSP, Step
+from .histories import BASE, RSP
 from .objects import counter_spec, llsc_strong_counter, writefirst_strong_counter
 
 COUNTER_KINDS = ("atomic", "llsc", "writefirst")
@@ -94,18 +95,22 @@ def _owner_index(info) -> int | None:
     return int(key[1:])
 
 
-def _is_shared_access(step: Step, objects) -> bool:
-    return (
-        step.kind == RSP
-        and step.level == BASE
-        and objects[step.obj].type_name != "coin"
-    )
+def _shared_owners(objects) -> dict[int, int | None]:
+    """Owner counter index of every non-coin object, None when unowned.
+
+    A shared access is a base-level response on one of these objects.
+    """
+    return {
+        oid: _owner_index(info)
+        for oid, info in objects.items()
+        if info.type_name != "coin"
+    }
 
 
 def fai_return(rec: RunRecord, q: int) -> int | None:
     """Return value of q's fetch&inc, or None if it never completed."""
     for s in rec.history.steps:
-        if s.kind == RSP and s.process == q and s.op == "fetch_inc":
+        if s.process == q and s.op == "fetch_inc" and s.kind == RSP:
             return s.payload
     return None
 
@@ -134,51 +139,55 @@ def ap_run_report(rec: RunRecord, p: int) -> ApReport:
     """Reconstruct configuration C of a run scheduled by the two-phase
     adversary: the earliest point where every process on the target's
     counter has taken its first shared step and everyone else is done.
+
+    One scan of the history collects each process's shared accesses
+    (by step index), its counter and the end of its fetch&dec; marks and
+    sees at C come from ``derive_mark_state`` of the prefix.
     """
-    steps = rec.history.steps
-    objects = rec.history.objects
-    first: dict[int, tuple[int, Step]] = {}
+    owners = _shared_owners(rec.history.objects)
     counter_of: dict[int, int] = {}
+    first_op: dict[int, str] = {}
+    accesses: dict[int, list[int]] = {}
     dec_done: dict[int, int] = {}
-    for k, s in enumerate(steps):
-        if _is_shared_access(s, objects) and s.process not in first:
-            first[s.process] = (k, s)
-            idx = _owner_index(objects[s.obj])
-            if idx is None:
-                raise EngineError(f"shared access on unowned object {s.obj}")
-            counter_of[s.process] = idx
-        if s.kind == RSP and s.op == "fetch_dec" and s.process not in dec_done:
-            dec_done[s.process] = k
+    for k, s in enumerate(rec.history.steps):
+        if s.kind != RSP:
+            continue
+        q = s.process
+        if s.level == BASE and s.obj in owners:
+            at = accesses.get(q)
+            if at is not None:
+                at.append(k)
+            else:
+                idx = owners[s.obj]
+                if idx is None:
+                    raise EngineError(f"shared access on unowned object {s.obj}")
+                accesses[q] = [k]
+                counter_of[q] = idx
+                first_op[q] = s.op
+        if s.op == "fetch_dec" and q not in dec_done:
+            dec_done[q] = k
     if p not in counter_of:
         raise EngineError(f"target process {p} never accessed shared memory")
     i_star = counter_of[p]
     group = {q for q, i in counter_of.items() if i == i_star}
     outside = [q for q in rec.history.processes if counter_of.get(q) != i_star]
-    marker_events = [first[q][0] for q in group]
-    marker_events += [dec_done[q] for q in outside if q in dec_done]
-    if any(q not in dec_done for q in outside) or any(
-        q not in first for q in group
-    ):
+    if any(q not in dec_done for q in outside):
         raise EngineError("phase 1 never completed")
-    config_index = max(marker_events)
-    prefix = rec.history.prefix(config_index + 1)
-    state = derive_mark_state(prefix)
-    visible = p in dict(state.marks).values()
-    writers = frozenset(q for q in group if first[q][1].op == "write")
-    sees_target = frozenset(q for (q, x) in state.sees if x == p)
-    accesses = dict.fromkeys(group, 0)
-    for s in prefix.steps:
-        if s.process in accesses and _is_shared_access(s, objects):
-            accesses[s.process] += 1
+    config_index = max(
+        [accesses[q][0] for q in group] + [dec_done[q] for q in outside]
+    )
+    state = derive_mark_state(rec.history.prefix(config_index + 1))
     return ApReport(
         target=p,
         i_star=i_star,
         counter_of=counter_of,
         config_index=config_index,
-        case=1 if visible else 2,
-        writers=writers,
-        sees_target=sees_target,
-        accesses_at_config=accesses,
+        case=1 if p in dict(state.marks).values() else 2,
+        writers=frozenset(q for q in group if first_op[q] == "write"),
+        sees_target=frozenset(q for (q, x) in state.sees if x == p),
+        accesses_at_config={
+            q: bisect_right(accesses[q], config_index) for q in group
+        },
     )
 
 
@@ -212,41 +221,32 @@ def assert_ap_invariants(rec: RunRecord, p: int) -> ApReport:
     return report
 
 
+_REGISTER_OPS = frozenset({"read", "write", "ll", "sc"})
+
+
 def _assert_helper_bound(rec: RunRecord, report: ApReport) -> None:
-    steps = rec.history.steps
-    objects = rec.history.objects
     p, i_star = report.target, report.i_star
-    register_ops = {"read", "write", "ll", "sc"}
-    for s in steps:
-        if (
-            s.level == BASE
-            and objects[s.obj].type_name != "coin"
-            and s.op not in register_ops
-        ):
+    owners = _shared_owners(rec.history.objects)
+    fai: dict[int, int] = {}
+    # One scan; every reason the bound does not apply ends it at once.
+    for s in rec.history.steps:
+        if s.level == BASE and s.obj in owners and s.op not in _REGISTER_OPS:
             # The sees relation only tracks information flow through
             # registers; with other base primitives a process can learn
             # about p without ever being recorded as seeing it.
             return
-    fai: dict[int, int] = {}
-    for s in steps:
-        if s.kind == RSP and s.op == "fetch_inc" and s.process not in fai:
-            fai[s.process] = s.payload
-    finishers = {q for q in report.stalled_group if q in fai and q != p}
+        if s.kind == RSP:
+            if s.op == "fetch_inc" and s.process not in fai:
+                fai[s.process] = s.payload
+        elif s.op == "fetch_dec" and owners.get(s.obj) == i_star:
+            return
     if p not in fai:
         return
-    dec_invoked = any(
-        s.op == "fetch_dec"
-        and s.kind == INV
-        and _owner_index(objects[s.obj]) == i_star
-        for s in steps
-    )
-    if dec_invoked:
-        return
-    outside_seen = any(
+    finishers = {q for q in report.stalled_group if q in fai and q != p}
+    if any(
         q in finishers and x not in finishers
         for (q, x) in derive_mark_state(rec.history).sees
-    )
-    if outside_seen:
+    ):
         return
     got = fai[p]
     if got < len(finishers):
@@ -287,18 +287,22 @@ def adversary_ap(p: int, n: int) -> AdversaryPolicy:
         rr: list[int] = []
         rr_pos = 0
         case = 0
+        owners: dict[int, int | None] | None = None
 
         def ingest(view) -> None:
-            nonlocal seen
-            steps = view.steps
-            objects = view.objects
-            while seen < len(steps):
-                s = steps[seen]
-                seen += 1
-                if s.kind == RSP and s.op == "fetch_inc":
+            nonlocal seen, owners
+            if owners is None:
+                # The registry is complete once the run is built.
+                owners = _shared_owners(view.objects)
+            new = view.steps[seen:]
+            seen += len(new)
+            for s in new:
+                if s.kind != RSP:
+                    continue
+                if s.op == "fetch_inc":
                     fai_done.add(s.process)
-                if _is_shared_access(s, objects) and s.process not in first:
-                    idx = _owner_index(objects[s.obj])
+                if s.level == BASE and s.process not in first:
+                    idx = owners.get(s.obj)
                     if idx is not None:
                         first[s.process] = (idx, s.op)
 

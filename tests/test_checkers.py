@@ -41,6 +41,7 @@ from stronglin.engine import (
     scripted_policy,
 )
 from stronglin.experiments import (
+    counter_race_tree,
     hw_atomic_dequeue_tree,
     mutex_counter_runs,
     mutex_counter_tree,
@@ -54,6 +55,7 @@ from stronglin.histories import (
     INV,
     RSP,
     History,
+    MalformedHistoryError,
     ObjectInfo,
     Step,
     happens_before,
@@ -175,6 +177,7 @@ def test_history_of_walks_a_deep_chain_without_recursion():
     tree = HistoryTree.from_json(json.dumps(doc))
     assert len(tree) == 3001
     assert tree.history_of(3000).steps == tuple(steps)
+    assert len(tree.ops_of(3000)) == 1500
 
 
 def test_from_runs_rejects_divergence_at_non_flip():
@@ -666,6 +669,66 @@ def test_check_strong_lin_matches_brute_force(case):
 
 
 # ---------------------------------------------------------------------------
+# Per-node operations, extended from the parent's, against re-pairing
+# ---------------------------------------------------------------------------
+
+
+def assert_ops_match_histories(tree):
+    """ops_of equals history_of(nid).operations() on every node, leaves
+    first (each call walks to an uncached ancestor) and again in id order
+    (cached); a history that does not pair gives the same message."""
+    for nid in tree.node_ids()[::-1] + tree.node_ids():
+        try:
+            want = tree.history_of(nid).operations()
+        except MalformedHistoryError as exc:
+            with pytest.raises(TreeError) as err:
+                tree.ops_of(nid)
+            assert str(err.value) == f"node {nid}: {exc}"
+        else:
+            assert tree.ops_of(nid) == want
+
+
+@pytest.mark.parametrize("make", [
+    mutex_counter_tree,
+    hw_atomic_dequeue_tree,
+    counter_race_tree,
+    lambda: HistoryTree.from_runs(mutex_counter_runs(), omega=(0, 1)),
+    queue_counter_tree,
+], ids=["mutex-counter", "hw-atomic-dequeues", "counter-race",
+        "composed-mutex-counters", "composed-queue-counter"])
+def test_ops_of_matches_history_operations_on_suite_trees(make):
+    assert_ops_match_histories(make())
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_trees(max_flips=2))
+def test_ops_of_matches_history_operations_on_tiny_trees(case):
+    assert_ops_match_histories(case[0])
+
+
+def lvl(step, level):
+    return step._replace(level=level)
+
+
+@pytest.mark.parametrize("steps", [
+    [rsp(0, 0, "read", 0)],
+    [inv(0, 0, "read"), inv(0, 0, "write", (1,))],
+    [inv(0, 0, "read"), rsp(0, 0, "write")],
+    # one open operation per level: a base call inside an interpreted one
+    [lvl(inv(0, 0, "read"), INTERPRETED), inv(1, 0, "read"), inv(0, 0, "write", (1,)),
+     rsp(0, 0, "write"), rsp(1, 0, "read", 0), lvl(rsp(0, 0, "read", 1), INTERPRETED),
+     lvl(rsp(1, 0, "read", 1), INTERPRETED)],
+], ids=["response-first", "double-invoke", "mismatch", "two-levels"])
+def test_ops_of_rejects_what_history_operations_rejects(steps):
+    # Read as JSON, which keeps base steps inside method calls.
+    nodes = [{"id": 0, "parent": None, "step": None}] + [
+        {"id": i + 1, "parent": i, "step": step_doc(s)} for i, s in enumerate(steps)
+    ]
+    doc = {"processes": [0, 1], "objects": objects_doc(REG_OBJS), "nodes": nodes}
+    assert_ops_match_histories(HistoryTree.from_json(json.dumps(doc)))
+
+
+# ---------------------------------------------------------------------------
 # The dead-subtree memo against the unmemoized search
 # ---------------------------------------------------------------------------
 
@@ -1080,8 +1143,8 @@ def test_locality_on_sampled_composed_runs(rng):
 
     def make_decide():
         def decide(view):
-            live = view.live()
-            return rng.choice(live) if live else None
+            alive = [q for q in alg.processes if not view.finished(q)]
+            return rng.choice(alive) if alive else None
 
         return decide
 

@@ -47,6 +47,11 @@ def one_read_alg(initial=1):
     return AlgorithmSpec((0,), (Binding("R", spec=register_spec(initial)),), prog)
 
 
+def live(view, processes):
+    """The unfinished processes, in order."""
+    return [q for q in processes if not view.finished(q)]
+
+
 def flip_write_alg(nproc=2):
     """Each process flips, then writes a value derived from the outcome."""
 
@@ -198,13 +203,13 @@ def test_determinism_and_weak_adjacency(choices, coin_bits):
             it = iter(choices)
 
             def decide(view):
-                live = view.live()
-                if not live:
+                alive = live(view, alg.processes)
+                if not alive:
                     return None
                 i = next(it, None)
                 if i is None:
                     return None
-                return live[i % len(live)]
+                return alive[i % len(alive)]
 
             return decide
 
@@ -236,18 +241,18 @@ def counter_flip_alg():
     )
 
 
-def adaptive_strong_policy():
+def adaptive_strong_policy(processes):
     """Reacts to the latest flip outcome; used to stress H[k+1] equality."""
 
     def make_decide():
         def decide(view):
-            live = view.live()
-            if not live:
+            alive = live(view, processes)
+            if not alive:
                 return None
             flips = [s.payload for s in view.steps if s.op == FLIP and s.kind == RSP]
             if flips and flips[-1] == 1:
-                return live[-1]
-            return live[0]
+                return alive[-1]
+            return alive[0]
 
         return decide
 
@@ -259,7 +264,7 @@ def test_strong_class_prefix_equality_exhaustive():
     (k+1)-th flip invocation.  Exhaustive over omega={0,1}, horizon 2."""
     alg = flip_write_alg(2)
     runs = {
-        c: run(alg, adaptive_strong_policy(), VectorCoins(c))
+        c: run(alg, adaptive_strong_policy(alg.processes), VectorCoins(c))
         for c in itertools.product((0, 1), repeat=2)
     }
 
@@ -370,19 +375,20 @@ def pairwise_mark_state(h):
 @settings(max_examples=200, deadline=None)
 def test_derive_mark_state_matches_pairwise_rules(plans, choices, coin_bits, cut):
     coins = tuple((coin_bits >> i) & 1 for i in range(len(plans)))
+    alg = mark_rules_alg(plans)
 
     def make_decide():
         it = iter(choices)
 
         def decide(view):
-            live = view.live()
+            alive = live(view, alg.processes)
             i = next(it, None)
-            return None if i is None or not live else live[i % len(live)]
+            return None if i is None or not alive else alive[i % len(alive)]
 
         return decide
 
     rec = run(
-        mark_rules_alg(plans),
+        alg,
         AdversaryPolicy("weak", make_decide=make_decide),
         VectorCoins(coins),
     )
@@ -598,11 +604,11 @@ def test_point_contention_matches_history_oracle(alg_name, klass, choices, coin_
         it = iter(choices)
 
         def decide(view):
-            live = view.live()
+            alive = live(view, alg.processes)
             i = next(it, None)
-            if not live or i is None:
+            if not alive or i is None:
                 return None
-            return live[i % len(live)]
+            return alive[i % len(alive)]
 
         return decide
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stronglin.histories import (
     ANY_RESPONSE,
     BASE,
+    BOTTOM,
     INTERPRETED,
     INV,
     RSP,
@@ -296,3 +297,26 @@ def test_jsonl_encodes_tuples_and_bottom():
     h2 = from_jsonl(to_jsonl(h))
     assert h2.steps[0].payload == ((1, 2), "⊥")
     assert h2.objects[0].params == (("initial", (0, 0)),)
+
+
+def test_step_is_a_read_only_record_hashed_as_its_field_tuple():
+    s = Step(INV, 3, 7, "write", (1, (2, BOTTOM)), BASE)
+    for name in ("kind", "process", "obj", "op", "payload", "level"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    # Set orders, and so report bytes under any PYTHONHASHSEED, rest on
+    # the hash of the field tuple.
+    assert hash(s) == hash((s.kind, s.process, s.obj, s.op, s.payload, s.level))
+    # Error messages quote steps.
+    assert repr(s) == (
+        "Step(kind='inv', process=3, obj=7, op='write', "
+        "payload=(1, (2, '⊥')), level='base')"
+    )
+    # The positional and keyword constructors build the same record.
+    assert s == Step(
+        kind=INV, process=3, obj=7, op="write", payload=(1, (2, BOTTOM)), level=BASE
+    )
+    assert s.is_inv() and not s.is_rsp()
+    r = Step(RSP, 3, 7, "write", None, BASE)
+    assert r.is_rsp() and not r.is_inv()
+    assert s != r and len({s, r, Step(INV, 3, 7, "write", (1, (2, BOTTOM)), BASE)}) == 2

@@ -1,14 +1,24 @@
 """The balancing algorithm, the two-phase adversary, and the estimator."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stronglin.engine import AdversaryPolicy, PerProcessCoins, run
+from stronglin import loadbalance
+from stronglin.engine import (
+    AdversaryPolicy,
+    EngineError,
+    PerProcessCoins,
+    derive_mark_state,
+    run,
+)
 from stronglin.histories import BASE, FLIP, INV, RSP
 from stronglin.loadbalance import (
+    COUNTER_KINDS,
+    ApReport,
     adversary_ap,
     ap_run_report,
     assert_ap_invariants,
@@ -280,3 +290,204 @@ def test_scripted_families_are_weak():
     assert set(fams) == {"round-robin", "solo-sequential", "stagger"}
     for fam in fams.values():
         assert fam(0).klass == "weak"
+
+
+# ---------------------------------------------------------------------------
+# The one-scan certifier against the multi-scan reference
+# ---------------------------------------------------------------------------
+
+
+def reference_owner_index(info):
+    if info.type_name == "coin":
+        return None
+    params = dict(info.params)
+    key = params.get("owner", params.get("key"))
+    if key is None:
+        return None
+    return int(key[1:])
+
+
+def reference_is_shared_access(step, objects):
+    return (
+        step.kind == RSP
+        and step.level == BASE
+        and objects[step.obj].type_name != "coin"
+    )
+
+
+def reference_ap_run_report(rec, p):
+    """The certifier's report as first written: one scan per question."""
+    steps = rec.history.steps
+    objects = rec.history.objects
+    first = {}
+    counter_of = {}
+    dec_done = {}
+    for k, s in enumerate(steps):
+        if reference_is_shared_access(s, objects) and s.process not in first:
+            first[s.process] = (k, s)
+            idx = reference_owner_index(objects[s.obj])
+            if idx is None:
+                raise EngineError(f"shared access on unowned object {s.obj}")
+            counter_of[s.process] = idx
+        if s.kind == RSP and s.op == "fetch_dec" and s.process not in dec_done:
+            dec_done[s.process] = k
+    if p not in counter_of:
+        raise EngineError(f"target process {p} never accessed shared memory")
+    i_star = counter_of[p]
+    group = {q for q, i in counter_of.items() if i == i_star}
+    outside = [q for q in rec.history.processes if counter_of.get(q) != i_star]
+    marker_events = [first[q][0] for q in group]
+    marker_events += [dec_done[q] for q in outside if q in dec_done]
+    if any(q not in dec_done for q in outside) or any(
+        q not in first for q in group
+    ):
+        raise EngineError("phase 1 never completed")
+    config_index = max(marker_events)
+    prefix = rec.history.prefix(config_index + 1)
+    state = derive_mark_state(prefix)
+    visible = p in dict(state.marks).values()
+    writers = frozenset(q for q in group if first[q][1].op == "write")
+    sees_target = frozenset(q for (q, x) in state.sees if x == p)
+    accesses = dict.fromkeys(group, 0)
+    for s in prefix.steps:
+        if s.process in accesses and reference_is_shared_access(s, objects):
+            accesses[s.process] += 1
+    return ApReport(
+        target=p,
+        i_star=i_star,
+        counter_of=counter_of,
+        config_index=config_index,
+        case=1 if visible else 2,
+        writers=writers,
+        sees_target=sees_target,
+        accesses_at_config=accesses,
+    )
+
+
+def reference_assert_helper_bound(rec, report):
+    steps = rec.history.steps
+    objects = rec.history.objects
+    p, i_star = report.target, report.i_star
+    register_ops = {"read", "write", "ll", "sc"}
+    for s in steps:
+        if (
+            s.level == BASE
+            and objects[s.obj].type_name != "coin"
+            and s.op not in register_ops
+        ):
+            return
+    fai = {}
+    for s in steps:
+        if s.kind == RSP and s.op == "fetch_inc" and s.process not in fai:
+            fai[s.process] = s.payload
+    finishers = {q for q in report.stalled_group if q in fai and q != p}
+    if p not in fai:
+        return
+    dec_invoked = any(
+        s.op == "fetch_dec"
+        and s.kind == INV
+        and reference_owner_index(objects[s.obj]) == i_star
+        for s in steps
+    )
+    if dec_invoked:
+        return
+    outside_seen = any(
+        q in finishers and x not in finishers
+        for (q, x) in derive_mark_state(rec.history).sees
+    )
+    if outside_seen:
+        return
+    got = fai[p]
+    if got < len(finishers):
+        raise EngineError(
+            f"certified run returned {got} < |P| = {len(finishers)}"
+        )
+
+
+def reference_assert_ap_invariants(rec, p):
+    report = reference_ap_run_report(rec, p)
+    group = report.stalled_group
+    for q in group:
+        if report.accesses_at_config[q] != 1:
+            raise EngineError(
+                f"process {q} made {report.accesses_at_config[q]} shared "
+                "accesses before configuration C"
+            )
+    if rec.max_point_contention > len(group) + 1:
+        raise EngineError(
+            f"contention {rec.max_point_contention} exceeds {len(group) + 1}"
+        )
+    if report.case == 1 and p not in report.writers:
+        raise EngineError("target visible at C but its first access was no write")
+    reference_assert_helper_bound(rec, report)
+    return report
+
+
+def outcome(certify, rec, p):
+    try:
+        return "returns", certify(rec, p)
+    except EngineError as exc:
+        return "raises", str(exc)
+
+
+def assert_certifiers_agree(rec, p):
+    assert outcome(ap_run_report, rec, p) == outcome(reference_ap_run_report, rec, p)
+    got = outcome(assert_ap_invariants, rec, p)
+    assert got == outcome(reference_assert_ap_invariants, rec, p)
+    return got
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kind", COUNTER_KINDS)
+def test_one_scan_certifier_matches_multi_scan_reference(kind, n):
+    # Two-phase runs certify; round-robin runs of the same coins reach
+    # the certifier's failure paths too, and must fail the same way.
+    alg = loadbalance_algorithm(n, kind)
+    verdicts = set()
+    for seed in range(6):
+        rng = random.Random(f"certify:{kind}:{n}:{seed}")
+        coins = {q: (rng.randrange(len(alg.omega)),) for q in alg.processes}
+        p = rng.randrange(n)
+        rec = run(alg, adversary_ap(p, n), PerProcessCoins(coins))
+        assert assert_certifiers_agree(rec, p)[0] == "returns"
+        rec = run(alg, round_robin_policy(n), PerProcessCoins(coins))
+        verdicts.add(assert_certifiers_agree(rec, p)[0])
+    assert "raises" in verdicts
+
+
+def test_lowered_target_return_fails_both_certifiers():
+    # The llsc case-2 run of test_llsc_case2_exact_lower_bound: P is the
+    # other three members of counter 0, and the target returned 3 = |P|.
+    flips = {q: (0 if q < 4 else 1 + q % 3) for q in range(16)}
+    rec = lb_run(16, "llsc", flips, p=0)
+    assert assert_certifiers_agree(rec, 0)[0] == "returns"
+    steps = tuple(
+        s._replace(payload=2)
+        if s.process == 0 and s.op == "fetch_inc" and s.kind == RSP
+        else s
+        for s in rec.history.steps
+    )
+    tampered = dataclasses.replace(rec, history=rec.history.with_steps(steps))
+    assert assert_certifiers_agree(tampered, 0) == (
+        "raises", "certified run returned 2 < |P| = 3"
+    )
+
+
+def test_estimator_reaches_the_traced_functions_through_module_globals(monkeypatch):
+    # bench/tracing.py times certification and the fai scan by rebinding
+    # these module attributes; a call that bypassed them would read 0.
+    calls = dict.fromkeys(("assert_ap_invariants", "fai_return"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _inner=getattr(loadbalance, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(loadbalance, name, counting)
+    trials = 5
+    for kind in COUNTER_KINDS:
+        before = dict(calls)
+        alg = loadbalance_algorithm(16, kind)
+        estimate_phi(alg, lambda p: adversary_ap(p, 16), k_max_for(16), trials, seed=2)
+        for name, count in calls.items():
+            assert count - before[name] >= trials, (kind, name)
