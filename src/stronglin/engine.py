@@ -17,10 +17,11 @@ source, and runs replay exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .histories import (
     ANY_RESPONSE,
@@ -122,8 +123,8 @@ class AdversaryPolicy:
     For ``oblivious`` the constant ``schedule`` is the whole policy.
     Otherwise ``make_decide()`` builds a per-run decide function from
     observable prefixes (a RunView) to the next process id, or None to
-    stop; decide functions may keep internal state since each run gets
-    a fresh one.
+    stop.  Every adaptive policy in this package is a plan turned into
+    ``make_decide`` by ``plan_policy``.
     """
 
     klass: str
@@ -188,7 +189,10 @@ class RunView:
         return self._sim.registry
 
     def finished(self, p: int) -> bool:
-        return self._sim.procs[p].finished
+        """True once ``p`` has returned; False for an unknown process,
+        which ``grant`` rejects."""
+        rt = self._sim.procs.get(p)
+        return rt is not None and rt.finished
 
     def history(self) -> History:
         return self._sim.partial_history()
@@ -435,33 +439,68 @@ DEFAULT_BUDGET = 10_000
 def run(alg: AlgorithmSpec, adv: AdversaryPolicy, coins, budget: int = DEFAULT_BUDGET) -> RunRecord:
     """Execute the algorithm to completion (or adversary stop / budget).
 
-    Deterministic in its arguments.  Scheduling a halted process is an
-    error, except under oblivious schedules where entries for finished
-    processes are skipped (constant schedules cannot react to
-    branch-dependent step counts)."""
+    One grant loop serves every class: the decide function names the
+    next process, and None ends the run.  An oblivious schedule is read
+    as the plan that yields its entries in order, skipping those of
+    finished processes (constant schedules cannot react to
+    branch-dependent step counts).  Scheduling a halted or unknown
+    process is an error.  A run stopped by the budget with processes
+    left is flagged ``budget-exhausted``.  Deterministic in its
+    arguments."""
     sim = Simulation(alg, coins, klass=adv.klass)
-    if adv.klass == "oblivious":
-        for pid in adv.schedule:
-            if sim.all_finished():
-                break
-            if len(sim.grants) >= budget:
-                sim.flags.add("budget-exhausted")
-                break
-            if sim.procs[pid].finished:
-                continue
-            sim.grant(pid)
-    else:
-        decide = adv.make_decide()
-        view = RunView(sim)
-        while not sim.all_finished():
-            if len(sim.grants) >= budget:
-                sim.flags.add("budget-exhausted")
-                break
-            pid = decide(view)
-            if pid is None:
-                break
-            sim.grant(pid)
+    view = RunView(sim)
+    make = adv.make_decide or _decider(
+        lambda v: (pid for pid in adv.schedule if not v.finished(pid))
+    )
+    decide = make()
+    while not sim.all_finished():
+        if len(sim.grants) >= budget:
+            sim.flags.add("budget-exhausted")
+            break
+        pid = decide(view)
+        if pid is None:
+            break
+        sim.grant(pid)
     return sim.record()
+
+
+def plan_policy(
+    klass: str, plan: Callable[[RunView], Iterator[int]], name: str = ""
+) -> AdversaryPolicy:
+    """An adaptive policy written as a plan.
+
+    ``plan(view)`` is called once per run with the run's view and
+    returns an iterator, usually a generator, of the pids to grant.  A
+    generator reads the view again each time it resumes, which is after
+    the previous grant; returning ends the run.
+    """
+    return AdversaryPolicy(klass, make_decide=_decider(plan), name=name)
+
+
+def _decider(plan: Callable[[RunView], Iterator[int]]):
+    # bench/tracing.py names decide spans after make_decide.__module__.
+    @functools.wraps(plan)
+    def make_decide():
+        grants = None
+
+        def decide(view: RunView) -> int | None:
+            nonlocal grants
+            if grants is None:
+                grants = plan(view)
+            return next(grants, None)
+
+        return decide
+
+    return make_decide
+
+
+def rotation(view: RunView, ring: tuple[int, ...]) -> Iterator[int]:
+    """Plan: the processes of ``ring`` take turns in order, skipping the
+    finished, until all of them are done."""
+    while not all(map(view.finished, ring)):
+        for q in ring:
+            if not view.finished(q):
+                yield q
 
 
 def derive_mark_state(h: History) -> MarkState:
@@ -536,13 +575,4 @@ def scripted_policy(klass: str, grants: Iterable[int], name: str = "") -> Advers
     scheduling a finished process is an error (the script is expected
     to know what it is doing)."""
     seq = tuple(grants)
-
-    def make_decide():
-        it = iter(seq)
-
-        def decide(view):
-            return next(it, None)
-
-        return decide
-
-    return AdversaryPolicy(klass, make_decide=make_decide, name=name)
+    return plan_policy(klass, lambda view: iter(seq), name)

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .checkers import (
     HistoryTree,
@@ -39,8 +39,11 @@ from .engine import (
     BudgetExhaustedError,
     EngineError,
     RunRecord,
+    RunView,
     VectorCoins,
     enumerate_expectation,
+    plan_policy,
+    rotation,
     run,
 )
 from .histories import (
@@ -96,27 +99,17 @@ def branching_script(
     head = tuple(common)
     tails = {outcome: tuple(g) for outcome, g in branches.items()}
 
-    def make_decide() -> Callable[[Any], int | None]:
-        pos = 0
+    def script(view: RunView) -> Iterator[int]:
+        yield from head
+        outcome = _first_flip(view)
+        if outcome is None:
+            raise EngineError("branch point reached before any flip resolved")
+        yield from tails[outcome]
 
-        def decide(view: Any) -> int | None:
-            nonlocal pos
-            i, pos = pos, pos + 1
-            if i < len(head):
-                return head[i]
-            outcome = _first_flip(view)
-            if outcome is None:
-                raise EngineError("branch point reached before any flip resolved")
-            tail = tails[outcome]
-            j = i - len(head)
-            return tail[j] if j < len(tail) else None
-
-        return decide
-
-    return AdversaryPolicy("weak", make_decide=make_decide, name=name)
+    return plan_policy("weak", script, name)
 
 
-def _first_flip(view: Any) -> Any | None:
+def _first_flip(view: RunView) -> Any | None:
     for s in view.steps:
         if s.is_rsp() and view.objects[s.obj].type_name == "coin":
             return s.payload
@@ -127,37 +120,18 @@ def drain_policy(order: Sequence[int], name: str = "drain") -> AdversaryPolicy:
     """Strong adversary that runs each process to completion, in order."""
     fixed = tuple(order)
 
-    def make_decide() -> Callable[[Any], int | None]:
-        def decide(view: Any) -> int | None:
-            for p in fixed:
-                if not view.finished(p):
-                    return p
-            return None
+    def drain(view: RunView) -> Iterator[int]:
+        for p in fixed:
+            while not view.finished(p):
+                yield p
 
-        return decide
-
-    return AdversaryPolicy("strong", make_decide=make_decide, name=name)
+    return plan_policy("strong", drain, name)
 
 
 def alternating_policy(procs: Sequence[int], name: str = "alternate") -> AdversaryPolicy:
     """Strong adversary cycling over the given processes, skipping the done."""
     ring = tuple(procs)
-
-    def make_decide() -> Callable[[Any], int | None]:
-        at = 0
-
-        def decide(view: Any) -> int | None:
-            nonlocal at
-            for _ in range(len(ring)):
-                p = ring[at % len(ring)]
-                at += 1
-                if not view.finished(p):
-                    return p
-            return None
-
-        return decide
-
-    return AdversaryPolicy("strong", make_decide=make_decide, name=name)
+    return plan_policy("strong", lambda view: rotation(view, ring), name)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +379,37 @@ EXAMPLES: dict[str, Callable[[], Example]] = {
 # ---------------------------------------------------------------------------
 
 
-def _inv(p: int, obj: int, op: str, args: tuple = ()) -> Step:
-    return Step(INV, p, obj, op, args, BASE)
+def _flip_tree(
+    objs: Mapping[int, ObjectInfo],
+    procs: tuple[int, ...],
+    common: Sequence[tuple],
+    tails: Mapping[int, Sequence[tuple]],
+) -> HistoryTree:
+    """Tree of one run per coin outcome: ``common``, then that outcome's tail.
+
+    Steps are written (kind, process, object, op, payload); each takes
+    its level from its object's registry entry.
+    """
+
+    def steps(rows: Sequence[tuple]) -> tuple[Step, ...]:
+        return tuple(Step(*row, objs[row[2]].level) for row in rows)
+
+    runs = {
+        (c,): History(steps(common) + steps(tail), procs, objs)
+        for c, tail in tails.items()
+    }
+    return HistoryTree.from_runs(runs, omega=(0, 1))
 
 
-def _rsp(p: int, obj: int, op: str, ret: Any = None) -> Step:
-    return Step(RSP, p, obj, op, ret, BASE)
+# Processes 1 and 2 enqueue 1 and 2 on queue 0 concurrently; both
+# complete, then process 0 invokes its flip on coin 1.
+_ENQUEUES_THEN_FLIP = (
+    (INV, 1, 0, "enqueue", (1,)),
+    (INV, 2, 0, "enqueue", (2,)),
+    (RSP, 1, 0, "enqueue", None),
+    (RSP, 2, 0, "enqueue", None),
+    (INV, 0, 1, "flip", ()),
+)
 
 
 def mutex_counter_tree() -> HistoryTree:
@@ -491,36 +490,22 @@ def queue_counter_tree() -> HistoryTree:
         1: ObjectInfo("coin", BASE, (("process", 0),)),
         2: ObjectInfo("strong-counter", INTERPRETED, (("key", "C"),), impl="demo"),
     }
-
-    def at(kind: str, p: int, obj: int, op: str, payload: Any = ()) -> Step:
-        return Step(kind, p, obj, op, payload, BASE if obj == 1 else INTERPRETED)
-
-    common = (
-        at(INV, 1, 0, "enqueue", (1,)),
-        at(INV, 2, 0, "enqueue", (2,)),
-        at(RSP, 1, 0, "enqueue", None),
-        at(RSP, 2, 0, "enqueue", None),
-        at(INV, 0, 1, "flip"),
-    )
-    h0 = common + (
-        at(RSP, 0, 1, "flip", 0),
-        at(INV, 0, 0, "dequeue"),
-        at(RSP, 0, 0, "dequeue", 1),
-        at(INV, 0, 2, "fetch_inc"),
-        at(RSP, 0, 2, "fetch_inc", 0),
-    )
-    h1 = common + (
-        at(RSP, 0, 1, "flip", 1),
-        at(INV, 0, 0, "dequeue"),
-        at(RSP, 0, 0, "dequeue", 2),
-        at(INV, 0, 0, "dequeue"),
-        at(RSP, 0, 0, "dequeue", 1),
-    )
-    runs = {
-        (0,): History(h0, (0, 1, 2), objs),
-        (1,): History(h1, (0, 1, 2), objs),
-    }
-    return HistoryTree.from_runs(runs, omega=(0, 1))
+    return _flip_tree(objs, (0, 1, 2), _ENQUEUES_THEN_FLIP, {
+        0: (
+            (RSP, 0, 1, "flip", 0),
+            (INV, 0, 0, "dequeue", ()),
+            (RSP, 0, 0, "dequeue", 1),
+            (INV, 0, 2, "fetch_inc", ()),
+            (RSP, 0, 2, "fetch_inc", 0),
+        ),
+        1: (
+            (RSP, 0, 1, "flip", 1),
+            (INV, 0, 0, "dequeue", ()),
+            (RSP, 0, 0, "dequeue", 2),
+            (INV, 0, 0, "dequeue", ()),
+            (RSP, 0, 0, "dequeue", 1),
+        ),
+    })
 
 
 def hw_atomic_dequeue_tree() -> HistoryTree:
@@ -535,30 +520,20 @@ def hw_atomic_dequeue_tree() -> HistoryTree:
         0: ObjectInfo("queue", BASE, (("key", "Q"),)),
         1: ObjectInfo("coin", BASE, (("process", 0),)),
     }
-    common = (
-        _inv(1, 0, "enqueue", (1,)),
-        _inv(2, 0, "enqueue", (2,)),
-        _rsp(1, 0, "enqueue"),
-        _rsp(2, 0, "enqueue"),
-        _inv(0, 1, "flip"),
-    )
-    h0 = common + (
-        _rsp(0, 1, "flip", 0),
-        _inv(0, 0, "dequeue"),
-        _rsp(0, 0, "dequeue", 1),
-    )
-    h1 = common + (
-        _rsp(0, 1, "flip", 1),
-        _inv(0, 0, "dequeue"),
-        _rsp(0, 0, "dequeue", 2),
-        _inv(0, 0, "dequeue"),
-        _rsp(0, 0, "dequeue", 1),
-    )
-    runs = {
-        (0,): History(h0, (0, 1, 2), objs),
-        (1,): History(h1, (0, 1, 2), objs),
-    }
-    return HistoryTree.from_runs(runs, omega=(0, 1))
+    return _flip_tree(objs, (0, 1, 2), _ENQUEUES_THEN_FLIP, {
+        0: (
+            (RSP, 0, 1, "flip", 0),
+            (INV, 0, 0, "dequeue", ()),
+            (RSP, 0, 0, "dequeue", 1),
+        ),
+        1: (
+            (RSP, 0, 1, "flip", 1),
+            (INV, 0, 0, "dequeue", ()),
+            (RSP, 0, 0, "dequeue", 2),
+            (INV, 0, 0, "dequeue", ()),
+            (RSP, 0, 0, "dequeue", 1),
+        ),
+    })
 
 
 def counter_race_tree() -> HistoryTree:
@@ -568,27 +543,24 @@ def counter_race_tree() -> HistoryTree:
         1: ObjectInfo("coin", BASE, (("process", 2),)),
     }
     common = (
-        _inv(0, 0, "fetch_inc"),
-        _inv(1, 0, "fetch_inc"),
-        _inv(2, 0, "fetch_inc"),
-        _rsp(2, 0, "fetch_inc", 0),
-        _inv(2, 1, "flip"),
+        (INV, 0, 0, "fetch_inc", ()),
+        (INV, 1, 0, "fetch_inc", ()),
+        (INV, 2, 0, "fetch_inc", ()),
+        (RSP, 2, 0, "fetch_inc", 0),
+        (INV, 2, 1, "flip", ()),
     )
-    h0 = common + (
-        _rsp(2, 1, "flip", 0),
-        _rsp(0, 0, "fetch_inc", 1),
-        _rsp(1, 0, "fetch_inc", 2),
-    )
-    h1 = common + (
-        _rsp(2, 1, "flip", 1),
-        _rsp(1, 0, "fetch_inc", 1),
-        _rsp(0, 0, "fetch_inc", 2),
-    )
-    runs = {
-        (0,): History(h0, (0, 1, 2), objs),
-        (1,): History(h1, (0, 1, 2), objs),
-    }
-    return HistoryTree.from_runs(runs, omega=(0, 1))
+    return _flip_tree(objs, (0, 1, 2), common, {
+        0: (
+            (RSP, 2, 1, "flip", 0),
+            (RSP, 0, 0, "fetch_inc", 1),
+            (RSP, 1, 0, "fetch_inc", 2),
+        ),
+        1: (
+            (RSP, 2, 1, "flip", 1),
+            (RSP, 1, 0, "fetch_inc", 1),
+            (RSP, 0, 0, "fetch_inc", 2),
+        ),
+    })
 
 
 # Completion-order signatures (process, op, ret) for the counter race.

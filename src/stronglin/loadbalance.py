@@ -16,11 +16,12 @@ the averaged estimate is comparable against it on both sides.
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil, isfinite, isqrt, sqrt
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -30,7 +31,10 @@ from .engine import (
     EngineError,
     PerProcessCoins,
     RunRecord,
+    RunView,
     derive_mark_state,
+    plan_policy,
+    rotation,
     run,
 )
 from .histories import BASE, RSP
@@ -277,26 +281,16 @@ def adversary_ap(p: int, n: int) -> AdversaryPolicy:
         raise ValueError(f"target process {p} out of range for n={n}")
     others = tuple(q for q in range(n) if q != p)
 
-    def make_decide():
-        seen = 0
+    def two_phase(view: RunView) -> Iterator[int]:
+        # The registry is complete once the run is built.
+        owners = _shared_owners(view.objects)
         first: dict[int, tuple[int, str]] = {}
         fai_done: set[int] = set()
-        phase = "target"
-        probe_pos = 0
-        i_star: int | None = None
-        rr: list[int] = []
-        rr_pos = 0
-        case = 0
-        owners: dict[int, int | None] | None = None
 
-        def ingest(view) -> None:
-            nonlocal seen, owners
-            if owners is None:
-                # The registry is complete once the run is built.
-                owners = _shared_owners(view.objects)
-            new = view.steps[seen:]
-            seen += len(new)
-            for s in new:
+        def ingest(seen: int) -> int:
+            """Read the steps from index ``seen`` on; return the new end."""
+            steps = view.steps
+            for s in steps[seen:]:
                 if s.kind != RSP:
                     continue
                 if s.op == "fetch_inc":
@@ -305,53 +299,36 @@ def adversary_ap(p: int, n: int) -> AdversaryPolicy:
                     idx = owners.get(s.obj)
                     if idx is not None:
                         first[s.process] = (idx, s.op)
+            return len(steps)
 
-        def enter_phase2(view) -> None:
-            nonlocal phase, rr, case
-            group = [q for q in range(n) if first.get(q, (None,))[0] == i_star]
-            state = derive_mark_state(view.history())
-            if p in dict(state.marks).values():
-                case = 1
-                rr = sorted(q for q in group if first[q][1] == "write")
-            else:
-                case = 2
-                saw_p = {q for (q, x) in state.sees if x == p}
-                rr = sorted(set(group) - saw_p - {p})
-            phase = "round-robin"
+        seen = 0
+        while p not in first:
+            yield p
+            seen = ingest(seen)
+        i_star = first[p][0]
+        for q in others:
+            while q not in first or (first[q][0] != i_star and not view.finished(q)):
+                yield q
+                seen = ingest(seen)
+        # Configuration C: phase 2 reads marks and sees once.
+        group = [q for q in range(n) if q in first and first[q][0] == i_star]
+        state = derive_mark_state(view.history())
+        visible = p in dict(state.marks).values()
+        if visible:
+            rr = sorted(q for q in group if first[q][1] == "write")
+        else:
+            saw_p = {q for (q, x) in state.sees if x == p}
+            rr = sorted(set(group) - saw_p - {p})
+        while any(q not in fai_done for q in rr):
+            for q in rr:
+                if q not in fai_done:
+                    yield q
+                    seen = ingest(seen)
+        while not visible and p not in fai_done:
+            yield p
+            seen = ingest(seen)
 
-        def decide(view):
-            nonlocal phase, probe_pos, i_star, rr_pos
-            ingest(view)
-            if phase == "target":
-                if p not in first:
-                    return p
-                i_star = first[p][0]
-                phase = "probe"
-            if phase == "probe":
-                while probe_pos < len(others):
-                    q = others[probe_pos]
-                    if q not in first:
-                        return q
-                    if first[q][0] != i_star and not view.finished(q):
-                        return q
-                    probe_pos += 1
-                enter_phase2(view)
-            if phase == "round-robin":
-                for _ in range(len(rr)):
-                    q = rr[rr_pos % len(rr)] if rr else None
-                    rr_pos += 1
-                    if q is not None and q not in fai_done:
-                        return q
-                phase = "final" if case == 2 else "done"
-            if phase == "final":
-                if p not in fai_done:
-                    return p
-                phase = "done"
-            return None
-
-        return decide
-
-    return AdversaryPolicy("weak", make_decide=make_decide, name=f"A_p[{p}]")
+    return plan_policy("weak", two_phase, f"A_p[{p}]")
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +338,8 @@ def adversary_ap(p: int, n: int) -> AdversaryPolicy:
 
 def round_robin_policy(n: int) -> AdversaryPolicy:
     """Everyone takes turns in ID order until all are done."""
-
-    def make_decide():
-        pos = 0
-
-        def decide(view):
-            nonlocal pos
-            for _ in range(n):
-                q = pos % n
-                pos += 1
-                if not view.finished(q):
-                    return q
-            return None
-
-        return decide
-
-    return AdversaryPolicy("weak", make_decide=make_decide, name="round-robin")
+    ring = tuple(range(n))
+    return plan_policy("weak", lambda view: rotation(view, ring), "round-robin")
 
 
 def stagger_policy(n: int, batch: int) -> AdversaryPolicy:
@@ -386,30 +349,14 @@ def stagger_policy(n: int, batch: int) -> AdversaryPolicy:
     if batch < 1:
         raise ValueError("batch size must be positive")
 
-    def make_decide():
-        pos = 0
-        # Earlier batches are all finished and stay so; only the current
-        # one is rescanned.
-        start = 0
+    def stagger(view: RunView) -> Iterator[int]:
+        turn = itertools.count(1)
+        for start in range(0, n, batch):
+            members = range(start, min(start + batch, n))
+            while alive := [q for q in members if not view.finished(q)]:
+                yield alive[next(turn) % len(alive)]
 
-        def decide(view):
-            nonlocal pos, start
-            while start < n:
-                alive = [
-                    q for q in range(start, min(start + batch, n))
-                    if not view.finished(q)
-                ]
-                if alive:
-                    pos += 1
-                    return alive[pos % len(alive)]
-                start += batch
-            return None
-
-        return decide
-
-    return AdversaryPolicy(
-        "weak", make_decide=make_decide, name=f"stagger[{batch}]"
-    )
+    return plan_policy("weak", stagger, f"stagger[{batch}]")
 
 
 def scripted_weak_families(n: int, k_max: int) -> dict[str, Callable[[int], AdversaryPolicy]]:

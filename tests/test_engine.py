@@ -20,6 +20,7 @@ from stronglin.engine import (
     VectorCoins,
     derive_mark_state,
     enumerate_expectation,
+    plan_policy,
     run,
     scripted_policy,
 )
@@ -110,6 +111,24 @@ def test_oblivious_schedule_skips_finished_processes():
     rec = run(alg, adv, VectorCoins(()))
     assert rec.schedule == (0, 1)
     assert rec.returns == {0: 0, 1: 1}
+
+
+def test_oblivious_schedule_rejects_an_unknown_process():
+    alg = counter_race_alg(impl=False, nproc=2)
+    with pytest.raises(EngineError, match="unknown process 7"):
+        run(alg, AdversaryPolicy("oblivious", schedule=(7,)), VectorCoins(()))
+
+
+def test_a_returning_plan_ends_the_run_without_a_budget_flag():
+    alg = counter_race_alg(impl=False, nproc=2)
+
+    def once(view):
+        yield 1
+
+    rec = run(alg, plan_policy("strong", once), VectorCoins(()))
+    assert rec.schedule == (1,)
+    assert rec.returns == {1: 0}
+    assert not rec.flags
 
 
 def test_budget_flag_on_nonterminating_program():

@@ -1,11 +1,19 @@
 """Worked-example schedules, report plumbing, and the checker suite."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from stronglin.engine import EngineError, VectorCoins, run, scripted_policy
+from stronglin.engine import (
+    EngineError,
+    PerProcessCoins,
+    VectorCoins,
+    run,
+    scripted_policy,
+)
 from stronglin.experiments import (
     CSV_COLUMNS,
     EXAMPLES,
@@ -15,6 +23,7 @@ from stronglin.experiments import (
     ExperimentError,
     RACE_EARLY_FLIP,
     RACE_LATE_FLIP,
+    alternating_policy,
     branching_script,
     coschedulable,
     drain_policy,
@@ -26,6 +35,15 @@ from stronglin.experiments import (
 )
 from stronglin.checkers import check_strong_lin, common_linearization, default_specs
 from stronglin.histories import interpret
+from stronglin.loadbalance import (
+    COUNTER_KINDS,
+    adversary_ap,
+    k_max_for,
+    loadbalance_algorithm,
+    round_robin_policy,
+    scripted_weak_families,
+    stagger_policy,
+)
 from stronglin.objects import snapshot_spec
 from stronglin.search import exists_adversary
 
@@ -102,6 +120,162 @@ def test_branching_script_needs_a_flip_before_branching():
     eager = branching_script(common=[0], branches={1: [], -1: []})
     with pytest.raises(EngineError):
         run(ex.implemented, eager, VectorCoins((1,)))
+
+
+# sha256 of the grant sequences of each case in _pinned_schedules.
+SCHEDULE_DIGESTS = {
+    "snapshot atomic drain":
+        "78caacb01812de524232ad82de468af5e48f97cf6dbcda9e25391d13aa4cacb7",
+    "snapshot atomic alternate":
+        "e0727b1eabc1ecf7c5d176e3d313fd8ff5a5efc12d5290c00ca6f341ec6d967d",
+    "snapshot implemented drain":
+        "d3eedd9ecb23a383c730e95952d98bec18aec7b4c3de4a6e4b09db375b40758c",
+    "snapshot implemented alternate":
+        "3436ce0bdd2541ed70ec1ddd426c90bd3ad504f086d5c6571d0cede07efdebb4",
+    "snapshot implemented pinned":
+        "e7d3c9c13ceb7867761128bde5d9d1763288ad398c8b6aa27557b7236f2f6354",
+    "srsw-register atomic drain":
+        "d24470d3724120839b0427f0c9b753bfd636ab9e3c40cc5826e82c71f1b824ab",
+    "srsw-register atomic alternate":
+        "74348d26d9b2b95338eee5cfa0ce6e6346dfdc70e4609526aeccd0818c168174",
+    "srsw-register implemented drain":
+        "485481ec26b2e386eda938d01d1bebf0a062687080d3af93f22b79b3e6200e02",
+    "srsw-register implemented alternate":
+        "dc60704faae27f7afbea85403fb00fbf1c0fe6d2c9fde808a4fa671c7fd2b1c0",
+    "srsw-register implemented pinned":
+        "d418c0ba453822ad92961e49b53e59771f8f4395dbdeb883c135ed70b3ef21f0",
+    "mrsw-register atomic drain":
+        "7882fb3072f2fb672dc312e775ab8014f3b5849480bc081fe576a992587b1a50",
+    "mrsw-register atomic alternate":
+        "0ef385ff45ae085c8f442064f356bc7cdc9aa5e009d14190838a6e984a6c27f5",
+    "mrsw-register implemented drain":
+        "ee4a2a890275fcff21bf049d72b588734ee1062fd318c013afa78d081e5b7dc8",
+    "mrsw-register implemented alternate":
+        "5b1fbe352acd8c1ce624d527ae83c6df8caaea88ed22699ba5ccea2cbbf36f5a",
+    "mrsw-register implemented pinned":
+        "2bca79b72f8380490b59366b44df46fd4aa6e58a276fe5fcc8a90d7671f38347",
+    "hw-queue atomic drain":
+        "d33b4d165dee8a33cd87ffe4389d1f8c7dd1aee5198b39dda346268dd06baa40",
+    "hw-queue atomic alternate":
+        "d33b4d165dee8a33cd87ffe4389d1f8c7dd1aee5198b39dda346268dd06baa40",
+    "hw-queue implemented drain":
+        "780bb0307d1d6b958d7fba5646c71b80cada0518ea3fc1fa8b3764a79c914459",
+    "hw-queue implemented alternate":
+        "9aea75f830463b1fda2b4018cc35e03e3d81dd4a698adcd1cb191aef54c24036",
+    "hw-queue implemented pinned":
+        "01b298123b675dbee11ab12c2f26c988a43e0939ccdf71261a875be1a3b1d6d4",
+    "two-phase atomic 16":
+        "4423fba9336f5107232777a21744858377af79de1b5f308624460fb7999a71a0",
+    "two-phase atomic 64":
+        "48f91e7f8ef50c989762aeaa7930ca294da21d62dc4a9891f58507d1c1a51a08",
+    "round-robin atomic 16":
+        "4bb7f0385244bd20253d6fdb55d4e6bc0749dfde1d89925658c5e2b19e704cc3",
+    "solo-sequential atomic 16":
+        "e4396640e494fc69da065df4bae88359f1c6e4b2bcd554a1b923c5c37e6b5e07",
+    "stagger atomic 16":
+        "30e36fa3208d5576ee4736a02bd0e9ebd3a560bce9d70a01dea114fc02d9dc12",
+    "two-phase llsc 16":
+        "74c3dfd1456bcf7c24ec3d5f453fc5320365f5a0ae5c2bce151fbd74dfecd217",
+    "two-phase llsc 64":
+        "751643a6c0b98301042d40d6d29811ac0c0a8b8cb0a54abb64e0e0921a7d9bac",
+    "round-robin llsc 16":
+        "96a4eb653f1c9f26970e73ac09badca5818d72fbd5098d540087aa67dc3ff06f",
+    "solo-sequential llsc 16":
+        "d4cf73c5074d1520046978ce9037534852643134eaa20934b40f46c3299fb68b",
+    "stagger llsc 16":
+        "26605ddf7e9388ce32f2d60d51e058eb372b3954828fec270184a4daa73faca5",
+    "two-phase writefirst 16":
+        "c03d1d527b150e8068eb279062458cb8f3acb4e227d37ce244939cc39937dd3d",
+    "two-phase writefirst 64":
+        "98d8c293f9f44850f9f4c16df7bfad1fcc42cc9d012a60f08dbcb9f2bd2c41a8",
+    "round-robin writefirst 16":
+        "562105ef6c50ee071bc8d2a2463814c89b4d474d38a24e05ffd927f72f7f88e4",
+    "solo-sequential writefirst 16":
+        "7e2f914d3e380aa888104943801a2bdfa4e8bacb41b933ddad166f5fcf624bb0",
+    "stagger writefirst 16":
+        "f80b76a58c23e7bc1c4de27912b03b14f0c0681a5a460bfbbfd96bfbe16d9c73",
+}
+
+
+def _pinned_schedules(case: str) -> list[tuple[int, ...]]:
+    """Grant sequences of one case, e.g. ``hw-queue implemented pinned``
+    (one run per coin outcome) or ``two-phase llsc 64`` (seeds 0 to 2,
+    with the coins and target estimate_phi draws for trial 0)."""
+    family, variant, policy = case.split()
+    if family in EXAMPLES:
+        ex = EXAMPLES[family]()
+        alg = ex.implemented if variant == "implemented" else ex.atomic
+        adv = {
+            "pinned": ex.schedule,
+            "drain": drain_policy(alg.processes),
+            "alternate": alternating_policy(alg.processes),
+        }[policy]
+        return [run(alg, adv, VectorCoins((w,))).schedule for w in ex.omega]
+    n = int(policy)
+    alg = loadbalance_algorithm(n, variant)
+    families = {
+        "two-phase": lambda p: adversary_ap(p, n),
+        **scripted_weak_families(n, k_max_for(n)),
+    }
+    schedules = []
+    for seed in range(3):
+        rng = random.Random(f"{seed}:0")
+        coins = PerProcessCoins({q: (rng.randrange(len(alg.omega)),) for q in alg.processes})
+        adv = families[family](rng.randrange(n))
+        schedules.append(run(alg, adv, coins).schedule)
+    return schedules
+
+
+SCHEDULE_CASES = [
+    f"{name} {variant} {policy}"
+    for name in EXAMPLES
+    for variant, policy in (
+        ("atomic", "drain"), ("atomic", "alternate"), ("implemented", "drain"),
+        ("implemented", "alternate"), ("implemented", "pinned"),
+    )
+] + [
+    f"{family} {kind} {n}"
+    for kind in COUNTER_KINDS
+    for family, n in (
+        ("two-phase", 16), ("two-phase", 64), ("round-robin", 16),
+        ("solo-sequential", 16), ("stagger", 16),
+    )
+]
+
+
+@pytest.mark.parametrize("case", SCHEDULE_CASES)
+def test_policy_schedules_are_pinned(case):
+    got = hashlib.sha256(repr(_pinned_schedules(case)).encode()).hexdigest()
+    assert got == SCHEDULE_DIGESTS[case]
+
+
+def _src_policies():
+    """Every adaptive policy factory in src/, each with one policy built
+    by it, an algorithm it can run and a coin source maker."""
+    ex = snapshot_example()
+    lb = loadbalance_algorithm(16, "llsc")
+    snap_coins = lambda: VectorCoins((1,))
+    lb_coins = lambda: PerProcessCoins({q: (q % 4,) for q in lb.processes})
+    cases = [
+        (scripted_policy, scripted_policy("strong", (2, 0, 1, 1, 1, 2)), ex.atomic, snap_coins),
+        (branching_script, ex.schedule, ex.implemented, snap_coins),
+        (drain_policy, drain_policy((1, 2, 0)), ex.implemented, snap_coins),
+        (alternating_policy, alternating_policy((0, 1, 2)), ex.implemented, snap_coins),
+        (adversary_ap, adversary_ap(3, 16), lb, lb_coins),
+        (round_robin_policy, round_robin_policy(16), lb, lb_coins),
+        (stagger_policy, stagger_policy(16, 4), lb, lb_coins),
+    ]
+    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+
+@pytest.mark.parametrize("factory, policy, alg, coins", _src_policies())
+def test_src_policies_are_fresh_plans_named_after_their_module(factory, policy, alg, coins):
+    # bench/tracing.py names each decide span after make_decide's module.
+    assert policy.make_decide.__module__ == factory.__module__
+    # Each run starts a fresh plan, so one policy object replays exactly.
+    first = run(alg, policy, coins())
+    assert first.schedule
+    assert run(alg, policy, coins()) == first
 
 
 def test_drain_policy_runs_everyone_to_completion():
