@@ -144,12 +144,46 @@ class AdversaryPolicy:
 
 @dataclass(frozen=True)
 class MarkState:
-    """Register ownership bookkeeping: last writer or SC winner marks a
-    register; ``sees`` holds (observer, observed) pairs."""
+    """Register ownership and information flow after some base steps.
 
-    marks: tuple[tuple[int, int], ...]
-    sees: frozenset
-    lled: tuple[tuple[int, tuple[int, ...]], ...]
+    The last write or successful SC on a register marks it with its
+    process.  A read or LL of a register marked by another process makes
+    the reader see that process; so does an SC, successful or not, by a
+    process that has LL'd the register before.  ``sees`` holds
+    (observer, observed) pairs; ``lled`` lists, per register, the
+    processes with an LL there.  ``after`` is the one definition of
+    these rules; the engine keeps no copy, and the tests check it
+    against a pairwise statement of the same rules.
+    """
+
+    marks: tuple[tuple[int, int], ...] = ()
+    sees: frozenset = frozenset()
+    lled: tuple[tuple[int, tuple[int, ...]], ...] = ()
+
+    def after(self, steps: Iterable[Step]) -> "MarkState":
+        """The state once ``steps`` follow the ones already read, so
+        ``MarkState().after(h.steps)`` reads a whole history and a
+        state read up to a cut continues over the rest."""
+        marks = dict(self.marks)
+        lled = {oid: set(ps) for oid, ps in self.lled}
+        sees = set(self.sees)
+        for s in steps:
+            if s.kind != RSP or s.level != BASE:
+                continue
+            p, oid, op = s.process, s.obj, s.op
+            if op == "ll":
+                lled.setdefault(oid, set()).add(p)
+            if op in ("read", "ll") or (op == "sc" and p in lled.get(oid, ())):
+                m = marks.get(oid)
+                if m is not None and m != p:
+                    sees.add((p, m))
+            if op == "write" or (op == "sc" and s.payload == 1):
+                marks[oid] = p
+        return MarkState(
+            tuple(sorted(marks.items())),
+            frozenset(sees),
+            tuple(sorted((oid, tuple(sorted(v))) for oid, v in lled.items())),
+        )
 
 
 @dataclass(frozen=True)
@@ -173,8 +207,8 @@ class RunView:
 
     The finished set is derived from that history plus knowledge of the
     algorithm, so exposing it adds convenience, not power.  Marks and
-    sees are not kept here: an adversary that needs them calls
-    ``derive_mark_state(view.history())``.
+    sees are not kept here: an adversary that needs them reads
+    ``MarkState().after(view.steps)``.
     """
 
     def __init__(self, sim: "Simulation"):
@@ -193,9 +227,6 @@ class RunView:
         which ``grant`` rejects."""
         rt = self._sim.procs.get(p)
         return rt is not None and rt.finished
-
-    def history(self) -> History:
-        return self._sim.partial_history()
 
 
 class _ProcState:
@@ -420,12 +451,9 @@ class Simulation:
 
     # -- results ---------------------------------------------------------
 
-    def partial_history(self) -> History:
-        return History(tuple(self.steps), self.alg.processes, dict(self.registry))
-
     def record(self) -> RunRecord:
         return RunRecord(
-            history=self.partial_history(),
+            history=History(tuple(self.steps), self.alg.processes, dict(self.registry)),
             schedule=tuple(self.grants),
             returns={p: rt.retval for p, rt in self.procs.items() if rt.finished},
             max_point_contention=self.max_contention,
@@ -501,45 +529,6 @@ def rotation(view: RunView, ring: tuple[int, ...]) -> Iterator[int]:
         for q in ring:
             if not view.finished(q):
                 yield q
-
-
-def derive_mark_state(h: History) -> MarkState:
-    """Register ownership and information flow, read from a history.
-
-    The last write or successful SC on a register marks it with its
-    process.  A read or LL of a register marked by another process makes
-    the reader see that process; so does an SC, successful or not, by a
-    process that has LL'd the register before.  ``lled`` lists, per
-    register, the processes with an LL there.  This is the one
-    definition of these rules; the engine keeps no copy, and the tests
-    check it against a pairwise statement of the same rules.
-    """
-    marks: dict[int, int] = {}
-    lled: dict[int, set] = {}
-    sees: set = set()
-    for s in h.steps:
-        if s.kind != RSP or s.level != BASE:
-            continue
-        p, oid, op = s.process, s.obj, s.op
-        if op in ("read", "ll"):
-            m = marks.get(oid)
-            if m is not None and m != p:
-                sees.add((p, m))
-            if op == "ll":
-                lled.setdefault(oid, set()).add(p)
-        elif op == "sc":
-            m = marks.get(oid)
-            if m is not None and m != p and p in lled.get(oid, ()):
-                sees.add((p, m))
-            if s.payload == 1:
-                marks[oid] = p
-        elif op == "write":
-            marks[oid] = p
-    return MarkState(
-        tuple(sorted(marks.items())),
-        frozenset(sees),
-        tuple(sorted((oid, tuple(sorted(v))) for oid, v in lled.items())),
-    )
 
 
 def enumerate_expectation(

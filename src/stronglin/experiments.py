@@ -104,6 +104,8 @@ def branching_script(
         outcome = _first_flip(view)
         if outcome is None:
             raise EngineError("branch point reached before any flip resolved")
+        if outcome not in tails:
+            raise EngineError(f"script {name!r} has no tail for flip outcome {outcome!r}")
         yield from tails[outcome]
 
     return plan_policy("weak", script, name)

@@ -29,10 +29,10 @@ from .engine import (
     AlgorithmSpec,
     Binding,
     EngineError,
+    MarkState,
     PerProcessCoins,
     RunRecord,
     RunView,
-    derive_mark_state,
     plan_policy,
     rotation,
     run,
@@ -121,7 +121,11 @@ def fai_return(rec: RunRecord, q: int) -> int | None:
 
 @dataclass(frozen=True)
 class ApReport:
-    """What the two-phase adversary saw, reconstructed from the history."""
+    """What the two-phase adversary saw, reconstructed from the history.
+
+    ``bound`` is the helper bound's pair (the target's fetch&inc return,
+    |P|), or None when the bound does not apply to the run.
+    """
 
     target: int
     i_star: int
@@ -131,6 +135,7 @@ class ApReport:
     writers: frozenset
     sees_target: frozenset
     accesses_at_config: Mapping[int, int]
+    bound: tuple[int, int] | None
 
     @property
     def stalled_group(self) -> frozenset:
@@ -139,24 +144,42 @@ class ApReport:
         )
 
 
+_REGISTER_OPS = frozenset({"read", "write", "ll", "sc"})
+
+
 def ap_run_report(rec: RunRecord, p: int) -> ApReport:
     """Reconstruct configuration C of a run scheduled by the two-phase
     adversary: the earliest point where every process on the target's
     counter has taken its first shared step and everyone else is done.
 
     One scan of the history collects each process's shared accesses
-    (by step index), its counter and the end of its fetch&dec; marks and
-    sees at C come from ``derive_mark_state`` of the prefix.
+    (by step index), its counter, the end of its fetch&dec and its first
+    fetch&inc return, the counters that get a fetch&dec invocation, and
+    whether some owned base step is not a register operation.  Marks
+    are read up to C, and continued over the rest of the run only while
+    the helper bound (see ``assert_ap_invariants``) can still apply:
+    every owned base step is a register operation (the sees relation
+    tracks information flow through registers only), nobody invokes
+    fetch&dec on the target's counter, and the target's fetch&inc
+    completed.
     """
+    steps = rec.history.steps
     owners = _shared_owners(rec.history.objects)
     counter_of: dict[int, int] = {}
     first_op: dict[int, str] = {}
     accesses: dict[int, list[int]] = {}
     dec_done: dict[int, int] = {}
-    for k, s in enumerate(rec.history.steps):
+    fai: dict[int, int] = {}
+    dec_counters: set = set()
+    registers_only = True
+    for k, s in enumerate(steps):
+        q, op = s.process, s.op
+        if s.level == BASE and op not in _REGISTER_OPS and s.obj in owners:
+            registers_only = False
         if s.kind != RSP:
+            if op == "fetch_dec":
+                dec_counters.add(owners.get(s.obj))
             continue
-        q = s.process
         if s.level == BASE and s.obj in owners:
             at = accesses.get(q)
             if at is not None:
@@ -167,9 +190,11 @@ def ap_run_report(rec: RunRecord, p: int) -> ApReport:
                     raise EngineError(f"shared access on unowned object {s.obj}")
                 accesses[q] = [k]
                 counter_of[q] = idx
-                first_op[q] = s.op
-        if s.op == "fetch_dec" and q not in dec_done:
-            dec_done[q] = k
+                first_op[q] = op
+        if op == "fetch_dec":
+            dec_done.setdefault(q, k)
+        elif op == "fetch_inc":
+            fai.setdefault(q, s.payload)
     if p not in counter_of:
         raise EngineError(f"target process {p} never accessed shared memory")
     i_star = counter_of[p]
@@ -180,18 +205,25 @@ def ap_run_report(rec: RunRecord, p: int) -> ApReport:
     config_index = max(
         [accesses[q][0] for q in group] + [dec_done[q] for q in outside]
     )
-    state = derive_mark_state(rec.history.prefix(config_index + 1))
+    at_c = MarkState().after(steps[: config_index + 1])
+    bound = None
+    if registers_only and i_star not in dec_counters and p in fai:
+        finishers = {q for q in group if q in fai and q != p}
+        sees = at_c.after(steps[config_index + 1 :]).sees
+        if not any(q in finishers and x not in finishers for (q, x) in sees):
+            bound = (fai[p], len(finishers))
     return ApReport(
         target=p,
         i_star=i_star,
         counter_of=counter_of,
         config_index=config_index,
-        case=1 if p in dict(state.marks).values() else 2,
+        case=1 if p in dict(at_c.marks).values() else 2,
         writers=frozenset(q for q in group if first_op[q] == "write"),
-        sees_target=frozenset(q for (q, x) in state.sees if x == p),
+        sees_target=frozenset(q for (q, x) in at_c.sees if x == p),
         accesses_at_config={
             q: bisect_right(accesses[q], config_index) for q in group
         },
+        bound=bound,
     )
 
 
@@ -221,42 +253,10 @@ def assert_ap_invariants(rec: RunRecord, p: int) -> ApReport:
         )
     if report.case == 1 and p not in report.writers:
         raise EngineError("target visible at C but its first access was no write")
-    _assert_helper_bound(rec, report)
+    if report.bound is not None and report.bound[0] < report.bound[1]:
+        got, size = report.bound
+        raise EngineError(f"certified run returned {got} < |P| = {size}")
     return report
-
-
-_REGISTER_OPS = frozenset({"read", "write", "ll", "sc"})
-
-
-def _assert_helper_bound(rec: RunRecord, report: ApReport) -> None:
-    p, i_star = report.target, report.i_star
-    owners = _shared_owners(rec.history.objects)
-    fai: dict[int, int] = {}
-    # One scan; every reason the bound does not apply ends it at once.
-    for s in rec.history.steps:
-        if s.level == BASE and s.obj in owners and s.op not in _REGISTER_OPS:
-            # The sees relation only tracks information flow through
-            # registers; with other base primitives a process can learn
-            # about p without ever being recorded as seeing it.
-            return
-        if s.kind == RSP:
-            if s.op == "fetch_inc" and s.process not in fai:
-                fai[s.process] = s.payload
-        elif s.op == "fetch_dec" and owners.get(s.obj) == i_star:
-            return
-    if p not in fai:
-        return
-    finishers = {q for q in report.stalled_group if q in fai and q != p}
-    if any(
-        q in finishers and x not in finishers
-        for (q, x) in derive_mark_state(rec.history).sees
-    ):
-        return
-    got = fai[p]
-    if got < len(finishers):
-        raise EngineError(
-            f"certified run returned {got} < |P| = {len(finishers)}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def adversary_ap(p: int, n: int) -> AdversaryPolicy:
                 seen = ingest(seen)
         # Configuration C: phase 2 reads marks and sees once.
         group = [q for q in range(n) if q in first and first[q][0] == i_star]
-        state = derive_mark_state(view.history())
+        state = MarkState().after(view.steps)
         visible = p in dict(state.marks).values()
         if visible:
             rr = sorted(q for q in group if first[q][1] == "write")

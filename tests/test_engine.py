@@ -18,7 +18,6 @@ from stronglin.engine import (
     PerProcessCoins,
     Simulation,
     VectorCoins,
-    derive_mark_state,
     enumerate_expectation,
     plan_policy,
     run,
@@ -391,6 +390,9 @@ def pairwise_mark_state(h):
 )
 # An SC without a link, after another process wrote: not a sees edge.
 @example(plans=[[4], [6]], choices=[0, 0, 0, 0], coin_bits=0, cut=200)
+# Process 0 LLs, process 1 writes, the cut, then process 0's SC: the
+# link made before the cut gives the SC its sees edge.
+@example(plans=[[5, 6], [4]], choices=[0, 1, 0], coin_bits=0, cut=8)
 @settings(max_examples=200, deadline=None)
 def test_derive_mark_state_matches_pairwise_rules(plans, choices, coin_bits, cut):
     coins = tuple((coin_bits >> i) & 1 for i in range(len(plans)))
@@ -412,9 +414,12 @@ def test_derive_mark_state_matches_pairwise_rules(plans, choices, coin_bits, cut
         VectorCoins(coins),
     )
     h = rec.history
-    assert derive_mark_state(h) == pairwise_mark_state(h)
+    whole = MarkState().after(h.steps)
+    assert whole == pairwise_mark_state(h)
     part = h.prefix(min(cut, len(h.steps)))
-    assert derive_mark_state(part) == pairwise_mark_state(part)
+    at_cut = MarkState().after(part.steps)
+    assert at_cut == pairwise_mark_state(part)
+    assert at_cut.after(h.steps[len(part.steps):]) == whole
 
 
 def test_naturalness_violation_is_caught():

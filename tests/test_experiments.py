@@ -122,6 +122,18 @@ def test_branching_script_needs_a_flip_before_branching():
         run(ex.implemented, eager, VectorCoins((1,)))
 
 
+def test_branching_script_names_an_outcome_without_a_tail():
+    # The mrsw relay script with only its 1 tail, run on coin -1.
+    ex = EXAMPLES["mrsw-register"]()
+    relay = branching_script(
+        common=[1] * 1 + [0] * 2 + [0] * 1 + [0] * 2,
+        branches={1: [1] * 4 + [2] * 5},
+        name="relay-steal",
+    )
+    with pytest.raises(EngineError, match="'relay-steal' has no tail for flip outcome -1"):
+        run(ex.implemented, relay, VectorCoins((-1,)))
+
+
 # sha256 of the grant sequences of each case in _pinned_schedules.
 SCHEDULE_DIGESTS = {
     "snapshot atomic drain":

@@ -11,8 +11,8 @@ from stronglin import loadbalance
 from stronglin.engine import (
     AdversaryPolicy,
     EngineError,
+    MarkState,
     PerProcessCoins,
-    derive_mark_state,
     run,
 )
 from stronglin.histories import BASE, FLIP, INV, RSP
@@ -344,7 +344,7 @@ def reference_ap_run_report(rec, p):
         raise EngineError("phase 1 never completed")
     config_index = max(marker_events)
     prefix = rec.history.prefix(config_index + 1)
-    state = derive_mark_state(prefix)
+    state = MarkState().after(prefix.steps)
     visible = p in dict(state.marks).values()
     writers = frozenset(q for q in group if first[q][1].op == "write")
     sees_target = frozenset(q for (q, x) in state.sees if x == p)
@@ -361,13 +361,13 @@ def reference_ap_run_report(rec, p):
         writers=writers,
         sees_target=sees_target,
         accesses_at_config=accesses,
+        bound=reference_helper_bound(rec, p, i_star, group),
     )
 
 
-def reference_assert_helper_bound(rec, report):
+def reference_helper_bound(rec, p, i_star, group):
     steps = rec.history.steps
     objects = rec.history.objects
-    p, i_star = report.target, report.i_star
     register_ops = {"read", "write", "ll", "sc"}
     for s in steps:
         if (
@@ -375,14 +375,14 @@ def reference_assert_helper_bound(rec, report):
             and objects[s.obj].type_name != "coin"
             and s.op not in register_ops
         ):
-            return
+            return None
     fai = {}
     for s in steps:
         if s.kind == RSP and s.op == "fetch_inc" and s.process not in fai:
             fai[s.process] = s.payload
-    finishers = {q for q in report.stalled_group if q in fai and q != p}
+    finishers = {q for q in group if q in fai and q != p}
     if p not in fai:
-        return
+        return None
     dec_invoked = any(
         s.op == "fetch_dec"
         and s.kind == INV
@@ -390,18 +390,14 @@ def reference_assert_helper_bound(rec, report):
         for s in steps
     )
     if dec_invoked:
-        return
+        return None
     outside_seen = any(
         q in finishers and x not in finishers
-        for (q, x) in derive_mark_state(rec.history).sees
+        for (q, x) in MarkState().after(steps).sees
     )
     if outside_seen:
-        return
-    got = fai[p]
-    if got < len(finishers):
-        raise EngineError(
-            f"certified run returned {got} < |P| = {len(finishers)}"
-        )
+        return None
+    return fai[p], len(finishers)
 
 
 def reference_assert_ap_invariants(rec, p):
@@ -419,7 +415,10 @@ def reference_assert_ap_invariants(rec, p):
         )
     if report.case == 1 and p not in report.writers:
         raise EngineError("target visible at C but its first access was no write")
-    reference_assert_helper_bound(rec, report)
+    if report.bound is not None:
+        got, size = report.bound
+        if got < size:
+            raise EngineError(f"certified run returned {got} < |P| = {size}")
     return report
 
 
@@ -471,6 +470,28 @@ def test_lowered_target_return_fails_both_certifiers():
     assert assert_certifiers_agree(tampered, 0) == (
         "raises", "certified run returned 2 < |P| = 3"
     )
+
+
+def test_helper_bound_reads_sees_at_the_end_of_the_run():
+    # Write-first, seed 0, target 12: P = {9, 10, 15}, and 15 first sees
+    # the target after C.  The bound does not apply, so a target return
+    # below |P| must not fail either certifier.
+    alg = loadbalance_algorithm(16, "writefirst")
+    rec = run(alg, adversary_ap(12, 16), PerProcessCoins(_seeded_coins(alg, 0)))
+    verdict, report = assert_certifiers_agree(rec, 12)
+    assert verdict == "returns" and report.bound is None
+    assert report.stalled_group == {9, 10, 12, 15}
+    at_c = MarkState().after(rec.history.steps[: report.config_index + 1])
+    assert (15, 12) not in at_c.sees
+    assert (15, 12) in MarkState().after(rec.history.steps).sees
+    steps = tuple(
+        s._replace(payload=0)
+        if s.process == 12 and s.op == "fetch_inc" and s.kind == RSP
+        else s
+        for s in rec.history.steps
+    )
+    tampered = dataclasses.replace(rec, history=rec.history.with_steps(steps))
+    assert assert_certifiers_agree(tampered, 12)[0] == "returns"
 
 
 def test_estimator_reaches_the_traced_functions_through_module_globals(monkeypatch):

@@ -11,9 +11,9 @@ from stronglin.engine import (
     AlgorithmSpec,
     Binding,
     EngineError,
+    MarkState,
     Simulation,
     VectorCoins,
-    derive_mark_state,
     run,
     scripted_policy,
 )
@@ -390,7 +390,7 @@ def test_writefirst_announce_collision_overwrites_mark():
         for oid, info in rec.history.objects.items()
         if info.type_name == "announce-cell" and dict(info.params)["index"] == 0
     )
-    assert dict(derive_mark_state(rec.history).marks)[announce] == 2  # process 2 overwrote p0's mark
+    assert dict(MarkState().after(rec.history.steps).marks)[announce] == 2  # process 2 overwrote p0's mark
 
 
 def test_cas_solo_then_read():
