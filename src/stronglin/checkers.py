@@ -1,16 +1,18 @@
 """Decision procedures over finite history trees.
 
 A prefix-closed set of interpreted histories forms a tree: one node per
-prefix, one appended step per edge, branching only where a coin flip
-response differs.  This module decides linearizability of a single
-history, searches for prefix-preserving linearization witnesses over
-whole trees, re-validates and normalizes such witnesses, and composes
-per-object witnesses into one for a multi-object tree (locality, stated
-as a claim of the checker suite).  ``common_linearization`` is the
-matching oracle of the snapshot reachability test.  Specifications come
-from registry entries alone (``default_specs``).  Everything here is
-exhaustive by design and guarded accordingly; these are desk-scale
-tools, not model checkers.
+prefix, one appended step per edge.  The runs of one strong adversary
+branch only where a coin flip response differs, and the tree readers
+(``HistoryTree.from_runs`` and ``from_json``) enforce that; a projection
+onto one object may branch at any step.  This module decides
+linearizability of a single history, searches for prefix-preserving
+linearization witnesses over whole trees, re-validates and normalizes
+such witnesses, and composes per-object witnesses into one for a
+multi-object tree (locality, stated as a claim of the checker suite).
+``common_linearization`` is the matching oracle of the snapshot
+reachability test.  Specifications come from registry entries alone
+(``default_specs``).  Everything here is exhaustive by design and
+guarded accordingly; these are desk-scale tools, not model checkers.
 """
 
 from __future__ import annotations
@@ -53,9 +55,16 @@ class TreeError(CheckerError):
     """A history tree violating its structural invariants."""
 
 
-def _is_flip_step(objects: Mapping[int, ObjectInfo], s: Step) -> bool:
+def _is_flip_response(objects: Mapping[int, ObjectInfo], s: Step | None) -> bool:
+    if s is None or not s.is_rsp():
+        return False
     info = objects.get(s.obj)
     return info is not None and info.type_name == "coin"
+
+
+def _coin_outcome(objects: Mapping[int, ObjectInfo], s: Step | None) -> Any:
+    """The payload of a flip response, None for any other step."""
+    return s.payload if _is_flip_response(objects, s) else None
 
 
 # ---------------------------------------------------------------------------
@@ -63,89 +72,65 @@ def _is_flip_step(objects: Mapping[int, ObjectInfo], s: Step) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_branches(
-    objects: Mapping[int, ObjectInfo],
-    nodes: Mapping[int, "TreeNode"],
-    children: Mapping[int, list[int]],
-) -> None:
-    # Runs of one strong adversary diverge only at a flip response.
-    for nid, kids in children.items():
-        if len(kids) > 1:
-            steps = [nodes[c].step for c in kids]
-            heads = {(s.process, s.obj, s.op, s.kind) for s in steps}
-            if len(heads) != 1 or not all(
-                s.is_rsp() and _is_flip_step(objects, s) for s in steps
-            ):
-                raise TreeError(
-                    f"node {nid} branches on something other than a flip response"
-                )
-            if len({s.payload for s in steps}) != len(steps):
-                raise TreeError(f"node {nid} has duplicate branch outcomes")
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One prefix: the parent's history plus ``step`` appended."""
-
-    node_id: int
-    parent: int | None
-    step: Step | None
-    coin_outcome: Any = None
-
-
-def _tree_node(
-    objects: Mapping[int, ObjectInfo], nid: int, parent: int | None, step: Step | None
-) -> TreeNode:
-    """The node for ``step``, its coin outcome derived from the step: the
-    payload of a flip response, None for any other step."""
-    flip = step is not None and step.is_rsp() and _is_flip_step(objects, step)
-    return TreeNode(nid, parent, step, step.payload if flip else None)
-
-
-class _PrefixTree:
-    """A prefix tree being grown: one node per distinct (parent, step)."""
-
-    def __init__(self, objects: Mapping[int, ObjectInfo]):
-        self.objects = objects
-        self.nodes = {0: TreeNode(0, None, None)}
-        self.children: dict[int, list[int]] = {0: []}
-        self._edge: dict[tuple[int, Step], int] = {}
-
-    def child(self, cur: int, s: Step) -> int:
-        """The node ``s`` leads to from ``cur``, added on first use."""
-        nxt = self._edge.get((cur, s))
-        if nxt is None:
-            nxt = self._edge[(cur, s)] = len(self.nodes)
-            self.nodes[nxt] = _tree_node(self.objects, nxt, cur, s)
-            self.children[nxt] = []
-            self.children[cur].append(nxt)
-        return nxt
-
-
 class HistoryTree:
     """A finite prefix-closed set of interpreted histories.
 
-    Node ids ascend from the root (id 0, empty history) and every
-    parent id is smaller than its children's, so iterating ids in
-    order visits parents first.
+    One store: each node id maps to its parent and the step appended to
+    the parent's history (the root, id 0, has neither), and to the tuple
+    of its children.  Node ids ascend from the root and every parent id
+    is smaller than its children's, so iterating ids in order visits
+    parents first.  A flip's coin outcome is not stored: it is the
+    payload of the flip response.
+
+    ``from_runs`` and ``from_json`` read the runs of one strong
+    adversary, which branch only where a flip response differs, and
+    reject any other branching; a projection (``project_tree``) is the
+    prefix tree of a plain set of histories and may branch at any step.
     """
 
-    def __init__(
-        self,
-        processes: tuple[int, ...],
-        objects: Mapping[int, ObjectInfo],
-        nodes: Mapping[int, TreeNode],
-        children: Mapping[int, list[int]],
-    ):
+    root = 0
+
+    def __init__(self, processes: tuple[int, ...], objects: Mapping[int, ObjectInfo]):
+        """The tree of the empty history alone."""
         self.processes = tuple(processes)
         self.objects = dict(objects)
-        self._nodes = dict(nodes)
-        self._children = {nid: tuple(ch) for nid, ch in children.items()}
-        if 0 not in self._nodes or self._nodes[0].parent is not None:
-            raise TreeError("tree has no root")
+        self._nodes: dict[int, tuple[int | None, Step | None]] = {0: (None, None)}
+        self._children: dict[int, tuple[int, ...]] = {0: ()}
         self._frames: dict[int, tuple] = {0: ((), (), 0)}
 
-    root = 0
+    def _add(self, nid: int, parent: int | None, step: Step | None) -> None:
+        self._nodes[nid] = (parent, step)
+        self._children[nid] = ()
+        if parent is not None:
+            self._children[parent] += (nid,)
+
+    def _child(self, cur: int, s: Step) -> int:
+        """The node ``s`` leads to from ``cur``, added on first use.
+
+        The new id is the node count, so only a tree grown from its root
+        by this method alone (ids 0, 1, 2, ...) may call it.
+        """
+        for c in self._children[cur]:
+            if self._nodes[c][1] == s:
+                return c
+        nxt = len(self._nodes)
+        self._add(nxt, cur, s)
+        return nxt
+
+    def _check_branches(self) -> None:
+        # Runs of one strong adversary diverge only at a flip response.
+        for nid, kids in self._children.items():
+            if len(kids) > 1:
+                steps = [self._nodes[c][1] for c in kids]
+                heads = {(s.process, s.obj, s.op, s.kind) for s in steps}
+                if len(heads) != 1 or not all(
+                    _is_flip_response(self.objects, s) for s in steps
+                ):
+                    raise TreeError(
+                        f"node {nid} branches on something other than a flip response"
+                    )
+                if len({s.payload for s in steps}) != len(steps):
+                    raise TreeError(f"node {nid} has duplicate branch outcomes")
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -154,10 +139,10 @@ class HistoryTree:
         return tuple(sorted(self._nodes))
 
     def parent(self, nid: int) -> int | None:
-        return self._nodes[nid].parent
+        return self._nodes[nid][0]
 
     def step(self, nid: int) -> Step | None:
-        return self._nodes[nid].step
+        return self._nodes[nid][1]
 
     def children(self, nid: int) -> tuple[int, ...]:
         return self._children.get(nid, ())
@@ -167,10 +152,10 @@ class HistoryTree:
 
     def history_of(self, nid: int) -> History:
         steps = []
-        node = self._nodes[nid]
-        while node.parent is not None:
-            steps.append(node.step)
-            node = self._nodes[node.parent]
+        parent, step = self._nodes[nid]
+        while parent is not None:
+            steps.append(step)
+            parent, step = self._nodes[parent]
         return History(tuple(reversed(steps)), self.processes, self.objects)
 
     def ops_of(self, nid: int) -> tuple[OperationInstance, ...]:
@@ -192,10 +177,10 @@ class HistoryTree:
         cur = nid
         while cur not in frames:
             path.append(cur)
-            cur = self._nodes[cur].parent
+            cur = self._nodes[cur][0]
         ops, open_ops, i = frames[cur]
         for cur in reversed(path):
-            s = self._nodes[cur].step
+            s = self._nodes[cur][1]
             key = (s.process, s.level)
             pos = next((j for k, j in open_ops if k == key), None)
             if s.is_inv():
@@ -235,32 +220,28 @@ class HistoryTree:
         Values may be RunRecords or plain histories; each is reduced to
         its interpreted form first.  Divergence anywhere but at a flip
         response means the runs did not come from one strong adversary
-        and is rejected.
+        and is rejected; with ``omega``, every flip response's siblings
+        must cover exactly its outcomes.
         """
         if not records:
             raise TreeError("no runs given")
-        items = sorted(records.items())
-        hists = [
-            interpret(v.history if hasattr(v, "history") else v) for _c, v in items
-        ]
+        hists = [interpret(getattr(v, "history", v)) for _, v in sorted(records.items())]
         processes, objects = hists[0].processes, hists[0].objects
         for h in hists[1:]:
             if h.processes != processes or dict(h.objects) != dict(objects):
                 raise TreeError("runs disagree on processes or objects")
-        grown = _PrefixTree(objects)
+        tree = cls(processes, objects)
         for h in hists:
-            cur = 0
+            cur = tree.root
             for s in h.steps:
-                cur = grown.child(cur, s)
-        nodes, children = grown.nodes, grown.children
-        _check_branches(objects, nodes, children)
-        tree = cls(processes, objects, nodes, children)
+                cur = tree._child(cur, s)
+        tree._check_branches()
         if omega is not None:
             want = sorted(omega)
             for nid in tree.node_ids():
-                ch = tree.children(nid)
-                if len(ch) > 1 or (ch and nodes[ch[0]].coin_outcome is not None):
-                    got = sorted(nodes[c].coin_outcome for c in ch)
+                got = [_coin_outcome(objects, tree.step(c)) for c in tree.children(nid)]
+                if len(got) > 1 or (got and got[0] is not None):
+                    got.sort()
                     if got != want:
                         raise TreeError(
                             f"branch node {nid} covers outcomes {got}, not {want}"
@@ -269,20 +250,21 @@ class HistoryTree:
 
     @classmethod
     def from_json(cls, text: str) -> "HistoryTree":
+        """Read ``to_json``'s document; TreeError unless every node follows
+        its parent, the root comes first as id 0, and branching happens
+        only at flip responses."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TreeError(f"bad tree JSON: {exc}") from None
         processes, objects, raw = _fields(doc, ("processes", "objects", "nodes"), "tree")
-        processes = processes_from_doc(processes)
-        objects = objects_from_doc(objects)
+        tree = cls(processes_from_doc(processes), objects_from_doc(objects))
         if not isinstance(raw, list):
             raise TreeError("tree nodes must be a list")
-        # a tree without nodes is the root alone
-        raw = raw or [{"id": 0, "parent": None, "step": None}]
-        listed = frozenset(processes)
-        nodes: dict[int, TreeNode] = {}
-        children: dict[int, list[int]] = {}
+        # a document without nodes is the root alone; one with nodes lists it
+        if raw:
+            tree._nodes, tree._children = {}, {}
+        nodes, listed = tree._nodes, frozenset(tree.processes)
         for rec in raw:
             nid, parent, sd = _fields(rec, ("id", "parent", "step"), "tree node")
             if not (_is_id(nid) and (parent is None or _is_id(parent))):
@@ -296,41 +278,34 @@ class HistoryTree:
             else:
                 if parent not in nodes or parent >= nid:
                     raise TreeError(f"node {nid}: tree is not prefix-closed")
-                step = step_from_doc(sd, objects, listed)
-            node = _tree_node(objects, nid, parent, step)
+                step = step_from_doc(sd, tree.objects, listed)
             # The field is optional and redundant with the step; compared
             # as JSON text, so neither true nor 1.0 passes for 1.
             if "coin_outcome" in rec and _dumps(rec["coin_outcome"]) != _dumps(
-                node.coin_outcome
+                _coin_outcome(tree.objects, step)
             ):
                 raise TreeError(f"node {nid}: coin_outcome disagrees with its step")
-            nodes[nid] = node
-            children[nid] = []
-            if parent is not None:
-                children[parent].append(nid)
-        _check_branches(objects, nodes, children)
-        return cls(processes, objects, nodes, children)
+            tree._add(nid, parent, step)
+        tree._check_branches()
+        if nodes.get(0) != (None, None):
+            raise TreeError("tree has no root")
+        return tree
 
     def to_json(self) -> str:
+        nodes = []
+        for nid in self.node_ids():
+            parent, step = self._nodes[nid]
+            rec = {"id": nid, "parent": parent, "step": step_doc(step) if step else None}
+            outcome = _coin_outcome(self.objects, step)
+            if outcome is not None:
+                rec["coin_outcome"] = outcome
+            nodes.append(rec)
         doc = {
             "processes": list(self.processes),
             "objects": objects_doc(self.objects),
-            "nodes": [
-                self._node_json(self._nodes[nid]) for nid in self.node_ids()
-            ],
+            "nodes": nodes,
         }
         return _dumps(doc)
-
-    @staticmethod
-    def _node_json(node: TreeNode) -> dict:
-        rec: dict[str, Any] = {
-            "id": node.node_id,
-            "parent": node.parent,
-            "step": None if node.step is None else step_doc(node.step),
-        }
-        if node.coin_outcome is not None:
-            rec["coin_outcome"] = node.coin_outcome
-        return rec
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +337,15 @@ class ImageOp:
 Witness = Mapping[int, tuple[ImageOp, ...]]
 
 
-def render_witness(tree: HistoryTree, witness: Witness) -> str:
-    """Witness interchange: JSON map node id -> sequential step list."""
-    doc = {
+def witness_doc(tree: HistoryTree, witness: Witness) -> dict[str, list]:
+    """Witness interchange: a JSON object mapping each node id to its
+    image as a sequential step list."""
+    return {
         str(nid): [
             step_doc(s) for s in image_history(tree.history_of(nid), witness[nid]).steps
         ]
         for nid in tree.node_ids()
     }
-    return _dumps(doc)
 
 
 def _spec_for(specs: Mapping[int, SeqSpec], oid: int) -> SeqSpec:
@@ -834,15 +809,12 @@ def project_tree(tree: HistoryTree, oid: int) -> tuple[HistoryTree, dict[int, in
         raise TreeError(f"unknown object {oid}")
     if info.level != INTERPRETED:
         raise TreeError(f"object {oid} is a base object")
-    grown = _PrefixTree(tree.objects)
-    cursor = {tree.root: 0}
-    for nid in tree.node_ids():
-        if nid == tree.root:
-            continue
+    proj = HistoryTree(tree.processes, tree.objects)
+    cursor = {tree.root: proj.root}
+    for nid in tree.node_ids()[1:]:
         s = tree.step(nid)
         cur = cursor[tree.parent(nid)]
-        cursor[nid] = grown.child(cur, s) if s.obj == oid else cur
-    proj = HistoryTree(tree.processes, tree.objects, grown.nodes, grown.children)
+        cursor[nid] = proj._child(cur, s) if s.obj == oid else cur
     return proj, cursor
 
 
@@ -871,9 +843,7 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
     comb: dict[int, tuple[ImageOp, ...]] = {tree.root: ()}
     depth = {tree.root: 0}
     posmap = {tree.root: {oid: () for oid in impl}}
-    for nid in tree.node_ids():
-        if nid == tree.root:
-            continue
+    for nid in tree.node_ids()[1:]:
         pnid, s = tree.parent(nid), tree.step(nid)
         at = depth[pnid]
         depth[nid] = at + 1

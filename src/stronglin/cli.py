@@ -20,7 +20,7 @@ from .checkers import (
     check_strong_lin,
     default_specs,
     linearize_one,
-    render_witness,
+    witness_doc,
 )
 from .engine import EngineError, VectorCoins, run
 from .experiments import (
@@ -174,7 +174,7 @@ def check_strong_lin_cmd(tree_file: str, out: str) -> None:
     if witness is None:
         _write(out, json.dumps({"witness": None}) + "\n")
         sys.exit(1)
-    doc = {"witness": json.loads(render_witness(tree, witness))}
+    doc = {"witness": witness_doc(tree, witness)}
     _write(out, json.dumps(doc, sort_keys=True) + "\n")
 
 

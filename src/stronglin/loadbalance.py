@@ -133,7 +133,6 @@ class ApReport:
     config_index: int
     case: int
     writers: frozenset
-    sees_target: frozenset
     accesses_at_config: Mapping[int, int]
     bound: tuple[int, int] | None
 
@@ -219,7 +218,6 @@ def ap_run_report(rec: RunRecord, p: int) -> ApReport:
         config_index=config_index,
         case=1 if p in dict(at_c.marks).values() else 2,
         writers=frozenset(q for q in group if first_op[q] == "write"),
-        sees_target=frozenset(q for (q, x) in at_c.sees if x == p),
         accesses_at_config={
             q: bisect_right(accesses[q], config_index) for q in group
         },

@@ -2,15 +2,18 @@
 and common linearizations of run pairs."""
 
 import functools
+import hashlib
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stronglin import checkers
+from stronglin.cli import main as cli_main
 from stronglin.checkers import (
     CheckerError,
     _candidates,
@@ -28,8 +31,8 @@ from stronglin.checkers import (
     normality_violations,
     normalize_witness,
     project_tree,
-    render_witness,
     validate_witness,
+    witness_doc,
     witness_violations,
 )
 from stronglin.engine import (
@@ -272,6 +275,211 @@ def test_empty_tree_has_empty_witness():
     tree = HistoryTree.from_json('{"processes": [], "objects": {}, "nodes": []}')
     assert len(tree) == 1
     assert check_strong_lin(tree, {}) == {0: ()}
+
+
+_ROOT = {"id": 0, "parent": None, "step": None}
+_WRITE = {"kind": INV, "process": 0, "object": 0, "op": "write", "payload": [1],
+          "level": BASE}
+_FLIP_INV = {"kind": INV, "process": 0, "object": 1, "op": "flip", "payload": [],
+             "level": BASE}
+_FLIP = {**_FLIP_INV, "kind": RSP, "payload": 1}
+
+
+def _tree_text(*nodes, nodes_field=None):
+    return json.dumps({"processes": [0], "objects": objects_doc(REG_OBJS),
+                       "nodes": list(nodes) if nodes_field is None else nodes_field})
+
+
+def _node(nid, parent, step, **extra):
+    return {"id": nid, "parent": parent, "step": step, **extra}
+
+
+def _flip_branches(*outcomes):
+    # Root, a flip invocation, then one flip response per outcome.
+    return _tree_text(_ROOT, _node(1, 0, _FLIP_INV), *[
+        _node(2 + i, 1, {**_FLIP, "payload": o}) for i, o in enumerate(outcomes)
+    ])
+
+
+def _flip_runs(*outcomes):
+    return {
+        (i,): History((inv(0, 1, "flip"), rsp(0, 1, "flip", o)), (0,), REG_OBJS)
+        for i, o in enumerate(outcomes)
+    }
+
+
+def _mutex_counter_runs_tree():
+    return HistoryTree.from_runs(mutex_counter_runs())
+
+
+def _projection(make, oid):
+    return lambda: project_tree(make(), oid)[0]
+
+
+#: Each way of building a tree, and either the exact TreeError text it
+#: raises (the CLI prints it) or sha256 digests of the tree's to_json()
+#: and of what check-strong-lin prints for that JSON: the witness
+#: document, or the reason the tree was refused.
+TREE_PINS = {
+    "no-runs": (lambda: HistoryTree.from_runs({}), "no runs given"),
+    "runs-disagree": (
+        lambda: HistoryTree.from_runs({
+            (0,): History((), (0,), REG_OBJS), (1,): History((), (0, 1), REG_OBJS),
+        }),
+        "runs disagree on processes or objects",
+    ),
+    "runs-branch-on-a-write": (
+        lambda: HistoryTree.from_runs({
+            (0,): History((inv(0, 0, "write", (1,)),), (0,), REG_OBJS),
+            (1,): History((inv(0, 0, "write", (2,)),), (0,), REG_OBJS),
+        }),
+        "node 0 branches on something other than a flip response",
+    ),
+    "omega-missing-outcome": (
+        lambda: HistoryTree.from_runs(_flip_runs(0, 1), omega=(0, 1, 2)),
+        "branch node 1 covers outcomes [0, 1], not [0, 1, 2]",
+    ),
+    "omega-single-outcome": (
+        lambda: HistoryTree.from_runs(_flip_runs(1), omega=(0, 1)),
+        "branch node 1 covers outcomes [1], not [0, 1]",
+    ),
+    "nodes-not-a-list": (
+        lambda: HistoryTree.from_json(_tree_text(nodes_field={})),
+        "tree nodes must be a list",
+    ),
+    "string-id": (
+        lambda: HistoryTree.from_json(_tree_text(_ROOT, _node("1", 0, _WRITE))),
+        "node id '1' and parent 0 must be integers",
+    ),
+    "no-root": (
+        lambda: HistoryTree.from_json(_tree_text(_node(1, None, None))),
+        "tree has no root",
+    ),
+    # The root check comes last, after every node and the branch rule.
+    "no-root-and-a-later-bad-node": (
+        lambda: HistoryTree.from_json(
+            _tree_text(_node(1, None, None), _node(2, 5, _WRITE))
+        ),
+        "node 2: tree is not prefix-closed",
+    ),
+    "no-root-and-a-bad-branch": (
+        lambda: HistoryTree.from_json(_tree_text(
+            _node(1, None, None), _node(2, 1, _WRITE),
+            _node(3, 1, {**_WRITE, "payload": [2]}),
+        )),
+        "node 1 branches on something other than a flip response",
+    ),
+    "root-not-first": (
+        lambda: HistoryTree.from_json(
+            _tree_text(_ROOT, _node(1, 0, _WRITE), _node(2, None, None))
+        ),
+        "root must come first and carry no step",
+    ),
+    "root-with-a-step": (
+        lambda: HistoryTree.from_json(_tree_text(_node(0, None, _WRITE))),
+        "root must come first and carry no step",
+    ),
+    "unknown-parent": (
+        lambda: HistoryTree.from_json(_tree_text(_ROOT, _node(2, 1, _WRITE))),
+        "node 2: tree is not prefix-closed",
+    ),
+    "parent-after-child": (
+        lambda: HistoryTree.from_json(
+            _tree_text(_ROOT, _node(3, 0, _WRITE), _node(2, 3, _WRITE))
+        ),
+        "node 2: tree is not prefix-closed",
+    ),
+    "duplicate-id": (
+        lambda: HistoryTree.from_json(
+            _tree_text(_ROOT, _node(1, 0, _WRITE), _node(1, 0, _WRITE))
+        ),
+        "duplicate node id 1",
+    ),
+    "branch-on-a-write": (
+        lambda: HistoryTree.from_json(_tree_text(
+            _ROOT, _node(1, 0, _WRITE), _node(2, 0, {**_WRITE, "payload": [2]}),
+        )),
+        "node 0 branches on something other than a flip response",
+    ),
+    "duplicate-outcomes": (
+        lambda: HistoryTree.from_json(_flip_branches(1, 1)),
+        "node 1 has duplicate branch outcomes",
+    ),
+    "coin-outcome-disagrees": (
+        lambda: HistoryTree.from_json(_tree_text(
+            _ROOT, _node(1, 0, _FLIP_INV), _node(2, 1, _FLIP, coin_outcome=0),
+        )),
+        "node 2: coin_outcome disagrees with its step",
+    ),
+    "coin-outcome-on-a-write": (
+        lambda: HistoryTree.from_json(
+            _tree_text(_ROOT, _node(1, 0, _WRITE, coin_outcome=1))
+        ),
+        "node 1: coin_outcome disagrees with its step",
+    ),
+    "project-unknown-object": (
+        _projection(mutex_counter_tree, 99), "unknown object 99",
+    ),
+    "project-base-object": (
+        _projection(hw_atomic_dequeue_tree, 0), "object 0 is a base object",
+    ),
+    # A flip response with a null payload is still a flip: it may branch.
+    "null-flip-branches": (
+        lambda: HistoryTree.from_json(_flip_branches(None, 1)),
+        ("0bd6109108b95c40", "f695490f410d54f6"),
+    ),
+    "null-flip-runs": (
+        lambda: HistoryTree.from_runs(_flip_runs(None, 1)),
+        ("0bd6109108b95c40", "f695490f410d54f6"),
+    ),
+    "mutex-counter-tree": (
+        mutex_counter_tree, ("378d6ce0e1c24da0", "f074759a220f24e4"),
+    ),
+    "hw-atomic-dequeue-tree": (
+        hw_atomic_dequeue_tree, ("1432e3ec1c507d81", "21b9970bcdd6538d"),
+    ),
+    "queue-counter-tree": (
+        queue_counter_tree, ("4251a766aecaceba", "21b9970bcdd6538d"),
+    ),
+    "counter-race-tree": (counter_race_tree, ("889087a48a27d5e1", "7af126f16cb3c394")),
+    "mutex-counter-runs": (
+        _mutex_counter_runs_tree, ("21e8fdb96a5b1ab2", "a819529944c69c8e"),
+    ),
+    "mutex-counter-runs-object-0": (
+        _projection(_mutex_counter_runs_tree, 0), ("8bc0bd16f3bc0263", "39bc82095c40577b"),
+    ),
+    "mutex-counter-runs-object-3": (
+        _projection(_mutex_counter_runs_tree, 3), ("5e2a0eed8cd8f8bb", "bf8aa437e2182177"),
+    ),
+    # check-strong-lin refuses this projection's JSON: it branches at a
+    # dequeue response, which from_json allows only at a flip response.
+    "queue-counter-tree-object-0": (
+        _projection(queue_counter_tree, 0), ("46a0ff9980b94f25", "4a9b59e0f105dfa5"),
+    ),
+    "queue-counter-tree-object-2": (
+        _projection(queue_counter_tree, 2), ("c1431ab349b4058c", "ff61a7243f42c896"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TREE_PINS)
+def test_tree_construction_is_pinned(tmp_path, case):
+    build, want = TREE_PINS[case]
+    if isinstance(want, str):
+        with pytest.raises(TreeError) as err:
+            build()
+        assert str(err.value) == want
+        return
+    text = build().to_json()
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        with open("tree.json", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        printed = runner.invoke(cli_main, ["check-strong-lin", "tree.json"]).output
+    digests = tuple(
+        hashlib.sha256(b.encode()).hexdigest()[:16] for b in (text, printed)
+    )
+    assert digests == want
 
 
 # ---------------------------------------------------------------------------
@@ -909,11 +1117,11 @@ def test_search_guards():
         check_strong_lin(small, {0: register_spec()}, pending_cap=2)
 
 
-def test_render_witness_shape():
+def test_witness_doc_shape():
     tree = write_flip_read_tree()
     specs = default_specs(tree.objects, tree.processes)
     w = check_strong_lin(tree, specs)
-    doc = json.loads(render_witness(tree, w))
+    doc = witness_doc(tree, w)
     assert set(doc) == {str(n) for n in tree.node_ids()}
     for nid in tree.node_ids():
         steps = doc[str(nid)]

@@ -84,7 +84,8 @@ def test_llsc_case2_exact_lower_bound():
     report = assert_ap_invariants(rec, 0)
     assert report.case == 2
     assert report.stalled_group == {0, 1, 2, 3}
-    assert report.sees_target == frozenset()
+    at_c = MarkState().after(rec.history.steps[: report.config_index + 1])
+    assert {q for (q, x) in at_c.sees if x == 0} == set()  # nobody sees the target
     assert fai_return(rec, 0) == 3
     rec.history.operations()  # raises on a malformed history
 
@@ -347,7 +348,6 @@ def reference_ap_run_report(rec, p):
     state = MarkState().after(prefix.steps)
     visible = p in dict(state.marks).values()
     writers = frozenset(q for q in group if first[q][1].op == "write")
-    sees_target = frozenset(q for (q, x) in state.sees if x == p)
     accesses = dict.fromkeys(group, 0)
     for s in prefix.steps:
         if s.process in accesses and reference_is_shared_access(s, objects):
@@ -359,7 +359,6 @@ def reference_ap_run_report(rec, p):
         config_index=config_index,
         case=1 if visible else 2,
         writers=writers,
-        sees_target=sees_target,
         accesses_at_config=accesses,
         bound=reference_helper_bound(rec, p, i_star, group),
     )
