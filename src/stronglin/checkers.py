@@ -1,10 +1,11 @@
 """Decision procedures over finite history trees.
 
 A prefix-closed set of interpreted histories forms a tree: one node per
-prefix, one appended step per edge.  The runs of one strong adversary
-branch only where a coin flip response differs, and the tree readers
-(``HistoryTree.from_runs`` and ``from_json``) enforce that; a projection
-onto one object may branch at any step.  This module decides
+prefix, one appended step per edge, branching wherever two histories
+part.  Any such set is a ``HistoryTree``.  Only
+``HistoryTree.from_runs(..., omega)`` claims more: that its runs come
+from one strong adversary, so they branch only where a coin flip
+response differs, over exactly the outcomes ``omega``.  This module decides
 linearizability of a single history, searches for prefix-preserving
 linearization witnesses over whole trees, re-validates and normalizes
 such witnesses, and composes per-object witnesses into one for a
@@ -79,13 +80,13 @@ class HistoryTree:
     the parent's history (the root, id 0, has neither), and to the tuple
     of its children.  Node ids ascend from the root and every parent id
     is smaller than its children's, so iterating ids in order visits
-    parents first.  A flip's coin outcome is not stored: it is the
-    payload of the flip response.
+    parents first, and siblings carry different steps.  A flip's coin
+    outcome is not stored: it is the payload of the flip response.
 
-    ``from_runs`` and ``from_json`` read the runs of one strong
-    adversary, which branch only where a flip response differs, and
-    reject any other branching; a projection (``project_tree``) is the
-    prefix tree of a plain set of histories and may branch at any step.
+    Those are the only invariants: a tree may branch at any step, and
+    every tree ``to_json`` writes reads back through ``from_json`` to
+    the same bytes.  Whether the branching fits one strong adversary is
+    checked once, by ``from_runs`` when it is given ``omega``.
     """
 
     root = 0
@@ -116,21 +117,6 @@ class HistoryTree:
         nxt = len(self._nodes)
         self._add(nxt, cur, s)
         return nxt
-
-    def _check_branches(self) -> None:
-        # Runs of one strong adversary diverge only at a flip response.
-        for nid, kids in self._children.items():
-            if len(kids) > 1:
-                steps = [self._nodes[c][1] for c in kids]
-                heads = {(s.process, s.obj, s.op, s.kind) for s in steps}
-                if len(heads) != 1 or not all(
-                    _is_flip_response(self.objects, s) for s in steps
-                ):
-                    raise TreeError(
-                        f"node {nid} branches on something other than a flip response"
-                    )
-                if len({s.payload for s in steps}) != len(steps):
-                    raise TreeError(f"node {nid} has duplicate branch outcomes")
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -218,10 +204,10 @@ class HistoryTree:
         """Build the prefix tree of a set of runs keyed by coin vector.
 
         Values may be RunRecords or plain histories; each is reduced to
-        its interpreted form first.  Divergence anywhere but at a flip
-        response means the runs did not come from one strong adversary
-        and is rejected; with ``omega``, every flip response's siblings
-        must cover exactly its outcomes.
+        its interpreted form first.  Without ``omega`` any runs will do.
+        With it, the runs must be those of one strong adversary: a node's
+        children are the responses of one flip invocation, and their
+        outcomes are exactly ``omega``, each once.
         """
         if not records:
             raise TreeError("no runs given")
@@ -235,24 +221,27 @@ class HistoryTree:
             cur = tree.root
             for s in h.steps:
                 cur = tree._child(cur, s)
-        tree._check_branches()
         if omega is not None:
-            want = sorted(omega)
-            for nid in tree.node_ids():
-                got = [_coin_outcome(objects, tree.step(c)) for c in tree.children(nid)]
-                if len(got) > 1 or (got and got[0] is not None):
-                    got.sort()
-                    if got != want:
-                        raise TreeError(
-                            f"branch node {nid} covers outcomes {got}, not {want}"
-                        )
+            want = list(omega)
+            for nid, kids in tree._children.items():
+                flip = bool(kids) and _is_flip_response(objects, tree._nodes[kids[0]][1])
+                if len(kids) < 2 and not flip:
+                    continue
+                steps = [tree._nodes[c][1] for c in kids]
+                if not flip or len({(s.kind, s.process, s.obj, s.op) for s in steps}) > 1:
+                    raise TreeError(
+                        f"node {nid} branches on something other than a flip response"
+                    )
+                got = [s.payload for s in steps]
+                if len(got) != len(want) or set(got) != set(want):
+                    raise TreeError(f"branch node {nid} covers outcomes {got}, not {want}")
         return tree
 
     @classmethod
     def from_json(cls, text: str) -> "HistoryTree":
-        """Read ``to_json``'s document; TreeError unless every node follows
-        its parent, the root comes first as id 0, and branching happens
-        only at flip responses."""
+        """Read ``to_json``'s document, whatever its branching; TreeError
+        unless every node follows its parent, the root comes first as
+        id 0, and siblings carry different steps."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -279,6 +268,8 @@ class HistoryTree:
                 if parent not in nodes or parent >= nid:
                     raise TreeError(f"node {nid}: tree is not prefix-closed")
                 step = step_from_doc(sd, tree.objects, listed)
+                if step in [nodes[c][1] for c in tree._children[parent]]:
+                    raise TreeError(f"node {nid} repeats a sibling's step")
             # The field is optional and redundant with the step; compared
             # as JSON text, so neither true nor 1.0 passes for 1.
             if "coin_outcome" in rec and _dumps(rec["coin_outcome"]) != _dumps(
@@ -286,7 +277,6 @@ class HistoryTree:
             ):
                 raise TreeError(f"node {nid}: coin_outcome disagrees with its step")
             tree._add(nid, parent, step)
-        tree._check_branches()
         if nodes.get(0) != (None, None):
             raise TreeError("tree has no root")
         return tree

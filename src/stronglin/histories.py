@@ -324,8 +324,9 @@ def step_from_doc(
 ) -> Step:
     """Inverse of step_doc; HistoryError on a non-object, a missing key,
     a field of the wrong type, a process missing from ``processes``, an
-    object id missing from ``objects``, a payload holding a JSON object
-    or an invocation whose payload is not an argument list."""
+    object id missing from ``objects``, a level other than its object's,
+    a payload holding a JSON object or an invocation whose payload is
+    not an argument list."""
     kind, process, obj, op, payload, level = _fields(doc, _STEP_KEYS, "step")
     if kind not in _KINDS:
         raise HistoryError(f"step kind {kind!r} is not 'inv' or 'rsp'")
@@ -335,8 +336,11 @@ def step_from_doc(
         raise HistoryError("step process and object must be integers, op a string")
     if process not in processes:
         raise HistoryError(f"step process {process} is not in the process list")
-    if obj not in objects:
+    info = objects.get(obj)
+    if info is None:
         raise HistoryError(f"step object {obj} is not in the registry")
+    if level != info.level:
+        raise HistoryError(f"step level {level!r} differs from object {obj}'s {info.level!r}")
     if kind == INV and not isinstance(payload, list):
         raise HistoryError("an invocation payload must be a list of arguments")
     return Step(kind, process, obj, op, _decode_payload(payload), level)

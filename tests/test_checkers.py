@@ -186,8 +186,9 @@ def test_history_of_walks_a_deep_chain_without_recursion():
 def test_from_runs_rejects_divergence_at_non_flip():
     h1 = History((inv(0, 0, "write", (1,)),), (0,), REG_OBJS)
     h2 = History((inv(0, 0, "write", (2,)),), (0,), REG_OBJS)
+    HistoryTree.from_runs({(0,): h1, (1,): h2})  # a plain prefix tree
     with pytest.raises(TreeError):
-        HistoryTree.from_runs({(0,): h1, (1,): h2})
+        HistoryTree.from_runs({(0,): h1, (1,): h2}, omega=(0, 1))
 
 
 def test_from_runs_omega_coverage_enforced():
@@ -238,12 +239,13 @@ def test_from_json_rejects_malformed_trees():
         HistoryTree.from_json(doc([{"id": 0, "parent": None, "step": None},
                                    {"id": 1, "parent": 0, "step": step},
                                    {"id": 1, "parent": 0, "step": step}]))
-    with pytest.raises(TreeError):  # branch on a non-flip step
-        HistoryTree.from_json(doc([
-            {"id": 0, "parent": None, "step": None},
-            {"id": 1, "parent": 0, "step": step},
-            {"id": 2, "parent": 0, "step": {**step, "payload": [2]}},
-        ]))
+    # a branch on a non-flip step is a tree like any other
+    tree = HistoryTree.from_json(doc([
+        {"id": 0, "parent": None, "step": None},
+        {"id": 1, "parent": 0, "step": step},
+        {"id": 2, "parent": 0, "step": {**step, "payload": [2]}},
+    ]))
+    assert tree.children(0) == (1, 2)
 
 
 def test_from_json_rejects_duplicate_branch_outcomes():
@@ -332,7 +334,7 @@ TREE_PINS = {
         lambda: HistoryTree.from_runs({
             (0,): History((inv(0, 0, "write", (1,)),), (0,), REG_OBJS),
             (1,): History((inv(0, 0, "write", (2,)),), (0,), REG_OBJS),
-        }),
+        }, omega=(0, 1)),
         "node 0 branches on something other than a flip response",
     ),
     "omega-missing-outcome": (
@@ -342,6 +344,15 @@ TREE_PINS = {
     "omega-single-outcome": (
         lambda: HistoryTree.from_runs(_flip_runs(1), omega=(0, 1)),
         "branch node 1 covers outcomes [1], not [0, 1]",
+    ),
+    # A flip response with a null payload is an outcome like any other.
+    "omega-null-outcome": (
+        lambda: HistoryTree.from_runs(_flip_runs(None), omega=(0, 1)),
+        "branch node 1 covers outcomes [None], not [0, 1]",
+    ),
+    "omega-null-and-one": (
+        lambda: HistoryTree.from_runs(_flip_runs(None, 1), omega=(0, 1)),
+        "branch node 1 covers outcomes [None, 1], not [0, 1]",
     ),
     "nodes-not-a-list": (
         lambda: HistoryTree.from_json(_tree_text(nodes_field={})),
@@ -355,7 +366,7 @@ TREE_PINS = {
         lambda: HistoryTree.from_json(_tree_text(_node(1, None, None))),
         "tree has no root",
     ),
-    # The root check comes last, after every node and the branch rule.
+    # The root check comes last, after every node.
     "no-root-and-a-later-bad-node": (
         lambda: HistoryTree.from_json(
             _tree_text(_node(1, None, None), _node(2, 5, _WRITE))
@@ -367,7 +378,7 @@ TREE_PINS = {
             _node(1, None, None), _node(2, 1, _WRITE),
             _node(3, 1, {**_WRITE, "payload": [2]}),
         )),
-        "node 1 branches on something other than a flip response",
+        "tree has no root",
     ),
     "root-not-first": (
         lambda: HistoryTree.from_json(
@@ -399,11 +410,11 @@ TREE_PINS = {
         lambda: HistoryTree.from_json(_tree_text(
             _ROOT, _node(1, 0, _WRITE), _node(2, 0, {**_WRITE, "payload": [2]}),
         )),
-        "node 0 branches on something other than a flip response",
+        ("80b1d7f689e289aa", "2e8da8b5ca8a387f"),
     ),
     "duplicate-outcomes": (
         lambda: HistoryTree.from_json(_flip_branches(1, 1)),
-        "node 1 has duplicate branch outcomes",
+        "node 3 repeats a sibling's step",
     ),
     "coin-outcome-disagrees": (
         lambda: HistoryTree.from_json(_tree_text(
@@ -423,7 +434,7 @@ TREE_PINS = {
     "project-base-object": (
         _projection(hw_atomic_dequeue_tree, 0), "object 0 is a base object",
     ),
-    # A flip response with a null payload is still a flip: it may branch.
+    # Flip outcomes null and 1 make a tree like any other; only omega refuses them.
     "null-flip-branches": (
         lambda: HistoryTree.from_json(_flip_branches(None, 1)),
         ("0bd6109108b95c40", "f695490f410d54f6"),
@@ -451,10 +462,8 @@ TREE_PINS = {
     "mutex-counter-runs-object-3": (
         _projection(_mutex_counter_runs_tree, 3), ("5e2a0eed8cd8f8bb", "bf8aa437e2182177"),
     ),
-    # check-strong-lin refuses this projection's JSON: it branches at a
-    # dequeue response, which from_json allows only at a flip response.
     "queue-counter-tree-object-0": (
-        _projection(queue_counter_tree, 0), ("46a0ff9980b94f25", "4a9b59e0f105dfa5"),
+        _projection(queue_counter_tree, 0), ("46a0ff9980b94f25", "21b9970bcdd6538d"),
     ),
     "queue-counter-tree-object-2": (
         _projection(queue_counter_tree, 2), ("c1431ab349b4058c", "ff61a7243f42c896"),
@@ -471,6 +480,8 @@ def test_tree_construction_is_pinned(tmp_path, case):
         assert str(err.value) == want
         return
     text = build().to_json()
+    # from_json takes every tree to_json writes, projections included
+    assert HistoryTree.from_json(text).to_json() == text
     runner = CliRunner()
     with runner.isolated_filesystem(temp_dir=tmp_path):
         with open("tree.json", "w", encoding="utf-8") as fh:
@@ -923,16 +934,18 @@ def lvl(step, level):
     [inv(0, 0, "read"), inv(0, 0, "write", (1,))],
     [inv(0, 0, "read"), rsp(0, 0, "write")],
     # one open operation per level: a base call inside an interpreted one
-    [lvl(inv(0, 0, "read"), INTERPRETED), inv(1, 0, "read"), inv(0, 0, "write", (1,)),
-     rsp(0, 0, "write"), rsp(1, 0, "read", 0), lvl(rsp(0, 0, "read", 1), INTERPRETED),
-     lvl(rsp(1, 0, "read", 1), INTERPRETED)],
+    [lvl(inv(0, 2, "read"), INTERPRETED), inv(1, 0, "read"), inv(0, 0, "write", (1,)),
+     rsp(0, 0, "write"), rsp(1, 0, "read", 0), lvl(rsp(0, 2, "read", 1), INTERPRETED),
+     lvl(rsp(1, 2, "read", 1), INTERPRETED)],
 ], ids=["response-first", "double-invoke", "mismatch", "two-levels"])
 def test_ops_of_rejects_what_history_operations_rejects(steps):
     # Read as JSON, which keeps base steps inside method calls.
     nodes = [{"id": 0, "parent": None, "step": None}] + [
         {"id": i + 1, "parent": i, "step": step_doc(s)} for i, s in enumerate(steps)
     ]
-    doc = {"processes": [0, 1], "objects": objects_doc(REG_OBJS), "nodes": nodes}
+    # object 2 is an implemented register, so its steps are interpreted
+    objects = {**REG_OBJS, 2: ObjectInfo("register", INTERPRETED, (("key", "S"),))}
+    doc = {"processes": [0, 1], "objects": objects_doc(objects), "nodes": nodes}
     assert_ops_match_histories(HistoryTree.from_json(json.dumps(doc)))
 
 

@@ -425,6 +425,7 @@ STEP_HOLES = {
     "object-payload": {"payload": [{"v": 1}]},
     "scalar-invocation-payload": {"payload": 5},
     "op-the-spec-rejects": {"op": "frob"},
+    "level-off-its-object": {"level": "interpreted"},
 }
 
 

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stronglin.checkers import HistoryTree
+from stronglin.checkers import HistoryTree, project_tree
 from stronglin.cli import main
 from stronglin.engine import VectorCoins, run
 from stronglin.experiments import (
@@ -42,8 +42,9 @@ JSON_VALUES = st.recursive(
 
 
 def _trees():
+    # The last is a projection, which branches at a dequeue response.
     return [counter_race_tree(), mutex_counter_tree(), hw_atomic_dequeue_tree(),
-            queue_counter_tree()]
+            queue_counter_tree(), project_tree(queue_counter_tree(), 0)[0]]
 
 
 def _histories():
