@@ -39,6 +39,7 @@ from .histories import (
     _is_id,
     happens_before,
     interpret,
+    is_flip_response,
     objects_doc,
     objects_from_doc,
     processes_from_doc,
@@ -54,18 +55,6 @@ class CheckerError(Exception):
 
 class TreeError(CheckerError):
     """A history tree violating its structural invariants."""
-
-
-def _is_flip_response(objects: Mapping[int, ObjectInfo], s: Step | None) -> bool:
-    if s is None or not s.is_rsp():
-        return False
-    info = objects.get(s.obj)
-    return info is not None and info.type_name == "coin"
-
-
-def _coin_outcome(objects: Mapping[int, ObjectInfo], s: Step | None) -> Any:
-    """The payload of a flip response, None for any other step."""
-    return s.payload if _is_flip_response(objects, s) else None
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ class HistoryTree:
         if omega is not None:
             want = list(omega)
             for nid, kids in tree._children.items():
-                flip = bool(kids) and _is_flip_response(objects, tree._nodes[kids[0]][1])
+                flip = bool(kids) and is_flip_response(objects, tree._nodes[kids[0]][1])
                 if len(kids) < 2 and not flip:
                     continue
                 steps = [tree._nodes[c][1] for c in kids]
@@ -272,9 +261,8 @@ class HistoryTree:
                     raise TreeError(f"node {nid} repeats a sibling's step")
             # The field is optional and redundant with the step; compared
             # as JSON text, so neither true nor 1.0 passes for 1.
-            if "coin_outcome" in rec and _dumps(rec["coin_outcome"]) != _dumps(
-                _coin_outcome(tree.objects, step)
-            ):
+            outcome = step.payload if is_flip_response(tree.objects, step) else None
+            if "coin_outcome" in rec and _dumps(rec["coin_outcome"]) != _dumps(outcome):
                 raise TreeError(f"node {nid}: coin_outcome disagrees with its step")
             tree._add(nid, parent, step)
         if nodes.get(0) != (None, None):
@@ -286,9 +274,8 @@ class HistoryTree:
         for nid in self.node_ids():
             parent, step = self._nodes[nid]
             rec = {"id": nid, "parent": parent, "step": step_doc(step) if step else None}
-            outcome = _coin_outcome(self.objects, step)
-            if outcome is not None:
-                rec["coin_outcome"] = outcome
+            if is_flip_response(self.objects, step) and step.payload is not None:
+                rec["coin_outcome"] = step.payload
             nodes.append(rec)
         doc = {
             "processes": list(self.processes),
@@ -353,7 +340,7 @@ def default_specs(
     history shows.  CheckerError for an entry that names none."""
     out = {}
     for oid, info in objects.items():
-        if any(k == "owner" for k, _v in info.params):
+        if info.label("owner") is not None:
             continue
         try:
             out[oid] = spec_of_entry(info, processes)
@@ -467,7 +454,7 @@ def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
     eligible = [
         op
         for op in ops
-        if op.complete or h.objects[op.obj].type_name != "coin"
+        if op.complete or not h.objects[op.obj].is_coin
     ]
     eligible.sort(key=lambda o: (o.complete is False, o.process, o.inv_index))
     need = frozenset(op.inv_index for op in ops if op.complete)
@@ -505,7 +492,7 @@ def _image_extensions(
                 return  # a guessed response for a pending op turned out wrong
         elif op.complete:
             must.append(op)
-        elif tree.objects[op.obj].type_name != "coin":
+        elif not tree.objects[op.obj].is_coin:
             may.append(op)
     may.sort(key=lambda o: (o.process, o.inv_index))
     preds = _preds(must + may)
@@ -712,7 +699,7 @@ def normality_violations(tree: HistoryTree, witness: Witness) -> list[str]:
         img = witness[nid]
         for i in range(1, len(img)):
             e = img[i]
-            if tree.objects[e.obj].type_name != "coin":
+            if not tree.objects[e.obj].is_coin:
                 continue
             before = by_key[img[i - 1].key]
             cf = by_key[e.key]
@@ -741,8 +728,8 @@ def normalize_witness(
         img = list(witness[nid])
         while img and not by_key[img[-1].key].complete:
             img.pop()
-        flips = [e for e in img if tree.objects[e.obj].type_name == "coin"]
-        base = [e for e in img if tree.objects[e.obj].type_name != "coin"]
+        flips = [e for e in img if tree.objects[e.obj].is_coin]
+        base = [e for e in img if not tree.objects[e.obj].is_coin]
         base_ops = [by_key[e.key] for e in base]
         for cf in sorted(flips, key=lambda e: e.inv_index):
             cf_op = by_key[cf.key]
@@ -878,12 +865,13 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
 
 def _program_key(h: History, op: OperationInstance) -> tuple:
     info = h.objects[op.obj]
-    params = dict(info.params)
-    if info.type_name == "coin":
-        return ("coin", params.get("process", op.process))
-    if "key" in params:
-        return ("obj", params["key"])
-    raise CheckerError(f"object {op.obj} has no program-visible key")
+    if info.is_coin:
+        process = info.label("process")
+        return ("coin", op.process if process is None else process)
+    key = info.label("key")
+    if key is None:
+        raise CheckerError(f"object {op.obj} has no program-visible key")
+    return ("obj", key)
 
 
 def common_linearization(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 from typing import Any, Callable
 
 import click
@@ -25,7 +26,6 @@ from .checkers import (
 from .engine import EngineError, VectorCoins, run
 from .experiments import (
     EXAMPLES,
-    EXPERIMENT_NAMES,
     ExperimentConfig,
     ExperimentError,
     drain_policy,
@@ -43,16 +43,17 @@ def _write(out: str, text: str) -> None:
 
 
 def _shared(fn: Callable) -> Callable:
+    default = {f.name: f.default for f in fields(ExperimentConfig)}
     opts = [
-        click.option("--seed", type=int, default=0, show_default=True,
+        click.option("--seed", type=int, default=default["seed"], show_default=True,
                       help="RNG seed for sampled experiments."),
-        click.option("--trials", type=int, default=200, show_default=True,
+        click.option("--trials", type=int, default=default["trials"], show_default=True,
                       help="Monte Carlo trials per sampled estimate."),
-        click.option("--n", type=int, default=16, show_default=True,
+        click.option("--n", type=int, default=default["n"], show_default=True,
                       help="Process count for the load-balance experiment."),
-        click.option("--delta", type=float, default=0.5, show_default=True,
+        click.option("--delta", type=float, default=default["delta"], show_default=True,
                       help="Contention-cutoff slack in k_max."),
-        click.option("--budget", type=click.IntRange(min=1), default=10_000,
+        click.option("--budget", type=click.IntRange(min=1), default=default["budget"],
                       show_default=True, help="Step budget per run."),
         click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                       default="csv", show_default=True),
@@ -75,10 +76,6 @@ def main() -> None:
 def experiment(name: str, seed: int, trials: int, n: int, delta: float,
                budget: int, fmt: str, out: str) -> None:
     """Run a named experiment and emit its report."""
-    if name not in EXPERIMENT_NAMES:
-        raise click.UsageError(
-            f"unknown experiment {name!r}; names: {', '.join(EXPERIMENT_NAMES)}"
-        )
     cfg = ExperimentConfig(
         name, n=n, delta=delta, trials=trials, seed=seed, budget=budget
     )

@@ -26,6 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from .histories import (
     ANY_RESPONSE,
     BASE,
+    COIN,
     FLIP,
     INTERPRETED,
     INV,
@@ -194,13 +195,6 @@ class RunRecord:
     max_point_contention: int
     flags: frozenset
 
-    @property
-    def coin_vector(self) -> tuple:
-        """Coin outcomes in the order the flips happened."""
-        return tuple(
-            s.payload for s in self.history.steps if s.op == FLIP and s.kind == RSP
-        )
-
 
 class RunView:
     """What an adversary may observe: the low-level history so far.
@@ -313,7 +307,7 @@ class Simulation:
                 self.targets[b.key] = ("impl", toid, impl, state, owned)
         coin = coin_spec()
         self.coin_oid = {
-            p: alloc(coin, "coin", (("process", p),), BASE) for p in alg.processes
+            p: alloc(coin, COIN, (("process", p),), BASE) for p in alg.processes
         }
         self.procs = {p: _ProcState(alg.make_program(p)) for p in alg.processes}
         self._unfinished = len(self.procs)

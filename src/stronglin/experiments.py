@@ -33,6 +33,7 @@ from .checkers import (
     witness_violations,
 )
 from .engine import (
+    DEFAULT_BUDGET,
     AdversaryPolicy,
     AlgorithmSpec,
     Binding,
@@ -48,6 +49,7 @@ from .engine import (
 )
 from .histories import (
     BASE,
+    COIN,
     INTERPRETED,
     INV,
     RSP,
@@ -55,6 +57,7 @@ from .histories import (
     ObjectInfo,
     Step,
     interpret,
+    is_flip_response,
 )
 from .loadbalance import (
     adversary_ap,
@@ -101,7 +104,8 @@ def branching_script(
 
     def script(view: RunView) -> Iterator[int]:
         yield from head
-        outcome = _first_flip(view)
+        flips = (s.payload for s in view.steps if is_flip_response(view.objects, s))
+        outcome = next(flips, None)
         if outcome is None:
             raise EngineError("branch point reached before any flip resolved")
         if outcome not in tails:
@@ -109,13 +113,6 @@ def branching_script(
         yield from tails[outcome]
 
     return plan_policy("weak", script, name)
-
-
-def _first_flip(view: RunView) -> Any | None:
-    for s in view.steps:
-        if s.is_rsp() and view.objects[s.obj].type_name == "coin":
-            return s.payload
-    return None
 
 
 def drain_policy(order: Sequence[int], name: str = "drain") -> AdversaryPolicy:
@@ -158,7 +155,7 @@ class Example:
     goal: str
 
 
-def implemented_value(ex: Example, budget: int = 10_000) -> Fraction:
+def implemented_value(ex: Example, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact expectation of the example's payoff under its pinned schedule."""
     return enumerate_expectation(
         ex.implemented, ex.schedule, ex.omega, 1, ex.payoff, budget
@@ -489,7 +486,7 @@ def queue_counter_tree() -> HistoryTree:
     """
     objs = {
         0: ObjectInfo("queue", INTERPRETED, (("key", "Q"),), impl="demo"),
-        1: ObjectInfo("coin", BASE, (("process", 0),)),
+        1: ObjectInfo(COIN, BASE, (("process", 0),)),
         2: ObjectInfo("strong-counter", INTERPRETED, (("key", "C"),), impl="demo"),
     }
     return _flip_tree(objs, (0, 1, 2), _ENQUEUES_THEN_FLIP, {
@@ -520,7 +517,7 @@ def hw_atomic_dequeue_tree() -> HistoryTree:
     """
     objs = {
         0: ObjectInfo("queue", BASE, (("key", "Q"),)),
-        1: ObjectInfo("coin", BASE, (("process", 0),)),
+        1: ObjectInfo(COIN, BASE, (("process", 0),)),
     }
     return _flip_tree(objs, (0, 1, 2), _ENQUEUES_THEN_FLIP, {
         0: (
@@ -542,7 +539,7 @@ def counter_race_tree() -> HistoryTree:
     """Three racing increments; the flip decides which slow one wins."""
     objs = {
         0: ObjectInfo("strong-counter", BASE, (("key", "X"),)),
-        1: ObjectInfo("coin", BASE, (("process", 2),)),
+        1: ObjectInfo(COIN, BASE, (("process", 2),)),
     }
     common = (
         (INV, 0, 0, "fetch_inc", ()),
@@ -807,7 +804,7 @@ class ExperimentConfig:
     delta: float = 0.5
     trials: int = 200
     seed: int = 0
-    budget: int = 10_000
+    budget: int = DEFAULT_BUDGET
 
     def echo(self) -> tuple[tuple[str, Any], ...]:
         return tuple((f.name, getattr(self, f.name)) for f in fields(self))

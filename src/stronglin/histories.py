@@ -36,6 +36,9 @@ BOTTOM = "⊥"
 
 FLIP = "flip"
 
+#: The type name of a coin, every process's source of randomness.
+COIN = "coin"
+
 
 class HistoryError(Exception):
     """Base class for errors raised by history operations."""
@@ -77,6 +80,12 @@ class Step(NamedTuple):
         return self.kind == RSP
 
 
+#: Params that label a registry entry rather than parametrize its type:
+#: the program's name for the object, the implemented object owning a base
+#: object, the process flipping a coin.
+LABELS = ("key", "owner", "process")
+
+
 @dataclass(frozen=True, slots=True)
 class ObjectInfo:
     """Registry entry: what kind of object an id denotes."""
@@ -85,6 +94,17 @@ class ObjectInfo:
     level: str
     params: tuple[tuple[str, Any], ...] = ()
     impl: str | None = None
+
+    @property
+    def is_coin(self) -> bool:
+        return self.type_name == COIN
+
+    def label(self, name: str) -> Any:
+        """The value of one of the LABELS, None when absent."""
+        for k, v in self.params:
+            if k == name:
+                return v
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,9 +140,6 @@ class History:
 
     def with_steps(self, steps: Iterable[Step]) -> "History":
         return History(tuple(steps), self.processes, self.objects)
-
-    def prefix(self, n: int) -> "History":
-        return self.with_steps(self.steps[:n])
 
     def operations(self) -> tuple[OperationInstance, ...]:
         """Pair invocations with responses, per process and per level.
@@ -197,6 +214,15 @@ def interpret(h: History) -> History:
         elif depth.get(s.process, 0) == 0:
             kept.append(s)
     return h.with_steps(kept)
+
+
+def is_flip_response(objects: Mapping[int, ObjectInfo], s: Step | None) -> bool:
+    """True iff ``s`` is a response on a coin, whatever its payload (a
+    null one included)."""
+    if s is None or s.kind != RSP:
+        return False
+    info = objects.get(s.obj)
+    return info is not None and info.is_coin
 
 
 def happens_before(a: OperationInstance, b: OperationInstance) -> bool:
@@ -401,22 +427,31 @@ def to_jsonl(h: History) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_line(n: int, line: str) -> Any:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise HistoryError(f"line {n}: {exc.msg}: column {exc.colno}") from None
+
+
 def from_jsonl(text: str) -> History:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    """Inverse of to_jsonl; HistoryError naming the file line of the first
+    record that is not JSON or not a well-formed step."""
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise HistoryError("empty input")
-    header = json.loads(lines[0])
+    header = _json_line(*lines[0])
     objects, processes = _fields(header, ("objects", "processes"), "header")
     objects = objects_from_doc(objects)
     processes = processes_from_doc(processes)
     listed = frozenset(processes)
     steps = []
-    for i, ln in enumerate(lines[1:]):
-        rec = json.loads(ln)
+    for i, (n, ln) in enumerate(lines[1:]):
+        rec = _json_line(n, ln)
         try:
             steps.append(step_from_doc(rec, objects, listed))
         except HistoryError as exc:
-            raise HistoryError(f"line {i + 2}: {exc}") from None
+            raise HistoryError(f"line {n}: {exc}") from None
         if rec.get("index") != i:
-            raise HistoryError(f"non-consecutive step index at line {i + 2}")
+            raise HistoryError(f"non-consecutive step index at line {n}")
     return History(tuple(steps), processes, objects)

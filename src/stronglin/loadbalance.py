@@ -88,27 +88,17 @@ def loadbalance_algorithm(n: int, counters: str = "atomic") -> AlgorithmSpec:
 # ---------------------------------------------------------------------------
 
 
-def _owner_index(info) -> int | None:
-    """Counter index owning an object, or None for coins and the like."""
-    if info.type_name == "coin":
-        return None
-    params = dict(info.params)
-    key = params.get("owner", params.get("key"))
-    if key is None:
-        return None
-    return int(key[1:])
-
-
 def _shared_owners(objects) -> dict[int, int | None]:
     """Owner counter index of every non-coin object, None when unowned.
 
     A shared access is a base-level response on one of these objects.
     """
-    return {
-        oid: _owner_index(info)
-        for oid, info in objects.items()
-        if info.type_name != "coin"
-    }
+    owners = {}
+    for oid, info in objects.items():
+        if not info.is_coin:
+            key = info.label("owner") or info.label("key")
+            owners[oid] = None if key is None else int(key[1:])
+    return owners
 
 
 def fai_return(rec: RunRecord, q: int) -> int | None:

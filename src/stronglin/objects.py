@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Any, Callable
 
-from .histories import ANY_RESPONSE, BOTTOM, ObjectInfo, SeqSpec
+from .histories import ANY_RESPONSE, BOTTOM, COIN, LABELS, ObjectInfo, SeqSpec
 
 # ---------------------------------------------------------------------------
 # Sequential specifications
@@ -181,7 +181,7 @@ def coin_spec() -> SeqSpec:
     def flip(state, process):
         return state, ANY_RESPONSE
 
-    return SeqSpec("coin", None, {"flip": (0, flip)})
+    return SeqSpec(COIN, None, {"flip": (0, flip)})
 
 
 #: Every sequential type by name.  The registry entry of an atomic or
@@ -195,18 +195,18 @@ SPECS: dict[str, Callable[..., SeqSpec]] = {
     "llsc-register": llsc_spec,
     "rmw-cell": rmw_cell_spec,
     "test-and-set": test_and_set_spec,
-    "coin": coin_spec,
+    COIN: coin_spec,
 }
 
 
 def spec_of_entry(info: ObjectInfo, processes: tuple[int, ...]) -> SeqSpec:
-    """The spec an entry names, built from its params other than ``key`` and
-    ``process``; a snapshot is as wide as the process list.  ValueError
-    for an unknown type or parameter."""
+    """The spec an entry names, built from its params other than its
+    LABELS; a snapshot is as wide as the process list.  ValueError for an
+    unknown type or parameter."""
     make = SPECS.get(info.type_name)
     if make is None:
         raise ValueError(f"no specification for type {info.type_name!r}")
-    args = {k: v for k, v in info.params if k not in ("key", "process")}
+    args = {k: v for k, v in info.params if k not in LABELS}
     unknown = args.keys() - _defaults(make).keys()
     if unknown:
         raise ValueError(f"type {info.type_name!r} has no parameter {min(unknown)!r}")

@@ -357,6 +357,17 @@ def _response_without_invocation():
     return _race_jsonl_lines()[0] + "\n" + json.dumps(step) + "\n"
 
 
+def _truncated_line(n):
+    # The race history cut off mid-record on its n-th line.
+    lines = _race_jsonl_lines()
+    lines[n - 1] = lines[n - 1][:27]
+    return "\n".join(lines) + "\n"
+
+
+def _truncated_fourth_line():
+    return _truncated_line(4)
+
+
 def _processes_not_a_list():
     return json.dumps({"objects": {}, "processes": 5}) + "\n"
 
@@ -502,6 +513,7 @@ def _node_without_step():
         ("check-lin", _non_object_step),
         ("check-lin", _non_object_header),
         ("check-lin", _response_without_invocation),
+        ("check-lin", _truncated_fourth_line),
         ("check-strong-lin", _node_without_step),
         ("check-lin", _processes_not_a_list),
         ("check-lin", _pending_step_on_unknown_object),
@@ -556,6 +568,15 @@ def test_malformed_input_is_usage_error(runner, tmp_path, command, make_text):
     assert "Traceback" not in result.output
     errors = [ln for ln in result.output.splitlines() if "Error" in ln]
     assert len(errors) == 1 and errors[0].startswith("Error: ")
+
+
+@pytest.mark.parametrize("line", [1, 4])
+def test_a_record_that_is_not_json_names_its_file_line(runner, tmp_path, line):
+    src = tmp_path / "input"
+    src.write_text(_truncated_line(line))
+    result = runner.invoke(main, ["check-lin", str(src)])
+    assert result.exit_code == 2
+    assert f"{src}: line {line}: " in result.output
 
 
 @pytest.mark.parametrize("hole", ARITY_HOLES)

@@ -23,7 +23,9 @@ from stronglin.engine import (
     run,
     scripted_policy,
 )
+from stronglin.experiments import EXAMPLES
 from stronglin.histories import BASE, FLIP, INTERPRETED, INV, RSP, interpret
+from stronglin.loadbalance import COUNTER_KINDS, loadbalance_algorithm
 from stronglin.objects import (
     ImplProgram,
     cas_from_registers,
@@ -416,7 +418,7 @@ def test_derive_mark_state_matches_pairwise_rules(plans, choices, coin_bits, cut
     h = rec.history
     whole = MarkState().after(h.steps)
     assert whole == pairwise_mark_state(h)
-    part = h.prefix(min(cut, len(h.steps)))
+    part = h.with_steps(h.steps[:cut])
     at_cut = MarkState().after(part.steps)
     assert at_cut == pairwise_mark_state(part)
     assert at_cut.after(h.steps[len(part.steps):]) == whole
@@ -501,7 +503,8 @@ def test_per_process_coins_and_exhaustion():
     coins = PerProcessCoins({0: (1,), 1: (0,)})
     rec = run(alg, scripted_policy("strong", [1, 1, 0, 0]), coins)
     assert rec.returns == {0: 1, 1: 0}
-    assert rec.coin_vector == (0, 1)  # consumption order: process 1 flipped first
+    flips = tuple(s.payload for s in rec.history.steps if s.op == FLIP and s.kind == RSP)
+    assert flips == (0, 1)  # consumption order: process 1 flipped first
     with pytest.raises(NeedCoinError):
         run(alg, scripted_policy("strong", [1]), PerProcessCoins({0: (1,), 1: ()}))
 
@@ -531,6 +534,17 @@ def test_simulations_are_freed_without_the_cycle_collector():
             assert ref() is None
     finally:
         gc.enable()
+
+
+def test_the_engine_coins_are_the_only_coins_of_a_registry():
+    examples = [make() for make in EXAMPLES.values()]
+    algs = [alg for ex in examples for alg in (ex.implemented, ex.atomic)]
+    algs += [loadbalance_algorithm(4, kind) for kind in COUNTER_KINDS]
+    for alg in algs:
+        sim = Simulation(alg, VectorCoins(()))
+        assert sorted(sim.coin_oid) == sorted(alg.processes)
+        coins = {oid for oid, info in sim.registry.items() if info.is_coin}
+        assert coins == set(sim.coin_oid.values())
 
 
 def test_point_contention_tracking():

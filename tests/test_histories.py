@@ -24,6 +24,7 @@ from stronglin.histories import (
     from_jsonl,
     happens_before,
     interpret,
+    is_flip_response,
     to_jsonl,
     validate_sequential,
 )
@@ -270,6 +271,14 @@ def test_validate_sequential_ignores_trailing_pending_and_any_response():
         REGISTRY,
     )
     assert validate_sequential(h, {0: register_spec(), 10: coin})
+
+
+def test_flip_response_is_a_response_on_a_coin_whatever_its_payload():
+    assert is_flip_response(REGISTRY, rsp(0, 10, "flip", None))
+    assert is_flip_response(REGISTRY, rsp(0, 10, "flip", 1))
+    assert not is_flip_response(REGISTRY, inv(0, 10, "flip"))
+    assert not is_flip_response(REGISTRY, rsp(0, 0, "read", 0))
+    assert not is_flip_response(REGISTRY, None)
 
 
 # ---------------------------------------------------------------------------

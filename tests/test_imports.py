@@ -93,13 +93,18 @@ def _is_click_command(node):
 
 
 def test_every_definition_has_a_consumer():
-    # A top-level function or class of the package must be named by some
+    # A top-level function or class of the package, or a method or
+    # property of such a class other than a dunder, must be named by some
     # other statement of src/ or bench/; tests alone do not keep it.
     statements = [
         (path, node) for path in SOURCES
         for node in ast.parse(path.read_text(encoding="utf-8")).body
     ]
     named = [(node, _named(node)) for _path, node in statements]
+
+    def consumed(node, units):
+        return any(node.name in names for other, names in units if other is not node)
+
     unused = []
     for path, node in statements:
         if path.parent != PACKAGE or not isinstance(
@@ -108,8 +113,19 @@ def test_every_definition_has_a_consumer():
             continue
         if _is_click_command(node) or node.name in UNUSED_ON_PURPOSE:
             continue
-        if not any(node.name in names for other, names in named if other is not node):
+        if not consumed(node, named):
             unused.append(f"{path.name}:{node.name}")
+        if not isinstance(node, ast.ClassDef):
+            continue
+        # A class statement names what its own methods call, so a member
+        # counts the other members of its class one by one instead.
+        units = [u for u in named if u[0] is not node]
+        units += [(sub, _named(sub)) for sub in node.body]
+        for member in node.body:
+            if not isinstance(member, ast.FunctionDef) or member.name.startswith("__"):
+                continue
+            if not consumed(member, units):
+                unused.append(f"{path.name}:{node.name}.{member.name}")
     assert not unused, f"definitions without a consumer: {', '.join(unused)}"
     defined = {node.name for _path, node in statements if hasattr(node, "name")}
     assert set(UNUSED_ON_PURPOSE) <= defined

@@ -344,12 +344,12 @@ def reference_ap_run_report(rec, p):
     ):
         raise EngineError("phase 1 never completed")
     config_index = max(marker_events)
-    prefix = rec.history.prefix(config_index + 1)
-    state = MarkState().after(prefix.steps)
+    prefix = steps[: config_index + 1]
+    state = MarkState().after(prefix)
     visible = p in dict(state.marks).values()
     writers = frozenset(q for q in group if first[q][1].op == "write")
     accesses = dict.fromkeys(group, 0)
-    for s in prefix.steps:
+    for s in prefix:
         if s.process in accesses and reference_is_shared_access(s, objects):
             accesses[s.process] += 1
     return ApReport(

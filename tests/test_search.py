@@ -25,7 +25,7 @@ from stronglin.experiments import (
     srsw_register_example,
     _queue_payoff_unordered,
 )
-from stronglin.histories import Step, interpret
+from stronglin.histories import FLIP, RSP, Step, interpret
 from stronglin.search import (
     exists_adversary,
     optimal_expectation,
@@ -353,4 +353,6 @@ def test_replay_grants_return_shapes():
     status, sim = replay_grants(alg, (0, 0), (2,), "strong")
     assert status == "ok"
     assert isinstance(sim, Simulation)
-    assert sim.grants == [0, 0] and sim.record().coin_vector == (2,)
+    steps = sim.record().history.steps
+    assert sim.grants == [0, 0]
+    assert [s.payload for s in steps if s.op == FLIP and s.kind == RSP] == [2]
