@@ -30,6 +30,7 @@ from .histories import (
     INV,
     RSP,
     History,
+    MalformedHistoryError,
     ObjectInfo,
     OperationInstance,
     SeqSpec,
@@ -42,6 +43,7 @@ from .histories import (
     is_flip_response,
     objects_doc,
     objects_from_doc,
+    pair_steps,
     processes_from_doc,
     step_doc,
     step_from_doc,
@@ -143,9 +145,9 @@ class HistoryTree:
     def _frame(self, nid: int) -> tuple:
         """(operations, open operations, depth) of a node, cached.
 
-        The open operations are ((process, level), position) pairs.
-        Each step extends its parent's frame by one pairing move, so a
-        node costs one step, not a re-pairing of its whole history.
+        Each node extends its parent's frame by its one step
+        (``pair_steps``), so a node costs one step, not a re-pairing of
+        its whole history.
         """
         frames = self._frames
         path = []
@@ -155,31 +157,10 @@ class HistoryTree:
             cur = self._nodes[cur][0]
         ops, open_ops, i = frames[cur]
         for cur in reversed(path):
-            s = self._nodes[cur][1]
-            key = (s.process, s.level)
-            pos = next((j for k, j in open_ops if k == key), None)
-            if s.is_inv():
-                if pos is not None:
-                    raise TreeError(
-                        f"node {nid}: process {s.process} invokes at step {i} "
-                        f"with an open {s.level} operation"
-                    )
-                open_ops += ((key, len(ops)),)
-                ops += (OperationInstance(i, None, s.process, s.obj, s.op, s.payload, None),)
-            else:
-                if pos is None:
-                    raise TreeError(f"node {nid}: response at step {i} has no open invocation")
-                inv = ops[pos]
-                if inv.obj != s.obj or inv.op != s.op:
-                    raise TreeError(
-                        f"node {nid}: response at step {i} does not match "
-                        f"invocation at {inv.inv_index}"
-                    )
-                open_ops = tuple(e for e in open_ops if e[0] != key)
-                done = OperationInstance(
-                    inv.inv_index, i, s.process, s.obj, s.op, inv.args, s.payload
-                )
-                ops = ops[:pos] + (done,) + ops[pos + 1:]
+            try:
+                ops, open_ops = pair_steps((self._nodes[cur][1],), ops, open_ops, i)
+            except MalformedHistoryError as exc:
+                raise TreeError(f"node {nid}: {exc}") from None
             i += 1
             frames[cur] = (ops, open_ops, i)
         return frames[nid]

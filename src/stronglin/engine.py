@@ -18,9 +18,7 @@ source, and runs replay exactly.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .histories import (
@@ -41,10 +39,6 @@ from .objects import ImplProgram, coin_spec
 
 class EngineError(Exception):
     """Scheduling or class-constraint violation."""
-
-
-class BudgetExhaustedError(EngineError):
-    """A run of an exact enumeration hit its grant budget."""
 
 
 class NeedCoinError(Exception):
@@ -523,32 +517,6 @@ def rotation(view: RunView, ring: tuple[int, ...]) -> Iterator[int]:
         for q in ring:
             if not view.finished(q):
                 yield q
-
-
-def enumerate_expectation(
-    alg: AlgorithmSpec,
-    adv: AdversaryPolicy,
-    omega: tuple,
-    horizon: int,
-    payoff: Callable[[RunRecord], Any],
-    budget: int = DEFAULT_BUDGET,
-) -> Fraction:
-    """Exact expectation of payoff over uniform coin vectors omega^horizon."""
-    total = len(omega) ** horizon
-    if total > 10**6:
-        raise EngineError(f"|omega|^horizon = {total} exceeds the enumeration guard")
-    acc = Fraction(0)
-    for c in itertools.product(omega, repeat=horizon):
-        try:
-            rec = run(alg, adv, VectorCoins(c), budget=budget)
-        except NeedCoinError:
-            raise EngineError(
-                f"run consumed more than horizon={horizon} flips"
-            ) from None
-        if "budget-exhausted" in rec.flags:
-            raise BudgetExhaustedError("budget exhausted during exact enumeration")
-        acc += Fraction(payoff(rec))
-    return acc / total
 
 
 def scripted_policy(klass: str, grants: Iterable[int], name: str = "") -> AdversaryPolicy:

@@ -37,12 +37,11 @@ from .engine import (
     AdversaryPolicy,
     AlgorithmSpec,
     Binding,
-    BudgetExhaustedError,
     EngineError,
+    NeedCoinError,
     RunRecord,
     RunView,
     VectorCoins,
-    enumerate_expectation,
     plan_policy,
     rotation,
     run,
@@ -155,11 +154,21 @@ class Example:
     goal: str
 
 
-def implemented_value(ex: Example, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact expectation of the example's payoff under its pinned schedule."""
-    return enumerate_expectation(
-        ex.implemented, ex.schedule, ex.omega, 1, ex.payoff, budget
-    )
+def implemented_value(ex: Example, budget: int = DEFAULT_BUDGET) -> Fraction | None:
+    """Exact expectation of the example's payoff under its pinned
+    schedule: one run per outcome of its one flip, in ``omega`` order.
+    None when a run exhausts ``budget``; EngineError when a run flips
+    more than once."""
+    total = Fraction(0)
+    for c in ex.omega:
+        try:
+            rec = run(ex.implemented, ex.schedule, VectorCoins((c,)), budget=budget)
+        except NeedCoinError:
+            raise EngineError(f"example {ex.name}: a run flips more than once") from None
+        if "budget-exhausted" in rec.flags:
+            return None
+        total += Fraction(ex.payoff(rec))
+    return total / len(ex.omega)
 
 
 def atomic_value(ex: Example, klass: str = "strong") -> Fraction:
@@ -822,10 +831,8 @@ def _example_report(cfg: ExperimentConfig) -> Report:
         if route == "atomic":
             payoff = _METRIC_PAYOFFS.get(metric, ex.payoff)
             return str(atomic_value(replace(ex, payoff=payoff), klass))
-        try:
-            return str(implemented_value(ex, cfg.budget))
-        except BudgetExhaustedError:
-            return None
+        value = implemented_value(ex, cfg.budget)
+        return None if value is None else str(value)
 
     return Report(cfg.name, cfg.echo(), _claim_rows(cfg.name, value_of))
 

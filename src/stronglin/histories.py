@@ -124,6 +124,57 @@ class OperationInstance:
         return self.rsp_index is not None
 
 
+#: An operation still open: (its position among the operations, the
+#: position of its invocation step, that step).
+OpenOp = tuple[int, int, Step]
+
+
+def pair_steps(
+    steps: Iterable[Step],
+    ops: tuple[OperationInstance, ...] = (),
+    open_ops: tuple[OpenOp, ...] = (),
+    start: int = 0,
+) -> tuple[tuple[OperationInstance, ...], tuple[OpenOp, ...]]:
+    """Pair invocations with responses, per process and per level.
+
+    The one pairing rule.  ``steps`` continue, from step position
+    ``start``, a history whose earlier steps paired to ``ops`` with
+    ``open_ops`` still open.  An operation takes its place in ``ops`` at
+    its invocation, pending until its response completes it, so ``ops``
+    stay in invocation order.  A process has at most one open operation
+    per level (an open method call may contain one open base operation).
+    Returns the extended (ops, open_ops); MalformedHistoryError when
+    pairing is impossible.
+    """
+    ops = list(ops)
+    open_at = {(e[2].process, e[2].level): e for e in open_ops}
+    for i, s in enumerate(steps, start):
+        key = (s.process, s.level)
+        if s.kind == INV:
+            if key in open_at:
+                raise MalformedHistoryError(
+                    f"process {s.process} invokes at step {i} with an open "
+                    f"{s.level} operation"
+                )
+            open_at[key] = (len(ops), i, s)
+            ops.append(None)
+        else:
+            entry = open_at.pop(key, None)
+            if entry is None:
+                raise MalformedHistoryError(f"response at step {i} has no open invocation")
+            pos, j, inv = entry
+            if inv.obj != s.obj or inv.op != s.op:
+                raise MalformedHistoryError(
+                    f"response at step {i} does not match invocation at {j}"
+                )
+            ops[pos] = OperationInstance(j, i, s.process, s.obj, s.op, inv.payload, s.payload)
+    # an operation invoked by these steps and still open is built pending
+    for pos, j, inv in open_at.values():
+        if ops[pos] is None:
+            ops[pos] = OperationInstance(j, None, inv.process, inv.obj, inv.op, inv.payload, None)
+    return tuple(ops), tuple(open_at.values())
+
+
 @dataclass(frozen=True)
 class History:
     """An ordered step sequence plus the process/object registries.
@@ -142,45 +193,10 @@ class History:
         return History(tuple(steps), self.processes, self.objects)
 
     def operations(self) -> tuple[OperationInstance, ...]:
-        """Pair invocations with responses, per process and per level.
-
-        A process has at most one open operation per level (an open
-        method call may contain one open base operation).  Raises
-        MalformedHistoryError when pairing is impossible.
-        """
-        open_ops: dict[tuple[int, str], tuple[int, Step]] = {}
-        done: list[OperationInstance] = []
-        for i, s in enumerate(self.steps):
-            key = (s.process, s.level)
-            if s.is_inv():
-                if key in open_ops:
-                    raise MalformedHistoryError(
-                        f"process {s.process} invokes at step {i} with an open "
-                        f"{s.level} operation"
-                    )
-                open_ops[key] = (i, s)
-            else:
-                if key not in open_ops:
-                    raise MalformedHistoryError(
-                        f"response at step {i} has no open invocation"
-                    )
-                j, inv_step = open_ops.pop(key)
-                if inv_step.obj != s.obj or inv_step.op != s.op:
-                    raise MalformedHistoryError(
-                        f"response at step {i} does not match invocation at {j}"
-                    )
-                done.append(
-                    OperationInstance(
-                        j, i, s.process, s.obj, s.op, inv_step.payload, s.payload
-                    )
-                )
-        for (p, _lvl), (j, inv_step) in open_ops.items():
-            done.append(
-                OperationInstance(
-                    j, None, p, inv_step.obj, inv_step.op, inv_step.payload, None
-                )
-            )
-        return tuple(sorted(done, key=lambda o: o.inv_index))
+        """Pair invocations with responses (``pair_steps``), in
+        invocation order; MalformedHistoryError when pairing is
+        impossible."""
+        return pair_steps(self.steps)[0]
 
     def is_sequential(self) -> bool:
         """True when every operation is atomic in this history."""
@@ -392,8 +408,8 @@ def objects_from_doc(doc: Any) -> dict[int, ObjectInfo]:
     out = {}
     for oid, entry in doc.items():
         what = f"object {oid}"
-        if not oid.isdecimal():
-            raise HistoryError(f"object id {oid!r} is not an integer")
+        if not (oid.isdecimal() and str(int(oid)) == oid):
+            raise HistoryError(f"object id {oid!r} is not an integer in canonical decimal")
         type_name, level, params = _fields(entry, ("type", "level", "params"), what)
         impl = entry.get("impl")
         if not (isinstance(type_name, str) and (impl is None or isinstance(impl, str))):
@@ -452,6 +468,6 @@ def from_jsonl(text: str) -> History:
             steps.append(step_from_doc(rec, objects, listed))
         except HistoryError as exc:
             raise HistoryError(f"line {n}: {exc}") from None
-        if rec.get("index") != i:
+        if not _is_id(rec.get("index")) or rec["index"] != i:
             raise HistoryError(f"non-consecutive step index at line {n}")
     return History(tuple(steps), processes, objects)

@@ -117,7 +117,6 @@ class ApReport:
     |P|), or None when the bound does not apply to the run.
     """
 
-    target: int
     i_star: int
     counter_of: Mapping[int, int]
     config_index: int
@@ -202,7 +201,6 @@ def ap_run_report(rec: RunRecord, p: int) -> ApReport:
         if not any(q in finishers and x not in finishers for (q, x) in sees):
             bound = (fai[p], len(finishers))
     return ApReport(
-        target=p,
         i_star=i_star,
         counter_of=counter_of,
         config_index=config_index,
@@ -369,8 +367,6 @@ class PhiEstimate:
     variance: float
     ci95: float
     trials: int
-    seed: int
-    k_max: int
     flags: tuple[str, ...]
     histogram: tuple[tuple[int, int], ...]
 
@@ -432,8 +428,6 @@ def estimate_phi(
         variance=var,
         ci95=1.96 * sqrt(var / trials),
         trials=trials,
-        seed=seed,
-        k_max=k_max,
         flags=tuple(sorted(flags)),
         histogram=tuple(sorted(hist.items())),
     )

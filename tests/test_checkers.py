@@ -888,14 +888,16 @@ def test_check_strong_lin_matches_brute_force(case):
 
 
 # ---------------------------------------------------------------------------
-# Per-node operations, extended from the parent's, against re-pairing
+# Per-node operations, extended from the parent's, against whole histories
 # ---------------------------------------------------------------------------
 
 
 def assert_ops_match_histories(tree):
     """ops_of equals history_of(nid).operations() on every node, leaves
     first (each call walks to an uncached ancestor) and again in id order
-    (cached); a history that does not pair gives the same message."""
+    (cached); a history that does not pair gives the same message.  Both
+    sides pair by histories.pair_steps, so this checks the frame cache and
+    the path walk; test_histories pins the rule itself."""
     for nid in tree.node_ids()[::-1] + tree.node_ids():
         try:
             want = tree.history_of(nid).operations()

@@ -431,6 +431,23 @@ def _write_tree(entry=None, ret=None, **inv):
     return json.dumps({"processes": [0], "objects": _registry(entry), "nodes": nodes})
 
 
+def _write_history_with_index(index):
+    # The register write with ``index`` in place of its response's 1.
+    header, inv, rsp = _write_history().splitlines()
+    return "\n".join([header, inv, json.dumps({**json.loads(rsp), "index": index})]) + "\n"
+
+
+def _with_leading_zero_coin(encode):
+    # Process 0's coin registered at "00" ahead of the register at "0":
+    # read as 0, it would be overwritten by the register without a word.
+    text = encode()
+    first, nl, rest = text.partition("\n")
+    doc = json.loads(first)
+    coin = {"type": "coin", "level": BASE, "params": {"process": 0}, "impl": None}
+    doc["objects"] = {"00": coin, **doc["objects"]}
+    return json.dumps(doc) + nl + rest
+
+
 STEP_HOLES = {
     "unlisted-process": {"process": 7},
     "object-payload": {"payload": [{"v": 1}]},
@@ -522,6 +539,16 @@ def _node_without_step():
         ("check-lin", _step_with_bad_level),
         ("check-strong-lin", _string_node_id),
         ("check-strong-lin", _nodes_not_a_list),
+        pytest.param("check-lin", functools.partial(_write_history_with_index, True),
+                     id="check-lin-boolean-index"),
+        pytest.param("check-lin", functools.partial(_write_history_with_index, 1.0),
+                     id="check-lin-float-index"),
+        *[
+            pytest.param(command, functools.partial(_with_leading_zero_coin, encode),
+                         id=f"{command}-leading-zero-object-id")
+            for command, encode in (("check-lin", _write_history),
+                                    ("check-strong-lin", _write_tree))
+        ],
         *[
             pytest.param(command, functools.partial(encode, **fields),
                          id=f"{command}-{hole}")

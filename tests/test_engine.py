@@ -18,7 +18,6 @@ from stronglin.engine import (
     PerProcessCoins,
     Simulation,
     VectorCoins,
-    enumerate_expectation,
     plan_policy,
     run,
     scripted_policy,
@@ -465,37 +464,6 @@ def test_method_with_no_base_operation_is_caught():
     alg = AlgorithmSpec((0,), (Binding("X", impl=lazy),), prog)
     with pytest.raises(EngineError, match="no base operation"):
         run(alg, scripted_policy("strong", [0]), VectorCoins(()))
-
-
-def test_enumerate_expectation_uniform_flip():
-    def prog(p):
-        def gen():
-            c = yield ("flip",)
-            yield ("invoke", "R", "write", (c,))
-            return c
-
-        return gen()
-
-    alg = AlgorithmSpec(
-        (0,), (Binding("R", spec=register_spec(0)),), prog, omega=(0, 1)
-    )
-    adv = AdversaryPolicy("oblivious", schedule=(0, 0, 0))
-    from fractions import Fraction
-
-    e = enumerate_expectation(alg, adv, (0, 1), 1, lambda rec: rec.returns[0])
-    assert e == Fraction(1, 2)
-    e3 = enumerate_expectation(alg, adv, (1, 2, 3), 1, lambda rec: rec.returns[0])
-    assert e3 == Fraction(2)
-
-
-def test_enumerate_expectation_guards():
-    alg = flip_write_alg(1)
-    adv = AdversaryPolicy("oblivious", schedule=(0,) * 8)
-    with pytest.raises(EngineError, match="guard"):
-        enumerate_expectation(alg, adv, (0, 1), 21, lambda r: 0)
-    # horizon smaller than the number of flips a run consumes
-    with pytest.raises(EngineError, match="horizon"):
-        enumerate_expectation(alg, adv, (0, 1), 0, lambda r: 0)
 
 
 def test_per_process_coins_and_exhaustion():

@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 
 from stronglin.engine import (
+    AdversaryPolicy,
+    AlgorithmSpec,
+    Binding,
     EngineError,
     PerProcessCoins,
     VectorCoins,
@@ -19,6 +22,7 @@ from stronglin.experiments import (
     EXAMPLES,
     EXPECTED,
     EXPERIMENT_NAMES,
+    Example,
     ExperimentConfig,
     ExperimentError,
     RACE_EARLY_FLIP,
@@ -44,7 +48,7 @@ from stronglin.loadbalance import (
     scripted_weak_families,
     stagger_policy,
 )
-from stronglin.objects import snapshot_spec
+from stronglin.objects import register_spec, snapshot_spec
 from stronglin.search import exists_adversary
 
 
@@ -59,6 +63,37 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_examples_reproduce_pinned_expectations(name):
     assert implemented_value(EXAMPLES[name]()) == PINNED[name]
+
+
+def _flip_write_example(omega, flips=1):
+    # One process flips ``flips`` times, writes its last outcome and
+    # returns it; the payoff is that return.
+    def prog(p):
+        def gen():
+            for _ in range(flips):
+                c = yield ("flip",)
+            yield ("invoke", "R", "write", (c,))
+            return c
+
+        return gen()
+
+    alg = AlgorithmSpec((0,), (Binding("R", spec=register_spec(0)),), prog, omega=omega)
+    adv = AdversaryPolicy("oblivious", schedule=(0,) * (flips + 2))
+    return Example("flip-write", omega, alg, alg, adv, lambda rec: rec.returns[0], "max")
+
+
+def test_implemented_value_averages_over_omega():
+    assert implemented_value(_flip_write_example((0, 1))) == Fraction(1, 2)
+    assert implemented_value(_flip_write_example((1, 2, 3))) == Fraction(2)
+
+
+def test_implemented_value_is_none_when_a_run_exhausts_its_budget():
+    assert implemented_value(_flip_write_example((0, 1)), budget=1) is None
+
+
+def test_implemented_value_rejects_a_second_flip():
+    with pytest.raises(EngineError, match="example flip-write: a run flips more than once"):
+        implemented_value(_flip_write_example((0, 1), flips=2))
 
 
 def test_queue_schedule_branches_pin_every_return():

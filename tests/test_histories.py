@@ -2,6 +2,7 @@
 serialization."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from stronglin.histories import (
     INV,
     RSP,
     History,
+    HistoryError,
     MalformedHistoryError,
     NotSequentialError,
     ObjectInfo,
@@ -25,6 +27,7 @@ from stronglin.histories import (
     happens_before,
     interpret,
     is_flip_response,
+    objects_from_doc,
     to_jsonl,
     validate_sequential,
 )
@@ -140,15 +143,29 @@ def test_interpret_keeps_boundaries_and_top_level_steps(h):
 @given(histories())
 def test_operations_indices_match_steps(h):
     ops = h.operations()
-    n_rsp = sum(1 for s in h.steps if s.is_rsp())
-    assert sum(1 for o in ops if o.complete) == n_rsp
+    invs = [i for i, s in enumerate(h.steps) if s.is_inv()]
+    rsps = [i for i, s in enumerate(h.steps) if s.is_rsp()]
+    # one operation per invocation, in invocation order, and each
+    # response completes exactly one of them
+    assert [o.inv_index for o in ops] == invs
+    assert sorted(o.rsp_index for o in ops if o.complete) == rsps
+    pending = []
     for o in ops:
         s = h.steps[o.inv_index]
-        assert (s.kind, s.process, s.obj, s.op) == (INV, o.process, o.obj, o.op)
+        assert (s.kind, s.process, s.obj, s.op, s.payload) == (INV, o.process, o.obj, o.op, o.args)
         if o.complete:
             r = h.steps[o.rsp_index]
-            assert (r.kind, r.process, r.obj, r.op) == (RSP, o.process, o.obj, o.op)
+            assert (r.kind, r.process, r.obj, r.op, r.level) == (RSP, o.process, o.obj, o.op, s.level)
+            assert r.payload == o.ret
             assert o.inv_index < o.rsp_index
+        else:
+            # pending: no later step of its process and level, which would
+            # either have answered it or invoked over it
+            assert o.ret is None
+            later = h.steps[o.inv_index + 1:]
+            assert all((t.process, t.level) != (s.process, s.level) for t in later)
+            pending.append((s.process, s.level))
+    assert len(set(pending)) == len(pending)
 
 
 @given(histories())
@@ -191,13 +208,13 @@ def test_happens_before_total_iff_sequential():
 
 def test_pairing_rejects_double_invocation_and_orphan_response():
     bad = History((inv(0, 0, "read"), inv(0, 0, "read")), (0,), REGISTRY)
-    with pytest.raises(MalformedHistoryError):
+    with pytest.raises(MalformedHistoryError, match="^process 0 invokes at step 1 with an open base operation$"):
         bad.operations()
     bad = History((rsp(0, 0, "read", 0),), (0,), REGISTRY)
-    with pytest.raises(MalformedHistoryError):
+    with pytest.raises(MalformedHistoryError, match="^response at step 0 has no open invocation$"):
         bad.operations()
     bad = History((inv(0, 0, "read"), rsp(0, 0, "write")), (0,), REGISTRY)
-    with pytest.raises(MalformedHistoryError):
+    with pytest.raises(MalformedHistoryError, match="^response at step 1 does not match invocation at 0$"):
         bad.operations()
 
 
@@ -292,6 +309,15 @@ def test_jsonl_round_trip_is_byte_exact(h):
     h2 = from_jsonl(text)
     assert h2 == h
     assert to_jsonl(h2) == text
+
+
+@pytest.mark.parametrize("oid", ["00", "٣", "-1", "+1", " 1", "x"])
+def test_registry_ids_are_canonical_decimals(oid):
+    # "00" or "٣" would read as 0 or 3 and could overwrite another entry.
+    entry = {"type": "register", "level": BASE, "params": {}, "impl": None}
+    with pytest.raises(HistoryError, match=re.escape(f"object id {oid!r} is not an integer in canonical decimal")):
+        objects_from_doc({oid: entry})
+    assert objects_from_doc({"3": entry}).keys() == {3}
 
 
 def test_jsonl_encodes_tuples_and_bottom():

@@ -353,7 +353,6 @@ def reference_ap_run_report(rec, p):
         if s.process in accesses and reference_is_shared_access(s, objects):
             accesses[s.process] += 1
     return ApReport(
-        target=p,
         i_star=i_star,
         counter_of=counter_of,
         config_index=config_index,
