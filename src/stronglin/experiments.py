@@ -137,12 +137,18 @@ def alternating_policy(procs: Sequence[int], name: str = "alternate") -> Adversa
 # ---------------------------------------------------------------------------
 
 
+# A payoff's whole input: each finished process's return value.
+Returns = Mapping[int, Any]
+
+
 @dataclass(frozen=True)
 class Example:
     """One adversary-gap fixture: a program, two object routes, a schedule.
 
-    ``goal`` says which direction the atomic-side game search optimizes
-    ("min" for the register/snapshot races, "max" for the queue goals).
+    ``payoff`` scores a finished run from its returns alone, as the game
+    search requires.  ``goal`` says which direction the atomic-side game
+    search optimizes ("min" for the register/snapshot races, "max" for
+    the queue goals).
     """
 
     name: str
@@ -150,7 +156,7 @@ class Example:
     atomic: AlgorithmSpec
     implemented: AlgorithmSpec
     schedule: AdversaryPolicy
-    payoff: Callable[[RunRecord], Fraction]
+    payoff: Callable[[Returns], Fraction]
     goal: str
 
 
@@ -167,7 +173,7 @@ def implemented_value(ex: Example, budget: int = DEFAULT_BUDGET) -> Fraction | N
             raise EngineError(f"example {ex.name}: a run flips more than once") from None
         if "budget-exhausted" in rec.flags:
             return None
-        total += Fraction(ex.payoff(rec))
+        total += Fraction(ex.payoff(rec.returns))
     return total / len(ex.omega)
 
 
@@ -186,7 +192,7 @@ def _example(
     make_program: Callable[[int], Any],
     omega: tuple[int, ...],
     schedule: AdversaryPolicy,
-    payoff: Callable[[RunRecord], Fraction],
+    payoff: Callable[[Returns], Fraction],
     goal: str,
 ) -> Example:
     """One program run against ``key`` bound to ``impl`` and to its spec."""
@@ -205,8 +211,8 @@ def _example(
     )
 
 
-def _snapshot_payoff(rec: RunRecord) -> Fraction:
-    return Fraction(sum(rec.returns[0]))
+def _snapshot_payoff(returns: Returns) -> Fraction:
+    return Fraction(sum(returns[0]))
 
 
 def snapshot_example() -> Example:
@@ -247,8 +253,8 @@ def snapshot_example() -> Example:
     )
 
 
-def _reader_payoff(rec: RunRecord) -> Fraction:
-    return Fraction(rec.returns[1])
+def _reader_payoff(returns: Returns) -> Fraction:
+    return Fraction(returns[1])
 
 
 def _register_program(first: int) -> Callable[[int], Any]:
@@ -307,21 +313,21 @@ def mrsw_register_example() -> Example:
     )
 
 
-def _queue_goals(rec: RunRecord) -> tuple[bool, bool, bool]:
-    c, d1, d2, d3 = rec.returns[2]
+def _queue_goals(returns: Returns) -> tuple[bool, bool, bool]:
+    c, d1, d2, d3 = returns[2]
     deqs = (d1, d2, d3)
     emptied = BOTTOM not in deqs
     ordered = 1 in deqs and 2 in deqs and deqs.index(1) < deqs.index(2)
     return emptied, ordered, d1 == c
 
 
-def _queue_payoff(rec: RunRecord) -> Fraction:
-    emptied, ordered, matched = _queue_goals(rec)
+def _queue_payoff(returns: Returns) -> Fraction:
+    emptied, ordered, matched = _queue_goals(returns)
     return Fraction(int(emptied and ordered and matched))
 
 
-def _queue_payoff_unordered(rec: RunRecord) -> Fraction:
-    emptied, _ordered, matched = _queue_goals(rec)
+def _queue_payoff_unordered(returns: Returns) -> Fraction:
+    emptied, _ordered, matched = _queue_goals(returns)
     return Fraction(int(emptied and matched))
 
 
@@ -369,7 +375,7 @@ def hw_queue_example() -> Example:
 # payoff.  The unordered queue goal drops 1-before-2; it does not help
 # the atomic adversary, because the racer's own enqueue still pins the
 # queue front before the flip.
-_METRIC_PAYOFFS: dict[str, Callable[[RunRecord], Fraction]] = {
+_METRIC_PAYOFFS: dict[str, Callable[[Returns], Fraction]] = {
     "max-success-probability-unordered": _queue_payoff_unordered,
 }
 

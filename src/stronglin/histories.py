@@ -198,16 +198,6 @@ class History:
         impossible."""
         return pair_steps(self.steps)[0]
 
-    def is_sequential(self) -> bool:
-        """True when every operation is atomic in this history."""
-        for op in self.operations():
-            if op.rsp_index is None:
-                if op.inv_index != len(self.steps) - 1:
-                    return False
-            elif op.rsp_index != op.inv_index + 1:
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # Interpretation and happens-before
@@ -287,12 +277,19 @@ def validate_sequential(h: History, specs: Mapping[int, SeqSpec]) -> bool:
     """Replay a sequential history against per-object specifications.
 
     Returns True iff every recorded response is reproduced.  Raises
-    NotSequentialError for non-sequential input (distinct from False).
+    NotSequentialError for non-sequential input (distinct from False):
+    an operation is atomic when its response follows its invocation, or
+    when it is pending at the last step.
     """
-    if not h.is_sequential():
+    ops = h.operations()
+    last = len(h.steps) - 1
+    if not all(
+        op.rsp_index == op.inv_index + 1 if op.complete else op.inv_index == last
+        for op in ops
+    ):
         raise NotSequentialError("history contains a non-atomic operation")
     states: dict[int, Any] = {}
-    for op in h.operations():
+    for op in ops:
         if op.obj not in specs:
             raise UnknownIdError(f"no specification for object {op.obj}")
         spec = specs[op.obj]

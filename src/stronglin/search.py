@@ -2,10 +2,11 @@
 
 The optimal-value search treats scheduling as a game: the adversary
 picks the next grant, coin flips are uniform chance moves, and the
-value of a finished run is a caller-supplied rational payoff.  Because
-decisions may depend on everything scheduled and flipped so far (and on
-nothing more), the searched space is exactly the strong adversaries;
-with weak-style flip bundling it is exactly the weak ones.
+value of a finished run is a caller-supplied rational payoff of the
+run's returns.  Because decisions may depend on everything scheduled
+and flipped so far (and on nothing more), the searched space is exactly
+the strong adversaries; with weak-style flip bundling it is exactly the
+weak ones.
 
 The existence search walks the same tree but asks for one decision tree
 whose every completed branch satisfies a predicate, for example "the
@@ -24,10 +25,24 @@ flips; every other successor is a fork, replayed from the root with
 taken before the node is mutated.  A grant flips at most once, so no
 fork runs out of coins.
 
+The optimal-value search solves each game state once.  A per-call
+transposition table maps ``_state_key`` (each process's own steps in
+order, then the base-object states in registry order) to the value
+below it.  Programs and method bodies are deterministic in the responses
+they receive, so the own steps fix every process's local state; with
+the base states they fix every sub-game, and the payoff, which sees
+only the returns, fixes the value.  The number of base states is the
+registry size, so the key also covers an implementation that allocates
+during a run.  The existence search keeps no table: its predicate may
+score the cross-process order of the interpreted responses, which the
+key does not fix.
+
 ``node_cap`` counts game nodes: the root, one per grant decision
-(whether or not the grant flips) and one per coin outcome.  Inputs are
-tiny by design and guarded by it and by ``grant_cap``, the longest run
-either search follows; both caps raise ``EngineError``.
+(whether or not the grant flips) and one per coin outcome; a node whose
+state is in the table counts, its subtree does not.  Inputs are tiny by
+design and guarded by it and by ``grant_cap``, the longest run either
+search follows; both caps raise ``EngineError``.  Equal keys mean equal
+per-process grant counts, so a table hit never hides a grant-cap error.
 """
 
 from __future__ import annotations
@@ -107,10 +122,19 @@ class _Walk:
                 yield replay_grants(self.alg, grants, vector, self.klass)[1]
 
 
+def _state_key(sim: Simulation) -> tuple:
+    """What fixes every sub-game below ``sim``: each process's own steps
+    in order, then the base-object states in registry order."""
+    own: dict[int, list] = {p: [] for p in sim.alg.processes}
+    for s in sim.steps:
+        own[s.process].append(s)
+    return tuple(tuple(v) for v in own.values()), tuple(sim.base_state.values())
+
+
 def optimal_expectation(
     alg: AlgorithmSpec,
     omega: tuple,
-    payoff: Callable,
+    payoff: Callable[[Mapping[int, Any]], Any],
     klass: str = "strong",
     maximize: bool = False,
     node_cap: int = 2_000_000,
@@ -118,20 +142,29 @@ def optimal_expectation(
 ) -> Fraction:
     """Exact min/max expected payoff over all adversaries of the class.
 
-    Runs must complete every process (programs here are finite); the
-    payoff is averaged uniformly over omega at every flip.
+    Runs must complete every process (programs here are finite);
+    ``payoff`` receives a finished run's returns, process to return
+    value, and is averaged uniformly over omega at every flip.  Each
+    game state is solved once (see the module docstring), which is sound
+    because the payoff sees nothing of the path but those returns.
     """
     walk = _Walk(alg, omega, klass, "optimal", node_cap, grant_cap)
+    table: dict[tuple, Fraction] = {}
 
     def value(sim: Simulation) -> Fraction:
+        key = _state_key(sim)
+        if key in table:
+            return table[key]
         if sim.all_finished():
-            return Fraction(payoff(sim.record()))
-        best = None
-        for successors in walk.children(sim):
-            vals = [value(s) for s in successors]
-            v = vals[0] if len(vals) == 1 else Fraction(sum(vals), len(vals))
-            if best is None or (v > best if maximize else v < best):
-                best = v
+            best = Fraction(payoff(sim.record().returns))
+        else:
+            best = None
+            for successors in walk.children(sim):
+                vals = [value(s) for s in successors]
+                v = vals[0] if len(vals) == 1 else Fraction(sum(vals), len(vals))
+                if best is None or (v > best if maximize else v < best):
+                    best = v
+        table[key] = best
         return best
 
     return value(walk.root())

@@ -603,7 +603,7 @@ def test_linearize_one_matches_brute_force(case):
         common_linearization(h, h, {"X": specs[0]}) is not None
     ) == brute_linearizable(h, specs)
     if got is not None:
-        assert got.is_sequential()
+        # validate_sequential raises on a non-sequential history.
         assert validate_sequential(got, specs)
         # every completed source op must appear (match on process + order)
         per_proc_done = {
@@ -1390,7 +1390,8 @@ def test_equivalence_of_identical_run_sets():
     for rec in mutex_counter_runs().values():
         h = interpret(rec.history)
         w = common_linearization(h, h, key_specs)
-        assert w is not None and w.is_sequential()
+        assert w is not None
+        assert all(op.rsp_index == op.inv_index + 1 for op in w.operations())
 
 
 def test_mutex_counter_equivalent_to_atomic_counter():

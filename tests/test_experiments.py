@@ -79,7 +79,7 @@ def _flip_write_example(omega, flips=1):
 
     alg = AlgorithmSpec((0,), (Binding("R", spec=register_spec(0)),), prog, omega=omega)
     adv = AdversaryPolicy("oblivious", schedule=(0,) * (flips + 2))
-    return Example("flip-write", omega, alg, alg, adv, lambda rec: rec.returns[0], "max")
+    return Example("flip-write", omega, alg, alg, adv, lambda returns: returns[0], "max")
 
 
 def test_implemented_value_averages_over_omega():

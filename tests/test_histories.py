@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stronglin import histories as hs
 from stronglin.histories import (
     ANY_RESPONSE,
     BASE,
@@ -269,11 +270,26 @@ def test_validate_sequential_errors_are_not_false():
         (0, 1),
         REGISTRY,
     )
-    with pytest.raises(NotSequentialError):
+    with pytest.raises(NotSequentialError, match="^history contains a non-atomic operation$"):
         validate_sequential(overlapping, {0: register_spec()})
     h = history_from_choices([("read", 0)])
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(UnknownIdError, match="^no specification for object 0$"):
         validate_sequential(h, {})
+
+
+def test_validate_sequential_pairs_its_history_once(monkeypatch):
+    # One pairing serves both the atomicity check and the replay.
+    calls = []
+    pair_steps = hs.pair_steps
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pair_steps(*args, **kwargs)
+
+    monkeypatch.setattr(hs, "pair_steps", counting)
+    h = history_from_choices([("write", 1), ("read", 1)])
+    assert validate_sequential(h, {0: register_spec()})
+    assert len(calls) == 1
 
 
 def test_validate_sequential_ignores_trailing_pending_and_any_response():

@@ -158,11 +158,11 @@ def test_existence_grant_cap_raises_instead_of_answering_no():
 # Reference deciders: every node replayed from the root
 # ---------------------------------------------------------------------------
 # `optimal_expectation` and `exists_adversary` carry one live Simulation
-# down each path and replay only to fork a sibling successor.  These are
-# the plain replay-from-root searches they replaced, kept as an
-# independent oracle: they find each flip by running out of coins, and
-# they explore in the same order, so values and returned maps must be
-# identical.
+# down each path and replay only to fork a sibling successor, and
+# `optimal_expectation` solves each game state once.  These are the plain
+# replay-from-root searches they replaced, kept as an independent oracle:
+# they find each flip by running out of coins, keep no table, and explore
+# in the same order, so values and returned maps must be identical.
 
 
 def _reference_optimal(alg, omega, payoff, klass="strong", maximize=False):
@@ -173,7 +173,7 @@ def _reference_optimal(alg, omega, payoff, klass="strong", maximize=False):
             return Fraction(total, len(omega))
         sim = res[1]
         if sim.all_finished():
-            return Fraction(payoff(sim.record()))
+            return Fraction(payoff(sim.record().returns))
         best = None
         for q in sim.live_pids():
             v = value(grants + (q,), coins)
@@ -228,19 +228,22 @@ def _games():
 # Game nodes per search, and the forks that the former search made when
 # it found a flip only by running out of coins: it replayed that grant
 # once per outcome, where the successor rule grants the last outcome in
-# place.  Node counts are fixed by the game tree; forks may only fall.
+# place.  Node counts are fixed by the game tree and, for the optimal
+# search, by its transposition table: a successor whose game state was
+# solved before counts as a node, its subtree does not.  Forks may only
+# fall.
 SEARCH_NODES_AND_FORK_BOUND = {
-    "snapshot-atomic-weak": (171, 85),
-    "snapshot-atomic-strong": (369, 145),
+    "snapshot-atomic-weak": (95, 85),
+    "snapshot-atomic-strong": (143, 145),
     "srsw-register-atomic-weak": (16, 8),
-    "srsw-register-atomic-strong": (26, 10),
-    "mrsw-register-atomic-weak": (65, 34),
-    "mrsw-register-atomic-strong": (123, 50),
-    "hw-queue-atomic-weak": (205, 70),
-    "hw-queue-atomic-strong": (315, 94),
-    "hw-queue-atomic-unordered": (315, 94),
-    "srsw-register-implemented-weak": (2451, 731),
-    "srsw-register-implemented-strong": (2451, 731),
+    "srsw-register-atomic-strong": (24, 10),
+    "mrsw-register-atomic-weak": (56, 34),
+    "mrsw-register-atomic-strong": (86, 50),
+    "hw-queue-atomic-weak": (149, 70),
+    "hw-queue-atomic-strong": (183, 94),
+    "hw-queue-atomic-unordered": (183, 94),
+    "srsw-register-implemented-weak": (127, 731),
+    "srsw-register-implemented-strong": (127, 731),
     "coschedulable-early": (49, 24),
     "coschedulable-late": (47, 23),
 }
@@ -328,8 +331,9 @@ def test_coschedulability_search_matches_replay_from_root(monkeypatch, name, tar
 
 
 def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkeypatch):
-    # Replaying every node from the root builds 2,451 simulations here;
-    # the root plus 667 forks are built.
+    # Replaying every node of the untabled tree from the root builds
+    # 2,451 simulations here; the tabled search meets 127 nodes and
+    # builds the root plus 50 forks.
     built = []
 
     def counting(*args, **kwargs):
@@ -340,7 +344,57 @@ def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkey
     ex = srsw_register_example()
     value = optimal_expectation(ex.implemented, ex.omega, ex.payoff, klass="weak")
     assert value == Fraction(1, 2)
-    assert 0 < len(built) <= 668
+    assert 0 < len(built) <= 51
+
+
+def _own_step_counts(state_key):
+    # Mutant: each process's step count in place of its steps.
+    def key(sim):
+        own, base = state_key(sim)
+        return tuple(len(steps) for steps in own), base
+
+    return key
+
+
+def _no_base_states(state_key):
+    # Mutant: the processes' own steps without the base-object states.
+    return lambda sim: state_key(sim)[0]
+
+
+@pytest.mark.parametrize(
+    "game, mutant, wrong",
+    [
+        ("srsw-register-implemented-weak", _own_step_counts, Fraction(0)),
+        ("hw-queue-atomic-strong", _no_base_states, Fraction(1)),
+    ],
+    ids=["own-step-counts", "no-base-states"],
+)
+def test_a_weaker_state_key_changes_the_game_value(monkeypatch, game, mutant, wrong):
+    # Each component of the key is needed: dropping one merges game
+    # states whose sub-games differ, and the value leaves the reference.
+    [(_name, alg, omega, payoff, klass, goal)] = [g for g in _games() if g[0] == game]
+    kw = dict(klass=klass, maximize=(goal == "max"))
+    reference = _reference_optimal(alg, omega, payoff, **kw)
+    assert optimal_expectation(alg, omega, payoff, **kw) == reference == Fraction(1, 2)
+    monkeypatch.setattr(search, "_state_key", mutant(search._state_key))
+    assert optimal_expectation(alg, omega, payoff, **kw) == wrong
+
+
+# Optimum claims on the implemented objects that the transposition table
+# makes cheap: the srsw games meet 127 nodes, the mrsw games 3,650
+# (about 0.3 s each).  The pinned schedules are a second route to each
+# value.  The snapshot weak game (-4, against the pinned -2) meets
+# 355,205 nodes and takes over a minute, so it stays out of this suite.
+@pytest.mark.parametrize("klass", ["weak", "strong"])
+@pytest.mark.parametrize(
+    "make, optimum",
+    [(srsw_register_example, Fraction(1, 2)), (mrsw_register_example, Fraction(-1, 2))],
+    ids=["srsw-register", "mrsw-register"],
+)
+def test_implemented_register_optimum_equals_the_pinned_schedule(make, optimum, klass):
+    ex = make()
+    value = optimal_expectation(ex.implemented, ex.omega, ex.payoff, klass=klass)
+    assert value == implemented_value(ex) == optimum
 
 
 def test_replay_grants_return_shapes():
