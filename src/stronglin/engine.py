@@ -264,21 +264,26 @@ class Simulation:
         self.flip_count = 0
         self.targets: dict[str, tuple] = {}
         registry, base_spec, base_state = self.registry, self.base_spec, self.base_state
+        sealed = False
 
-        # Allocators close over the run's tables, not over ``self``: instance
-        # state may keep one, and a cycle back to the Simulation would leave
-        # every finished run, history and all, to the cycle collector.
-        def alloc(spec, type_name, params, level, impl=None) -> int:
+        # The allocator closes over the run's tables, not over ``self``, so a
+        # set-up that keeps it makes no cycle back to the Simulation.
+        def alloc(spec, type_name, params, level=BASE, impl=None) -> int:
+            if sealed:
+                raise EngineError(f"allocation of {type_name!r} after set-up")
             oid = len(registry)
             registry[oid] = ObjectInfo(type_name, level, tuple(params), impl)
             base_spec[oid] = spec
             base_state[oid] = spec.initial_state
             return oid
 
+        def owned_alloc(key, spec, type_name, params=()):
+            return alloc(spec, type_name, tuple(params) + (("owner", key),))
+
         for b in alg.bindings:
             if b.spec is not None:
                 params = (("key", b.key),) + b.spec.params
-                oid = alloc(b.spec, b.spec.type_name, params, BASE)
+                oid = alloc(b.spec, b.spec.type_name, params)
                 self.targets[b.key] = ("atomic", oid, None, None, None)
             else:
                 impl, target = b.impl, b.impl.target_spec
@@ -286,23 +291,12 @@ class Simulation:
                 toid = alloc(
                     target, target.type_name, params, INTERPRETED, impl=impl.impl_name
                 )
-                owned: set = set()
-
-                def make_alloc(owned_set, key):
-                    def owned_alloc(spec, type_name, params=()):
-                        tagged = tuple(params) + (("owner", key),)
-                        oid = alloc(spec, type_name, tagged, BASE)
-                        owned_set.add(oid)
-                        return oid
-
-                    return owned_alloc
-
-                state = impl.setup(make_alloc(owned, b.key))
+                state = impl.setup(functools.partial(owned_alloc, b.key))
+                owned = range(toid + 1, len(registry))
                 self.targets[b.key] = ("impl", toid, impl, state, owned)
         coin = coin_spec()
-        self.coin_oid = {
-            p: alloc(coin, COIN, (("process", p),), BASE) for p in alg.processes
-        }
+        self.coin_oid = {p: alloc(coin, COIN, (("process", p),)) for p in alg.processes}
+        sealed = True
         self.procs = {p: _ProcState(alg.make_program(p)) for p in alg.processes}
         self._unfinished = len(self.procs)
         for p, rt in self.procs.items():

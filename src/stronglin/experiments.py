@@ -647,7 +647,7 @@ def coschedulable(targets: Mapping[int, tuple]) -> bool:
             return False
         return completion_signature(interpret(rec.history)) == targets[coins[0]]
 
-    found = exists_adversary(alg, (0, 1), leaf_ok, klass="strong", grant_cap=8)
+    found = exists_adversary(alg, (0, 1), leaf_ok, klass="strong")
     return found is not None
 
 

@@ -8,9 +8,10 @@ constructors package the classic constructions as step machines:
 each method body is a generator that yields one base-object invocation
 per step, receives the response, and returns the method's result.
 
-Base objects are laid out during setup; the compare-and-swap
-construction also allocates a block per successful install, through a
-closure over the allocator that setup keeps in the instance state.
+Every base object is laid out in setup, before the run's first grant,
+and the engine refuses allocation after that.  A body's shared state is
+therefore only its own base objects: no body allocates, and none keeps
+a counter that other processes bump.
 """
 
 from __future__ import annotations
@@ -228,12 +229,14 @@ class ImplProgram:
     """An implemented object: a target type plus deterministic method
     bodies over its own base objects.
 
-    ``setup(alloc)`` lays out the base objects, whose immutable specs
-    every run shares, and returns the mutable instance state (one engine
-    run owns it).  ``body(state, p, op, args)`` returns a generator
-    yielding ("invoke", oid, op, args) actions; its return value is the
-    method response.  A body issues no base operation for an op it does
-    not implement, and the engine rejects that call.
+    ``setup(alloc)`` lays out every base object the implementation
+    uses, whose immutable specs every run shares, and returns the
+    instance state (one engine run owns it); the allocator raises
+    EngineError once set-up is over.  ``body(state, p, op, args)``
+    returns a generator yielding ("invoke", oid, op, args) actions; its
+    return value is the method response.  A body issues no base
+    operation for an op it does not implement, and the engine rejects
+    that call.
     """
 
     impl_name: str
@@ -311,7 +314,8 @@ def aadgms_snapshot(n: int) -> ImplProgram:
     which case the scan borrows that writer's embedded view from the
     latest collect (lowest component index on ties).  An update runs an
     inner scan and then publishes (value, next seq, that view) in one
-    write.
+    write; only the updater writes its cell, so the scan's last collect
+    holds its current sequence number.
     """
     if n < 1:
         raise ValueError("need at least one component")
@@ -322,9 +326,11 @@ def aadgms_snapshot(n: int) -> ImplProgram:
         cells = tuple(
             alloc(cell, "snapshot-cell", (("component", i),)) for i in range(n)
         )
-        return {"cells": cells, "seq": {}}
+        return {"cells": cells}
 
     def scan_views(cells):
+        # The view, and the last collect, which an update reads its own
+        # sequence number from.
         prev = None
         changes = [0] * n
         while True:
@@ -333,28 +339,26 @@ def aadgms_snapshot(n: int) -> ImplProgram:
                 cur.append((yield _read(cells[j])))
             if prev is not None:
                 if cur == prev:
-                    return tuple(entry[0] for entry in cur)
+                    return tuple(entry[0] for entry in cur), cur
                 for j in range(n):
                     if cur[j][1] != prev[j][1]:
                         changes[j] += 1
                 for j in range(n):
                     if changes[j] >= 2:
-                        return tuple(cur[j][2])
+                        return tuple(cur[j][2]), cur
             prev = cur
 
     def body(state, p, op, args):
         cells = state["cells"]
         if op == "scan":
-            view = yield from scan_views(cells)
+            view, _ = yield from scan_views(cells)
             return view
         if op == "update":
             (v,) = args
             if not 0 <= p < n:
                 raise ValueError(f"process {p} has no snapshot component")
-            view = yield from scan_views(cells)
-            seq = state["seq"].get(p, 0) + 1
-            state["seq"][p] = seq
-            yield _write(cells[p], (v, seq, view))
+            view, seen = yield from scan_views(cells)
+            yield _write(cells[p], (v, seen[p][1] + 1, view))
             return None
 
     return ImplProgram("aadgms-snapshot", snapshot_spec(n), setup, body)
@@ -411,10 +415,16 @@ def vitanyi_awerbuch_mrsw() -> ImplProgram:
     return ImplProgram("vitanyi-awerbuch-mrsw", register_spec(), setup, body)
 
 
-def herlihy_wing_queue(capacity: int = 16) -> ImplProgram:
-    """The classic array queue: enqueue reserves a slot with fetch&inc
-    and writes it; dequeue sweeps the array with fetch&set, swapping in
-    the empty marker, and retries forever while everything reads empty.
+#: The queue's item cells and the compare-and-swap construction's blocks.
+CAPACITY = 16
+
+
+def herlihy_wing_queue() -> ImplProgram:
+    """The classic array queue of CAPACITY cells: enqueue reserves a slot
+    with fetch&inc and writes it; dequeue sweeps the array with
+    fetch&set, swapping in the empty marker, and retries forever while
+    everything reads empty.  An enqueue past the last cell is a
+    ValueError.
     """
 
     counter, empty = rmw_cell_spec(0), rmw_cell_spec(BOTTOM)
@@ -422,7 +432,7 @@ def herlihy_wing_queue(capacity: int = 16) -> ImplProgram:
     def setup(alloc):
         tail = alloc(counter, "tail-counter")
         items = tuple(
-            alloc(empty, "item-cell", (("index", i),)) for i in range(capacity)
+            alloc(empty, "item-cell", (("index", i),)) for i in range(CAPACITY)
         )
         return {"tail": tail, "items": items}
 
@@ -431,14 +441,14 @@ def herlihy_wing_queue(capacity: int = 16) -> ImplProgram:
         if op == "enqueue":
             (v,) = args
             pos = yield ("invoke", tail, "fetch_inc", ())
-            if pos >= capacity:
-                raise ValueError(f"queue capacity {capacity} exceeded")
+            if pos >= CAPACITY:
+                raise ValueError(f"queue capacity {CAPACITY} exceeded")
             yield _write(items[pos], v)
             return None
         if op == "dequeue":
             while True:
                 limit = yield _read(tail)
-                for i in range(min(limit, capacity)):
+                for i in range(min(limit, CAPACITY)):
                     v = yield ("invoke", items[i], "fetch_set", (BOTTOM,))
                     if v != BOTTOM:
                         return v
@@ -500,25 +510,32 @@ def writefirst_strong_counter(n: int) -> ImplProgram:
 def cas_from_registers(initial: Any = 0) -> ImplProgram:
     """Compare-and-swap from reads, writes and per-block test&set.
 
-    State lives in blocks, each a (value register, election bit, signal
-    register) triple; a pointer register names the current block.  A
-    CAS that sees the expected value races for the block's election
-    bit.  The winner allocates a fresh block, publishes the new value,
-    swings the pointer, then signals the losers, which spin on the
-    signal register and return the signalled value.
+    State lives in CAPACITY blocks, each a (value register, election
+    bit, signal register) triple; a pointer register names the current
+    block.  A CAS that sees the expected value in block b races for its
+    election bit, unless it would write that value back, in which case
+    it returns at once, as a mismatch does.  The winner publishes the
+    new value in block b + 1, swings the pointer, then signals the
+    losers, which spin on the signal register and return the signalled
+    value.  Each block has one winner and only it moves the pointer, so
+    installs fill the blocks in order; an install past the last block is
+    a ValueError.
     """
 
-    def setup(alloc):
-        def new_block(k):
-            return (
-                alloc(register_spec(initial if k == 0 else 0), "block-value", (("block", k),)),
-                alloc(test_and_set_spec(), "block-election", (("block", k),)),
-                alloc(register_spec(BOTTOM), "block-signal", (("block", k),)),
-            )
+    first, zero, bit, empty = (
+        register_spec(initial), register_spec(0), test_and_set_spec(), register_spec(BOTTOM)
+    )
 
-        blocks = {0: new_block(0)}
-        cur = alloc(register_spec(0), "current-block")
-        return {"cur": cur, "blocks": blocks, "next": 1, "new_block": new_block}
+    def setup(alloc):
+        blocks = tuple(
+            (
+                alloc(first if k == 0 else zero, "block-value", (("block", k),)),
+                alloc(bit, "block-election", (("block", k),)),
+                alloc(empty, "block-signal", (("block", k),)),
+            )
+            for k in range(CAPACITY)
+        )
+        return {"cur": alloc(zero, "current-block"), "blocks": blocks}
 
     def body(state, p, op, args):
         if op == "read":
@@ -530,15 +547,14 @@ def cas_from_registers(initial: Any = 0) -> ImplProgram:
             b = yield _read(state["cur"])
             val_reg, election, signal = state["blocks"][b]
             v = yield _read(val_reg)
-            if v != x:
+            if v != x or x == y:
                 return v
             lost = yield ("invoke", election, "test_set", ())
             if not lost:
-                nb = state["next"]
-                state["next"] += 1
-                state["blocks"][nb] = state["new_block"](nb)
-                yield _write(state["blocks"][nb][0], y)
-                yield _write(state["cur"], nb)
+                if b + 1 == CAPACITY:
+                    raise ValueError(f"cas capacity {CAPACITY} blocks exceeded")
+                yield _write(state["blocks"][b + 1][0], y)
+                yield _write(state["cur"], b + 1)
                 yield _write(signal, y)
                 return x
             while True:

@@ -29,13 +29,13 @@ The optimal-value search solves each game state once.  A per-call
 transposition table maps ``_state_key`` (each process's own steps in
 order, then the base-object states in registry order) to the value
 below it.  Programs and method bodies are deterministic in the responses
-they receive, so the own steps fix every process's local state; with
-the base states they fix every sub-game, and the payoff, which sees
-only the returns, fixes the value.  The number of base states is the
-registry size, so the key also covers an implementation that allocates
-during a run.  The existence search keeps no table: its predicate may
-score the cross-process order of the interpreted responses, which the
-key does not fix.
+they receive.  The one state a body keeps across calls, the writer's
+sequence number in ``vitanyi_awerbuch_mrsw``, is fixed by the writer's
+own steps.  So the own steps fix every process's local state; with the
+base states they fix every sub-game, and the payoff, which sees only
+the returns, fixes the value.  The existence search keeps no table: its
+predicate may score the cross-process order of the interpreted
+responses, which the key does not fix.
 
 ``node_cap`` counts game nodes: the root, one per grant decision
 (whether or not the grant flips) and one per coin outcome; a node whose

@@ -466,6 +466,29 @@ def test_method_with_no_base_operation_is_caught():
         run(alg, scripted_policy("strong", [0]), VectorCoins(()))
 
 
+def test_allocation_after_set_up_is_refused():
+    # A set-up may keep its allocator, but a body that calls it meets a
+    # sealed registry.
+    def setup(alloc):
+        return {"alloc": alloc, "own": alloc(register_spec(0), "cell")}
+
+    def body(state, p, op, args):
+        oid = state["alloc"](register_spec(0), "late-cell")
+        yield ("invoke", oid, "read", ())
+
+    hoarder = ImplProgram("hoarder", register_spec(0), setup, body)
+
+    def prog(p):
+        def gen():
+            yield ("invoke", "X", "read", ())
+
+        return gen()
+
+    alg = AlgorithmSpec((0,), (Binding("X", impl=hoarder),), prog)
+    with pytest.raises(EngineError, match="'late-cell' after set-up"):
+        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+
+
 def test_per_process_coins_and_exhaustion():
     alg = flip_write_alg(2)
     coins = PerProcessCoins({0: (1,), 1: (0,)})
@@ -479,7 +502,8 @@ def test_per_process_coins_and_exhaustion():
 
 def test_simulations_are_freed_without_the_cycle_collector():
     # A run's steps and generators go as soon as its last reference does,
-    # also mid-method and after a method body allocated an object.
+    # also mid-method and after a compare-and-swap install moved the
+    # construction to its next block.
     def cas_prog(p):
         def gen():
             return (yield ("invoke", "C", "cas", (0, p + 1)))

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,14 @@ from stronglin.engine import (
     MarkState,
     Simulation,
     VectorCoins,
+    plan_policy,
+    rotation,
     run,
     scripted_policy,
 )
 from stronglin import objects
+from stronglin.checkers import default_specs, linearize_one
+from stronglin.experiments import EXAMPLES
 from stronglin.histories import (
     BASE,
     BOTTOM,
@@ -27,6 +32,7 @@ from stronglin.histories import (
     validate_sequential,
 )
 from stronglin.objects import (
+    CAPACITY,
     CATALOG,
     SPECS,
     aadgms_snapshot,
@@ -429,6 +435,97 @@ def test_cas_mismatch_returns_current_value_without_install():
     assert responses == [4, 4]
 
 
+def test_hw_queue_enqueue_past_its_capacity_is_refused():
+    fill = [(0, "enqueue", (i,)) for i in range(CAPACITY)]
+    responses, _ = run_calls(herlihy_wing_queue(), fill)
+    assert responses == [None] * CAPACITY
+    with pytest.raises(ValueError, match=f"capacity {CAPACITY}"):
+        run_calls(herlihy_wing_queue(), fill + [(0, "enqueue", (CAPACITY,))])
+
+
+def test_cas_install_past_the_last_block_is_refused():
+    # Block 0 holds the initial value; each install takes the next block.
+    installs = [(0, "cas", (i, i + 1)) for i in range(CAPACITY - 1)]
+    responses, _ = run_calls(cas_from_registers(0), installs + [(1, "read", ())])
+    assert responses == list(range(CAPACITY))
+    with pytest.raises(ValueError, match=f"capacity {CAPACITY}"):
+        run_calls(cas_from_registers(0), installs + [(0, "cas", (CAPACITY - 1, 0))])
+
+
+def _random_strong_run(alg, seed):
+    """A run that grants a uniformly drawn live process each time."""
+
+    def plan(view):
+        rng = random.Random(seed)
+        while live := [q for q in alg.processes if not view.finished(q)]:
+            yield rng.choice(live)
+
+    rec = run(alg, plan_policy("strong", plan), VectorCoins(()))
+    assert set(rec.returns) == set(alg.processes), seed
+    return rec
+
+
+def _base_writes(rec, type_name, **labels):
+    """The values written to the one base object of that type and labels."""
+    (oid,) = (
+        oid for oid, info in rec.history.objects.items()
+        if info.type_name == type_name
+        and all(info.label(k) == v for k, v in labels.items())
+    )
+    return [
+        s.payload[0] for s in rec.history.steps
+        if s.obj == oid and s.op == "write" and s.kind == "inv"
+    ]
+
+
+def test_cas_random_schedules_linearize_and_fill_blocks_in_order():
+    longest = 0
+    for seed in range(100):
+        rng = random.Random(f"cas:{seed}")
+        calls = {
+            p: [(rng.randrange(3), rng.randrange(3)) for _ in range(2)] for p in range(3)
+        }
+
+        def prog(p, calls=calls):
+            def gen():
+                out = []
+                for x, y in calls[p]:
+                    out.append((yield ("invoke", "K", "cas", (x, y))))
+                return out
+
+            return gen()
+
+        alg = AlgorithmSpec((0, 1, 2), (Binding("K", impl=cas_from_registers(0)),), prog)
+        rec = _random_strong_run(alg, seed)
+        hi = interpret(rec.history)
+        specs = default_specs(hi.objects, hi.processes)
+        lin = linearize_one(hi, specs)
+        assert lin is not None and validate_sequential(lin, specs), seed
+        pointer = _base_writes(rec, "current-block")
+        assert pointer == list(range(1, len(pointer) + 1)), seed
+        longest = max(longest, len(pointer))
+    assert longest >= 3
+
+
+def test_aadgms_updates_publish_successive_sequence_numbers():
+    def prog(p):
+        def gen():
+            for v in range(3):
+                if p < 2:
+                    yield ("invoke", "S", "update", (v,))
+                else:
+                    yield ("invoke", "S", "scan", ())
+
+        return gen()
+
+    alg = AlgorithmSpec((0, 1, 2), (Binding("S", impl=aadgms_snapshot(3)),), prog)
+    for seed in range(30):
+        rec = _random_strong_run(alg, seed)
+        for p in (0, 1):
+            published = _base_writes(rec, "snapshot-cell", component=p)
+            assert [seq for _v, seq, _view in published] == [1, 2, 3], seed
+
+
 def test_mutex_wrapped_matches_bare_spec_sequentially():
     impl = mutex_wrapped(queue_spec())
     calls = [(0, "enqueue", (4,)), (1, "enqueue", (5,)), (2, "dequeue", ()), (0, "dequeue", ())]
@@ -555,3 +652,39 @@ def test_an_operation_a_construction_lacks_is_rejected():
         alg = AlgorithmSpec((0,), (Binding("X", impl=impl),), prog)
         with pytest.raises((EngineError, ValueError), match="no base|not support"):
             run(alg, scripted_policy("strong", [0] * 8), VectorCoins(()))
+
+
+# One call per process for each target type of the catalog.
+_CATALOG_CALLS = {
+    "register": (("write", (1,)), ("read", ()), ("read", ())),
+    "snapshot": (("update", (1,)), ("update", (2,)), ("scan", ())),
+    "queue": (("enqueue", (1,)), ("enqueue", (2,)), ("dequeue", ())),
+    "strong-counter": (("fetch_inc", ()), ("fetch_inc", ()), ("fetch_dec", ())),
+    "cas": (("cas", (0, 1)), ("cas", (0, 2)), ("cas", (1, 3))),
+}
+
+
+def _catalog_algorithm(impl):
+    calls = _CATALOG_CALLS[impl.target_spec.type_name]
+
+    def prog(p):
+        def gen():
+            return (yield ("invoke", "X", *calls[p]))
+
+        return gen()
+
+    return AlgorithmSpec((0, 1, 2), (Binding("X", impl=impl),), prog)
+
+
+def test_a_drained_run_leaves_the_registry_as_set_up():
+    # Every base object is laid out in set-up: no run adds one.
+    examples = [make() for make in EXAMPLES.values()]
+    algs = [alg for ex in examples for alg in (ex.implemented, ex.atomic)]
+    algs += [_catalog_algorithm(impl) for impl in _catalog_instances().values()]
+    for alg in algs:
+        set_up = Simulation(alg, VectorCoins(())).registry
+        drain = plan_policy("strong", lambda view: rotation(view, alg.processes))
+        for c in alg.omega:
+            rec = run(alg, drain, VectorCoins((c,)))
+            assert set(rec.returns) == set(alg.processes)
+            assert rec.history.objects == set_up
