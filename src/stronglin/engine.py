@@ -318,6 +318,30 @@ class Simulation:
         rt = self.procs[pid]
         return rt.method is None and rt.pending == ("flip",)
 
+    def next_response(self, pid: int) -> tuple | None:
+        """What the next grant of ``pid`` responds, read without granting.
+
+        ``(oid, state, response)`` when that grant is one operation on a
+        base object, a method's next base step or an invocation of an
+        atomic object: ``response`` is what the process receives and
+        ``state`` is what base object ``oid`` is left in.  None when the
+        grant starts with a flip, whose response is the coin's, or invokes
+        an implemented object, whose first base operation its body names
+        only once started.
+        """
+        rt = self.procs[pid]
+        if rt.method is not None:
+            _, oid, op, args = rt.method.pending_base
+        else:
+            act = rt.pending
+            if act[0] != "invoke" or self.targets[act[1]][0] != "atomic":
+                return None
+            _, key, op, args = act
+            oid = self.targets[key][1]
+        spec, state = self.base_spec[oid], self.base_state[oid]
+        state, resp = spec.transition(state, op, tuple(args), pid)
+        return oid, state, resp
+
     def grant(self, pid: int) -> None:
         rt = self.procs.get(pid)
         if rt is None:

@@ -26,23 +26,39 @@ taken before the node is mutated.  A grant flips at most once, so no
 fork runs out of coins.
 
 The optimal-value search solves each game state once.  A per-call
-transposition table maps ``_state_key`` (each process's own steps in
-order, then the base-object states in registry order) to the value
-below it.  Programs and method bodies are deterministic in the responses
-they receive.  The one state a body keeps across calls, the writer's
-sequence number in ``vitanyi_awerbuch_mrsw``, is fixed by the writer's
-own steps.  So the own steps fix every process's local state; with the
-base states they fix every sub-game, and the payoff, which sees only
-the returns, fixes the value.  The existence search keeps no table: its
+transposition table maps ``_state_key`` (each process's base-level
+responses in order, flip outcomes included, then the base-object states
+in registry order) to the value below it.  Programs and method bodies
+are deterministic in the responses they receive.  The one state a body
+keeps across calls, the writer's sequence number in
+``vitanyi_awerbuch_mrsw``, is fixed by the writer's own responses.  So
+the responses fix every process's local state and its own steps; with
+the base states they fix every sub-game, and the payoff, which sees only
+the returns, fixes the value.
+
+Successors are looked up before they are built.  A successor's state is
+its parent's with one process's responses extended and at most one base
+state changed, so it is derived from the parent's live simulation
+without granting: a strong-class flip appends its outcome, and a
+method's next base step or an atomic invocation is one pure
+``SeqSpec.transition`` (``Simulation.next_response``).  A successor
+whose derived state is solved is answered from the table and never
+built, in place or by a fork.  Two grants cannot be derived, because
+only running the process's generators tells what they respond: a weak
+flip, which also runs the next invocation, and an invocation of an
+implemented object, whose body names its first base operation only once
+started.  Those are built as before, and their state is read off the
+steps their grant made.  The existence search keeps no table: its
 predicate may score the cross-process order of the interpreted
 responses, which the key does not fix.
 
 ``node_cap`` counts game nodes: the root, one per grant decision
 (whether or not the grant flips) and one per coin outcome; a node whose
-state is in the table counts, its subtree does not.  Inputs are tiny by
-design and guarded by it and by ``grant_cap``, the longest run either
-search follows; both caps raise ``EngineError``.  Equal keys mean equal
-per-process grant counts, so a table hit never hides a grant-cap error.
+state is in the table counts, built or not, and its subtree does not.
+Inputs are tiny by design and guarded by it and by ``grant_cap``, the
+longest run either search follows; both caps raise ``EngineError``.
+Equal keys mean equal per-process grant counts, so a table hit never
+hides a grant-cap error.
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from .engine import AlgorithmSpec, EngineError, NeedCoinError, Simulation, VectorCoins
+from .histories import BASE, RSP
 
 
 def replay_grants(alg: AlgorithmSpec, grants: tuple, coins: tuple, klass: str):
@@ -70,31 +87,40 @@ def replay_grants(alg: AlgorithmSpec, grants: tuple, coins: tuple, klass: str):
 
 
 class _Walk:
-    """Node count, caps and the one successor/handoff rule of both searches."""
+    """Node count, caps and the one successor/handoff rule of both searches.
+
+    Given a transposition table, the walk keys every successor and
+    answers a solved one from the table: before building it when its
+    state can be derived, else once built.  A successor is then a triple
+    (simulation, state, key) whose simulation is None when the table
+    holds its value.  Without a table a successor is its simulation.
+    """
 
     def __init__(self, alg: AlgorithmSpec, omega: tuple, klass: str, what: str,
-                 node_cap: int, grant_cap: int):
+                 node_cap: int, grant_cap: int, table: dict | None = None):
         self.alg, self.omega, self.klass = alg, omega, klass
         self.what, self.node_cap, self.grant_cap = what, node_cap, grant_cap
-        self.nodes = self.forks = self.deepest = 0
+        self.table = table
+        self.nodes = self.forks = self.skipped = self.deepest = 0
 
     def _visit(self, depth: int) -> None:
         self.nodes += 1
         self.deepest = max(self.deepest, depth)
         if self.nodes > self.node_cap:
             raise EngineError(
-                f"{self.what} search exceeded {self.node_cap} nodes "
-                f"({self.forks} forks, deepest run {self.deepest} grants)"
+                f"{self.what} search exceeded {self.node_cap} nodes ({self.forks} "
+                f"forks, {self.skipped} skipped, deepest run {self.deepest} grants)"
             )
 
     def root(self) -> Simulation:
         self._visit(0)
         return replay_grants(self.alg, (), (), self.klass)[1]
 
-    def children(self, sim: Simulation):
+    def children(self, sim: Simulation, state: tuple | None = None):
         """Yield, per live pid in pid order, an iterator over the equally
-        likely simulations that one grant of it leads to.  Raises at the
-        grant cap."""
+        likely successors that one grant of it leads to.  ``state`` is
+        ``sim``'s state when the walk keeps a table.  Raises at the grant
+        cap."""
         grants, coins = tuple(sim.grants), sim.coins.vector
         if len(grants) >= self.grant_cap:
             raise EngineError(
@@ -103,32 +129,78 @@ class _Walk:
             )
         live = sim.live_pids()
         for q in live:
-            yield self._successors(sim, grants + (q,), coins, q == live[-1])
+            yield self._successors(sim, state, grants + (q,), coins, q == live[-1])
 
-    def _successors(self, sim: Simulation, grants: tuple, coins: tuple, in_place: bool):
+    def _successors(self, sim: Simulation, state, grants: tuple, coins: tuple,
+                    in_place: bool):
         q = grants[-1]
         self._visit(len(grants))
         flips = sim.flips_next(q)
-        vectors = [coins + (w,) for w in self.omega] if flips else [coins]
-        for k, vector in enumerate(vectors, 1):
+        outcomes = self.omega if flips else (None,)
+        for k, w in enumerate(outcomes, 1):
             if flips:
                 self._visit(len(grants))
-            if in_place and k == len(vectors):
+            child = None if state is None else _derive(sim, state, q, w)
+            if child is not None:
+                key = _state_key(*child)
+                if key in self.table:
+                    self.skipped += 1
+                    yield None, child, key
+                    continue
+            vector = coins + (w,) if flips else coins
+            before = len(sim.steps)
+            if in_place and k == len(outcomes):
                 sim.coins.vector = vector
                 sim.grant(q)
-                yield sim
+                built = sim
             else:
                 self.forks += 1
-                yield replay_grants(self.alg, grants, vector, self.klass)[1]
+                built = replay_grants(self.alg, grants, vector, self.klass)[1]
+            if state is None:
+                yield built
+                continue
+            if child is None:
+                child = _grown(state, q, built, before)
+                key = _state_key(*child)
+            yield (None if key in self.table else built), child, key
 
 
-def _state_key(sim: Simulation) -> tuple:
-    """What fixes every sub-game below ``sim``: each process's own steps
-    in order, then the base-object states in registry order."""
-    own: dict[int, list] = {p: [] for p in sim.alg.processes}
-    for s in sim.steps:
-        own[s.process].append(s)
-    return tuple(tuple(v) for v in own.values()), tuple(sim.base_state.values())
+def _state_key(responses: tuple, base: tuple) -> tuple:
+    """The table key of a game state: each process's base-level
+    responses in order, flip outcomes included, then the base-object
+    states in registry order.  Every key the search looks up is made
+    here."""
+    return responses, base
+
+
+def _extend(responses: tuple, sim: Simulation, q: int, more: tuple) -> tuple:
+    i = sim.alg.processes.index(q)
+    return responses[:i] + (responses[i] + more,) + responses[i + 1:]
+
+
+def _derive(sim: Simulation, state: tuple, q: int, outcome) -> tuple | None:
+    """The state one grant of ``q`` leads to from ``sim``, read without
+    granting: ``outcome`` is the coin's when the grant flips.  None when
+    only the grant can tell: a weak flip also runs ``q``'s next
+    invocation, and an implemented invocation's first base operation is
+    known only once its body starts."""
+    responses, base = state
+    if sim.flips_next(q):
+        if sim.klass == "weak":
+            return None
+        return _extend(responses, sim, q, (outcome,)), base
+    nxt = sim.next_response(q)
+    if nxt is None:
+        return None
+    oid, after, resp = nxt
+    return _extend(responses, sim, q, (resp,)), base[:oid] + (after,) + base[oid + 1:]
+
+
+def _grown(state: tuple, q: int, sim: Simulation, before: int) -> tuple:
+    """The state of ``sim`` once ``q``'s grant, which made the steps from
+    position ``before`` on, has moved it on from ``state``."""
+    more = tuple(s.payload for s in sim.steps[before:] if s.kind == RSP and s.level == BASE)
+    return _extend(state[0], sim, q, more), tuple(sim.base_state.values())
 
 
 def optimal_expectation(
@@ -145,29 +217,33 @@ def optimal_expectation(
     Runs must complete every process (programs here are finite);
     ``payoff`` receives a finished run's returns, process to return
     value, and is averaged uniformly over omega at every flip.  Each
-    game state is solved once (see the module docstring), which is sound
-    because the payoff sees nothing of the path but those returns.
+    game state, keyed on each process's base-level responses plus the
+    base states, is solved once (see the module docstring), which is
+    sound because the payoff sees nothing of the path but those returns.
+    A successor's key is derived and looked up before its simulation is
+    built, and a solved one is never built; a weak flip or an invocation
+    of an implemented object cannot be derived, so it is built as before
+    and looked up after.
     """
-    walk = _Walk(alg, omega, klass, "optimal", node_cap, grant_cap)
     table: dict[tuple, Fraction] = {}
+    walk = _Walk(alg, omega, klass, "optimal", node_cap, grant_cap, table)
 
-    def value(sim: Simulation) -> Fraction:
-        key = _state_key(sim)
-        if key in table:
-            return table[key]
+    def value(sim: Simulation, state: tuple, key: tuple) -> Fraction:
         if sim.all_finished():
             best = Fraction(payoff(sim.record().returns))
         else:
             best = None
-            for successors in walk.children(sim):
-                vals = [value(s) for s in successors]
+            for successors in walk.children(sim, state):
+                vals = [table[k] if c is None else value(c, st, k) for c, st, k in successors]
                 v = vals[0] if len(vals) == 1 else Fraction(sum(vals), len(vals))
                 if best is None or (v > best if maximize else v < best):
                     best = v
         table[key] = best
         return best
 
-    return value(walk.root())
+    sim = walk.root()
+    state = tuple(() for _ in alg.processes), tuple(sim.base_state.values())
+    return value(sim, state, _state_key(*state))
 
 
 def exists_adversary(

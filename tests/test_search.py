@@ -25,7 +25,7 @@ from stronglin.experiments import (
     srsw_register_example,
     _queue_payoff_unordered,
 )
-from stronglin.histories import FLIP, RSP, Step, interpret
+from stronglin.histories import BASE, FLIP, INTERPRETED, INV, RSP, Step, interpret
 from stronglin.search import (
     exists_adversary,
     optimal_expectation,
@@ -125,7 +125,7 @@ def test_search_caps_are_enforced():
     ex = snapshot_example()
     with pytest.raises(
         EngineError,
-        match=r"^optimal search exceeded 5 nodes \(\d+ forks, deepest run \d+ grants\)$",
+        match=r"^optimal search exceeded 5 nodes \(\d+ forks, \d+ skipped, deepest run \d+ grants\)$",
     ):
         optimal_expectation(ex.atomic, ex.omega, ex.payoff, node_cap=5)
     with pytest.raises(
@@ -135,7 +135,7 @@ def test_search_caps_are_enforced():
         optimal_expectation(ex.atomic, ex.omega, ex.payoff, grant_cap=2)
     with pytest.raises(
         EngineError,
-        match=r"^existence search exceeded 7 nodes \(\d+ forks, deepest run \d+ grants\)$",
+        match=r"^existence search exceeded 7 nodes \(\d+ forks, \d+ skipped, deepest run \d+ grants\)$",
     ):
         exists_adversary(ex.atomic, ex.omega, lambda rec, coins: False, node_cap=7)
 
@@ -159,7 +159,8 @@ def test_existence_grant_cap_raises_instead_of_answering_no():
 # ---------------------------------------------------------------------------
 # `optimal_expectation` and `exists_adversary` carry one live Simulation
 # down each path and replay only to fork a sibling successor, and
-# `optimal_expectation` solves each game state once.  These are the plain
+# `optimal_expectation` solves each game state once and builds no
+# successor whose derived state it has solved.  These are the plain
 # replay-from-root searches they replaced, kept as an independent oracle:
 # they find each flip by running out of coins, keep no table, and explore
 # in the same order, so values and returned maps must be identical.
@@ -225,25 +226,27 @@ def _games():
                ex.payoff, klass, ex.goal)
 
 
-# Game nodes per search, and the forks that the former search made when
-# it found a flip only by running out of coins: it replayed that grant
-# once per outcome, where the successor rule grants the last outcome in
-# place.  Node counts are fixed by the game tree and, for the optimal
-# search, by its transposition table: a successor whose game state was
-# solved before counts as a node, its subtree does not.  Forks may only
-# fall.
+# Game nodes per search, and a bound on its forks: the successors it
+# replays from the root.  Node counts are fixed by the game tree and, for
+# the optimal search, by its transposition table: a successor whose game
+# state was solved before counts as a node, its subtree does not.  The
+# optimal search builds no successor whose derived state is solved, so
+# its bounds are its replay counts; the existence search keeps no table.
+# Forks may only fall.
 SEARCH_NODES_AND_FORK_BOUND = {
-    "snapshot-atomic-weak": (95, 85),
-    "snapshot-atomic-strong": (143, 145),
-    "srsw-register-atomic-weak": (16, 8),
-    "srsw-register-atomic-strong": (24, 10),
-    "mrsw-register-atomic-weak": (56, 34),
-    "mrsw-register-atomic-strong": (86, 50),
-    "hw-queue-atomic-weak": (149, 70),
-    "hw-queue-atomic-strong": (183, 94),
-    "hw-queue-atomic-unordered": (183, 94),
-    "srsw-register-implemented-weak": (127, 731),
-    "srsw-register-implemented-strong": (127, 731),
+    "snapshot-atomic-weak": (95, 32),
+    "snapshot-atomic-strong": (143, 31),
+    "srsw-register-atomic-weak": (16, 5),
+    "srsw-register-atomic-strong": (24, 6),
+    "mrsw-register-atomic-weak": (56, 21),
+    "mrsw-register-atomic-strong": (86, 24),
+    "hw-queue-atomic-weak": (149, 31),
+    "hw-queue-atomic-strong": (183, 31),
+    "hw-queue-atomic-unordered": (183, 31),
+    "srsw-register-implemented-weak": (127, 30),
+    "srsw-register-implemented-strong": (127, 27),
+    "mrsw-register-implemented-weak": (3650, 690),
+    "mrsw-register-implemented-strong": (3650, 680),
     "coschedulable-early": (49, 24),
     "coschedulable-late": (47, 23),
 }
@@ -333,7 +336,8 @@ def test_coschedulability_search_matches_replay_from_root(monkeypatch, name, tar
 def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkeypatch):
     # Replaying every node of the untabled tree from the root builds
     # 2,451 simulations here; the tabled search meets 127 nodes and
-    # builds the root plus 50 forks.
+    # builds the root plus 30 forks: it derives the state of most
+    # successors before building them, and builds none that is solved.
     built = []
 
     def counting(*args, **kwargs):
@@ -344,57 +348,127 @@ def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkey
     ex = srsw_register_example()
     value = optimal_expectation(ex.implemented, ex.omega, ex.payoff, klass="weak")
     assert value == Fraction(1, 2)
-    assert 0 < len(built) <= 51
+    assert 0 < len(built) <= 31
 
 
-def _own_step_counts(state_key):
-    # Mutant: each process's step count in place of its steps.
-    def key(sim):
-        own, base = state_key(sim)
-        return tuple(len(steps) for steps in own), base
-
-    return key
+def _response_counts(state_key):
+    # Mutant: each process's response count in place of its responses.
+    return lambda responses, base: state_key(tuple(map(len, responses)), base)
 
 
 def _no_base_states(state_key):
-    # Mutant: the processes' own steps without the base-object states.
-    return lambda sim: state_key(sim)[0]
+    # Mutant: the processes' responses without the base-object states.
+    return lambda responses, base: state_key(responses, ())
+
+
+def _no_newest_response(state_key):
+    # Mutant: each process's responses but its newest one.
+    return lambda responses, base: state_key(tuple(r[:-1] for r in responses), base)
 
 
 @pytest.mark.parametrize(
     "game, mutant, wrong",
     [
-        ("srsw-register-implemented-weak", _own_step_counts, Fraction(0)),
+        ("srsw-register-implemented-weak", _response_counts, Fraction(0)),
         ("hw-queue-atomic-strong", _no_base_states, Fraction(1)),
+        ("snapshot-atomic-strong", _no_newest_response, Fraction(0)),
     ],
-    ids=["own-step-counts", "no-base-states"],
+    ids=["response-counts", "no-base-states", "no-newest-response"],
 )
 def test_a_weaker_state_key_changes_the_game_value(monkeypatch, game, mutant, wrong):
     # Each component of the key is needed: dropping one merges game
     # states whose sub-games differ, and the value leaves the reference.
+    # The root key and every successor's key, derived or read off a built
+    # simulation, go through the one wrapped function.
     [(_name, alg, omega, payoff, klass, goal)] = [g for g in _games() if g[0] == game]
     kw = dict(klass=klass, maximize=(goal == "max"))
     reference = _reference_optimal(alg, omega, payoff, **kw)
-    assert optimal_expectation(alg, omega, payoff, **kw) == reference == Fraction(1, 2)
+    assert optimal_expectation(alg, omega, payoff, **kw) == reference != wrong
     monkeypatch.setattr(search, "_state_key", mutant(search._state_key))
     assert optimal_expectation(alg, omega, payoff, **kw) == wrong
 
 
+def _scanned_state(sim):
+    # A simulation's state read off its steps: each process's base-level
+    # responses in order, then the base-object states.
+    responses = {p: () for p in sim.alg.processes}
+    for s in sim.steps:
+        if s.kind == RSP and s.level == BASE:
+            responses[s.process] += (s.payload,)
+    return tuple(responses.values()), tuple(sim.base_state.values())
+
+
+@pytest.mark.parametrize("game", list(_games()), ids=lambda g: g[0])
+def test_derived_state_is_the_state_of_the_built_successor(game):
+    # Every successor of every distinct state, each built by a replay from
+    # the root.  A derived state must be the built successor's state, read
+    # off its steps; derivation gives None exactly when the grant is a weak
+    # flip or starts an implemented operation, and then the state grown
+    # from the built successor's new steps must be it.
+    _name, alg, omega, _payoff, klass, _goal = game
+    seen, stack, derived = set(), [((), ())], 0
+    while stack:
+        grants, coins = stack.pop()
+        sim = replay_grants(alg, grants, coins, klass)[1]
+        state = _scanned_state(sim)
+        if state in seen:
+            continue
+        seen.add(state)
+        for q in sim.live_pids():
+            flips = sim.flips_next(q)
+            for w in omega if flips else (None,):
+                vector = coins + (w,) if flips else coins
+                built = replay_grants(alg, grants + (q,), vector, klass)[1]
+                got = search._derive(sim, state, q, w)
+                new = built.steps[len(sim.steps):]
+                starts_impl = any(s.kind == INV and s.level == INTERPRETED for s in new)
+                assert (got is None) == ((flips and klass == "weak") or starts_impl)
+                if got is None:
+                    got = search._grown(state, q, built, len(sim.steps))
+                else:
+                    derived += 1
+                assert search._state_key(*got) == search._state_key(*_scanned_state(built))
+                stack.append((grants + (q,), vector))
+    assert derived > 0
+
+
 # Optimum claims on the implemented objects that the transposition table
 # makes cheap: the srsw games meet 127 nodes, the mrsw games 3,650
-# (about 0.3 s each).  The pinned schedules are a second route to each
-# value.  The snapshot weak game (-4, against the pinned -2) meets
-# 355,205 nodes and takes over a minute, so it stays out of this suite.
+# (under 0.1 s each), with the node counts and fork bounds pinned above.
+# The pinned schedules are a second route to each value.  The snapshot
+# weak game (-4, against the pinned -2) meets 355,205 nodes and takes
+# 11 to 18 s, so it stays out of this suite.
 @pytest.mark.parametrize("klass", ["weak", "strong"])
 @pytest.mark.parametrize(
     "make, optimum",
     [(srsw_register_example, Fraction(1, 2)), (mrsw_register_example, Fraction(-1, 2))],
     ids=["srsw-register", "mrsw-register"],
 )
-def test_implemented_register_optimum_equals_the_pinned_schedule(make, optimum, klass):
+def test_implemented_register_optimum_equals_the_pinned_schedule(
+    monkeypatch, make, optimum, klass
+):
     ex = make()
+    walks, statuses = _record_walks(monkeypatch)
     value = optimal_expectation(ex.implemented, ex.omega, ex.payoff, klass=klass)
+    _assert_walk_pinned(f"{ex.name}-implemented-{klass}", walks, statuses)
     assert value == implemented_value(ex) == optimum
+
+
+@pytest.mark.parametrize(
+    "make, nodes",
+    [(srsw_register_example, 127), (mrsw_register_example, 3650)],
+    ids=["srsw-register", "mrsw-register"],
+)
+def test_weak_and_strong_implemented_searches_meet_the_same_nodes(monkeypatch, make, nodes):
+    # The weak boundary on the implemented objects: bundling a flip with
+    # the next invocation does not change which game states the search
+    # meets, so a change to the engine's weak rule that moved them would
+    # show here before it moved an optimum.
+    ex = make()
+    walks, _statuses = _record_walks(monkeypatch)
+    for klass in ("weak", "strong"):
+        optimal_expectation(ex.implemented, ex.omega, ex.payoff, klass=klass)
+    assert [walk.nodes for walk in walks] == [nodes, nodes]
 
 
 def test_replay_grants_return_shapes():
