@@ -216,6 +216,8 @@ class HistoryTree:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TreeError(f"bad tree JSON: {exc}") from None
+        except RecursionError:
+            raise TreeError("bad tree JSON: nested too deeply") from None
         processes, objects, raw = _fields(doc, ("processes", "objects", "nodes"), "tree")
         tree = cls(processes_from_doc(processes), objects_from_doc(objects))
         if not isinstance(raw, list):

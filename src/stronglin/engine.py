@@ -230,14 +230,13 @@ class _ProcState:
 
 
 class _MethodState:
-    __slots__ = ("body", "target", "op", "args", "pending_base", "owned")
+    __slots__ = ("body", "target", "op", "pending_base", "owned")
 
-    def __init__(self, body, target, op, args, owned):
+    def __init__(self, body, target, op, pending_base, owned):
         self.body = body
         self.target = target
         self.op = op
-        self.args = args
-        self.pending_base = None
+        self.pending_base = pending_base
         self.owned = owned
 
 
@@ -299,8 +298,8 @@ class Simulation:
         sealed = True
         self.procs = {p: _ProcState(alg.make_program(p)) for p in alg.processes}
         self._unfinished = len(self.procs)
-        for p, rt in self.procs.items():
-            self._advance_program(p, None, first=True)
+        for p in self.procs:
+            self._advance_program(p, None)
 
     # -- stepping ------------------------------------------------------------
 
@@ -319,14 +318,16 @@ class Simulation:
         return rt.method is None and rt.pending == ("flip",)
 
     def next_response(self, pid: int) -> tuple | None:
-        """What the next grant of ``pid`` responds, read without granting.
+        """The base step the next grant of ``pid`` commits, read without
+        granting.
 
-        ``(oid, state, response)`` when that grant is one operation on a
-        base object, a method's next base step or an invocation of an
-        atomic object: ``response`` is what the process receives and
-        ``state`` is what base object ``oid`` is left in.  None when the
-        grant starts with a flip, whose response is the coin's, or invokes
-        an implemented object, whose first base operation its body names
+        ``(oid, op, args, state, response)`` when that grant is one
+        operation on a base object, a method's next base step or an
+        invocation of an atomic object: the process receives
+        ``response`` and base object ``oid`` is left in ``state``.
+        ``grant`` commits exactly this tuple.  None when the grant starts
+        with a flip, whose response is the coin's, or invokes an
+        implemented object, whose first base operation its body names
         only once started.
         """
         rt = self.procs[pid]
@@ -338,9 +339,11 @@ class Simulation:
                 return None
             _, key, op, args = act
             oid = self.targets[key][1]
-        spec, state = self.base_spec[oid], self.base_state[oid]
-        state, resp = spec.transition(state, op, tuple(args), pid)
-        return oid, state, resp
+        args = tuple(args)
+        state, resp = self.base_spec[oid].transition(self.base_state[oid], op, args, pid)
+        if resp is ANY_RESPONSE:
+            raise EngineError("coin objects are driven by the coin source")
+        return oid, op, args, state, resp
 
     def grant(self, pid: int) -> None:
         rt = self.procs.get(pid)
@@ -356,30 +359,59 @@ class Simulation:
                 self.max_contention = self._active
         if self.flips_next(pid):
             self._flip_grant(pid)
-            return
-        if rt.method is None:
-            self._invoke(pid)
-        if rt.method is not None:
-            self._method_step(pid)
-
-    def _invoke(self, pid: int) -> None:
-        """Start the pending invocation: an atomic operation completes at
-        once, an implemented one emits its boundary step; its body then
-        takes one base step per grant."""
-        act = self.procs[pid].pending
-        if act[0] != "invoke":
-            raise EngineError(f"process {pid} yielded unknown action {act!r}")
-        _, key, op, args = act
-        kind, oid, *_ = self.targets[key]
-        if kind == "atomic":
-            self._advance_program(pid, self._base_op(pid, oid, op, tuple(args)))
         else:
-            self._start_method(pid, key, op, tuple(args))
+            self._step(pid)
 
-    def _advance_program(self, pid: int, send, first: bool = False) -> None:
+    def _step(self, pid: int, bundled: bool = False) -> None:
+        """One base step of ``pid``: the one ``next_response`` previews.
+
+        When there is none to preview, the pending action must invoke an
+        implemented object: the grant emits its boundary step and starts
+        its body, and a weak flip's ``bundled`` invocation stops there.
+        The base step's response goes to the open method body, or else
+        to the program; a body that returns emits the closing boundary
+        step.
+        """
+        rt = self.procs[pid]
+        nxt = self.next_response(pid)
+        if nxt is None:
+            act = rt.pending
+            if act[0] != "invoke":
+                raise EngineError(f"process {pid} yielded unknown action {act!r}")
+            _, key, op, args = act
+            _kind, toid, impl, state, owned = self.targets[key]
+            args = tuple(args)
+            body = impl.body(state, pid, op, args)
+            try:
+                first = self._check_base_action(body.send(None), owned)
+            except StopIteration:
+                raise EngineError(
+                    f"method {op} of {impl.impl_name} issued no base operation"
+                ) from None
+            rt.method = _MethodState(body, toid, op, first, owned)
+            self.steps.append(Step(INV, pid, toid, op, args, INTERPRETED))
+            if bundled:
+                return
+            nxt = self.next_response(pid)
+        oid, op, args, state, resp = nxt
+        self.base_state[oid] = state
+        self.steps.append(Step(INV, pid, oid, op, args, BASE))
+        self.steps.append(Step(RSP, pid, oid, op, resp, BASE))
+        m = rt.method
+        if m is None:
+            self._advance_program(pid, resp)
+            return
+        try:
+            m.pending_base = self._check_base_action(m.body.send(resp), m.owned)
+        except StopIteration as stop:
+            self.steps.append(Step(RSP, pid, m.target, m.op, stop.value, INTERPRETED))
+            rt.method = None
+            self._advance_program(pid, stop.value)
+
+    def _advance_program(self, pid: int, send) -> None:
         rt = self.procs[pid]
         try:
-            rt.pending = rt.gen.send(None if first else send)
+            rt.pending = rt.gen.send(send)
         except StopIteration as stop:
             rt.finished = True
             rt.retval = stop.value
@@ -388,19 +420,6 @@ class Simulation:
             # A program may return before its first grant.
             if rt.started:
                 self._active -= 1
-
-    def _start_method(self, pid: int, key: str, op: str, args: tuple) -> None:
-        _kind, toid, impl, state, owned = self.targets[key]
-        body = impl.body(state, pid, op, args)
-        m = _MethodState(body, toid, op, args, owned)
-        try:
-            m.pending_base = self._check_base_action(body.send(None), owned)
-        except StopIteration:
-            raise EngineError(
-                f"method {op} of {impl.impl_name} issued no base operation"
-            ) from None
-        self.procs[pid].method = m
-        self.steps.append(Step(INV, pid, toid, op, args, INTERPRETED))
 
     @staticmethod
     def _check_base_action(act, owned):
@@ -412,22 +431,9 @@ class Simulation:
             )
         return act
 
-    def _method_step(self, pid: int) -> None:
-        rt = self.procs[pid]
-        m = rt.method
-        _, oid, bop, bargs = m.pending_base
-        resp = self._base_op(pid, oid, bop, tuple(bargs))
-        try:
-            m.pending_base = self._check_base_action(m.body.send(resp), m.owned)
-        except StopIteration as stop:
-            self.steps.append(Step(RSP, pid, m.target, m.op, stop.value, INTERPRETED))
-            rt.method = None
-            self._advance_program(pid, stop.value)
-
     def _flip_grant(self, pid: int) -> None:
         outcome = self.coins.next(pid)
         self.flip_count += 1
-        flip_no = self.flip_count
         oid = self.coin_oid[pid]
         self.steps.append(Step(INV, pid, oid, FLIP, (), BASE))
         self.steps.append(Step(RSP, pid, oid, FLIP, outcome, BASE))
@@ -437,23 +443,13 @@ class Simulation:
         rt = self.procs[pid]
         if rt.finished:
             raise EngineError(
-                f"weak-class violation: flip #{flip_no} is process {pid}'s last action"
+                f"weak-class violation: flip #{self.flip_count} is process {pid}'s last action"
             )
         if rt.pending == ("flip",):
             raise EngineError(
-                f"weak-class violation: flip #{flip_no} chains into another flip"
+                f"weak-class violation: flip #{self.flip_count} chains into another flip"
             )
-        self._invoke(pid)
-
-    def _base_op(self, pid: int, oid: int, op: str, args: tuple):
-        state = self.base_state[oid]
-        state2, resp = self.base_spec[oid].transition(state, op, args, pid)
-        if resp is ANY_RESPONSE:
-            raise EngineError("coin objects are driven by the coin source")
-        self.base_state[oid] = state2
-        self.steps.append(Step(INV, pid, oid, op, args, BASE))
-        self.steps.append(Step(RSP, pid, oid, op, resp, BASE))
-        return resp
+        self._step(pid, bundled=True)
 
     # -- results ---------------------------------------------------------
 

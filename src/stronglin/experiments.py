@@ -425,6 +425,49 @@ _ENQUEUES_THEN_FLIP = (
     (INV, 0, 1, "flip", ()),
 )
 
+# Per coin outcome, process 0's flip response and its drain of queue 0:
+# on 0 the drain meets 1 first, on 1 it meets 2 and then 1.
+_DRAIN_TAILS = {
+    0: (
+        (RSP, 0, 1, "flip", 0),
+        (INV, 0, 0, "dequeue", ()),
+        (RSP, 0, 0, "dequeue", 1),
+    ),
+    1: (
+        (RSP, 0, 1, "flip", 1),
+        (INV, 0, 0, "dequeue", ()),
+        (RSP, 0, 0, "dequeue", 2),
+        (INV, 0, 0, "dequeue", ()),
+        (RSP, 0, 0, "dequeue", 1),
+    ),
+}
+
+
+def _mutex_counter_runs(
+    first: str, second: str, policy: AdversaryPolicy
+) -> dict[tuple, RunRecord]:
+    """Runs of two clients over lock-based counters, one per coin.
+
+    Client 0 increments ``first``, flips, and increments ``second``;
+    client 1 increments ``second`` once.  Equal keys name one counter.
+    """
+
+    def make_program(pid: int) -> Any:
+        def flipper() -> Any:
+            yield ("invoke", first, "fetch_inc", ())
+            yield ("flip",)
+            yield ("invoke", second, "fetch_inc", ())
+
+        def bumper() -> Any:
+            yield ("invoke", second, "fetch_inc", ())
+
+        return flipper() if pid == 0 else bumper()
+
+    counter = CATALOG["mutex-wrapped-counter"]
+    bindings = tuple(Binding(k, impl=counter()) for k in dict.fromkeys((first, second)))
+    alg = AlgorithmSpec((0, 1), bindings, make_program, (0, 1))
+    return {(c,): run(alg, policy, VectorCoins((c,))) for c in (0, 1)}
+
 
 def mutex_counter_tree() -> HistoryTree:
     """Tree of real runs: two clients share a lock-based counter.
@@ -434,29 +477,7 @@ def mutex_counter_tree() -> HistoryTree:
     interpreted operations overlapping, so the checker has to commit
     genuinely pending increments.
     """
-
-    def make_program(pid: int) -> Any:
-        def flipper() -> Any:
-            yield ("invoke", "C", "fetch_inc", ())
-            yield ("flip",)
-            yield ("invoke", "C", "fetch_inc", ())
-            return None
-
-        def bumper() -> Any:
-            yield ("invoke", "C", "fetch_inc", ())
-            return None
-
-        return flipper() if pid == 0 else bumper()
-
-    alg = AlgorithmSpec(
-        (0, 1),
-        (Binding("C", impl=CATALOG["mutex-wrapped-counter"]()),),
-        make_program,
-        (0, 1),
-    )
-    runs = {
-        (c,): run(alg, alternating_policy((0, 1)), VectorCoins((c,))) for c in (0, 1)
-    }
+    runs = _mutex_counter_runs("C", "C", alternating_policy((0, 1)))
     return HistoryTree.from_runs(runs, omega=(0, 1))
 
 
@@ -467,28 +488,7 @@ def mutex_counter_runs() -> dict[tuple, RunRecord]:
     increments C2 once.  Each client runs to completion in pid order,
     so C1 is done before the flip and only C2 sees both clients.
     """
-
-    def make_program(pid: int) -> Any:
-        def flipper() -> Any:
-            yield ("invoke", "C1", "fetch_inc", ())
-            yield ("flip",)
-            yield ("invoke", "C2", "fetch_inc", ())
-            return None
-
-        def bumper() -> Any:
-            yield ("invoke", "C2", "fetch_inc", ())
-            return None
-
-        return flipper() if pid == 0 else bumper()
-
-    counter = CATALOG["mutex-wrapped-counter"]
-    alg = AlgorithmSpec(
-        (0, 1),
-        (Binding("C1", impl=counter()), Binding("C2", impl=counter())),
-        make_program,
-        (0, 1),
-    )
-    return {(c,): run(alg, drain_policy((0, 1)), VectorCoins((c,))) for c in (0, 1)}
+    return _mutex_counter_runs("C1", "C2", drain_policy((0, 1)))
 
 
 def queue_counter_tree() -> HistoryTree:
@@ -504,21 +504,10 @@ def queue_counter_tree() -> HistoryTree:
         1: ObjectInfo(COIN, BASE, (("process", 0),)),
         2: ObjectInfo("strong-counter", INTERPRETED, (("key", "C"),), impl="demo"),
     }
+    bump = ((INV, 0, 2, "fetch_inc", ()), (RSP, 0, 2, "fetch_inc", 0))
     return _flip_tree(objs, (0, 1, 2), _ENQUEUES_THEN_FLIP, {
-        0: (
-            (RSP, 0, 1, "flip", 0),
-            (INV, 0, 0, "dequeue", ()),
-            (RSP, 0, 0, "dequeue", 1),
-            (INV, 0, 2, "fetch_inc", ()),
-            (RSP, 0, 2, "fetch_inc", 0),
-        ),
-        1: (
-            (RSP, 0, 1, "flip", 1),
-            (INV, 0, 0, "dequeue", ()),
-            (RSP, 0, 0, "dequeue", 2),
-            (INV, 0, 0, "dequeue", ()),
-            (RSP, 0, 0, "dequeue", 1),
-        ),
+        0: _DRAIN_TAILS[0] + bump,
+        1: _DRAIN_TAILS[1],
     })
 
 
@@ -534,20 +523,7 @@ def hw_atomic_dequeue_tree() -> HistoryTree:
         0: ObjectInfo("queue", BASE, (("key", "Q"),)),
         1: ObjectInfo(COIN, BASE, (("process", 0),)),
     }
-    return _flip_tree(objs, (0, 1, 2), _ENQUEUES_THEN_FLIP, {
-        0: (
-            (RSP, 0, 1, "flip", 0),
-            (INV, 0, 0, "dequeue", ()),
-            (RSP, 0, 0, "dequeue", 1),
-        ),
-        1: (
-            (RSP, 0, 1, "flip", 1),
-            (INV, 0, 0, "dequeue", ()),
-            (RSP, 0, 0, "dequeue", 2),
-            (INV, 0, 0, "dequeue", ()),
-            (RSP, 0, 0, "dequeue", 1),
-        ),
-    })
+    return _flip_tree(objs, (0, 1, 2), _ENQUEUES_THEN_FLIP, _DRAIN_TAILS)
 
 
 def counter_race_tree() -> HistoryTree:

@@ -313,8 +313,15 @@ def _encode_payload(v: Any) -> Any:
 
 
 def _decode_payload(v: Any) -> Any:
+    try:
+        return _tuples(v)
+    except RecursionError:
+        raise HistoryError("payload nested too deeply") from None
+
+
+def _tuples(v: Any) -> Any:
     if isinstance(v, list):
-        return tuple(_decode_payload(x) for x in v)
+        return tuple(_tuples(x) for x in v)
     if isinstance(v, dict):
         raise HistoryError("a JSON object is not a payload value")
     return v
@@ -445,6 +452,8 @@ def _json_line(n: int, line: str) -> Any:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise HistoryError(f"line {n}: {exc.msg}: column {exc.colno}") from None
+    except RecursionError:
+        raise HistoryError(f"line {n}: JSON nested too deeply") from None
 
 
 def from_jsonl(text: str) -> History:

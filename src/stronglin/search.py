@@ -41,7 +41,8 @@ its parent's with one process's responses extended and at most one base
 state changed, so it is derived from the parent's live simulation
 without granting: a strong-class flip appends its outcome, and a
 method's next base step or an atomic invocation is one pure
-``SeqSpec.transition`` (``Simulation.next_response``).  A successor
+``SeqSpec.transition`` (``Simulation.next_response``), whose tuple is
+exactly what the grant then commits.  A successor
 whose derived state is solved is answered from the table and never
 built, in place or by a fork.  Two grants cannot be derived, because
 only running the process's generators tells what they respond: a weak
@@ -192,7 +193,7 @@ def _derive(sim: Simulation, state: tuple, q: int, outcome) -> tuple | None:
     nxt = sim.next_response(q)
     if nxt is None:
         return None
-    oid, after, resp = nxt
+    oid, _op, _args, after, resp = nxt
     return _extend(responses, sim, q, (resp,)), base[:oid] + (after,) + base[oid + 1:]
 
 

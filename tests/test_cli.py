@@ -523,10 +523,41 @@ def _node_without_step():
     return json.dumps(doc)
 
 
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def _deep_payload(depth):
+    # The race history's first invocation with an argument nested
+    # ``depth`` lists deep.
+    header, first, *_rest = _race_jsonl_lines()
+    step = first.replace('"payload":[]', f'"payload":[{_nested(depth)}]')
+    assert step != first
+    return header + "\n" + step + "\n"
+
+
+def _deeply_nested_payload():
+    # Deep enough to overflow the payload decoder, not json.loads.
+    return _deep_payload(500)
+
+
+def _too_deep_for_json():
+    return _deep_payload(1000)
+
+
+def _deeply_nested_nodes():
+    doc = json.loads(counter_race_tree().to_json())
+    doc["nodes"] = []
+    return json.dumps(doc).replace('"nodes": []', f'"nodes": {_nested(100_000)}')
+
+
 @pytest.mark.parametrize(
     "command, make_text",
     [
         ("check-lin", _step_without_op),
+        ("check-lin", _deeply_nested_payload),
+        ("check-lin", _too_deep_for_json),
+        ("check-strong-lin", _deeply_nested_nodes),
         ("check-lin", _non_object_step),
         ("check-lin", _non_object_header),
         ("check-lin", _response_without_invocation),

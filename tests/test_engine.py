@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import random
+import re
 import weakref
 
 import pytest
@@ -23,11 +25,12 @@ from stronglin.engine import (
     scripted_policy,
 )
 from stronglin.experiments import EXAMPLES
-from stronglin.histories import BASE, FLIP, INTERPRETED, INV, RSP, interpret
+from stronglin.histories import BASE, FLIP, INTERPRETED, INV, RSP, Step, interpret
 from stronglin.loadbalance import COUNTER_KINDS, loadbalance_algorithm
 from stronglin.objects import (
     ImplProgram,
     cas_from_registers,
+    coin_spec,
     counter_spec,
     llsc_spec,
     llsc_strong_counter,
@@ -35,6 +38,7 @@ from stronglin.objects import (
     register_spec,
     writefirst_strong_counter,
 )
+from test_objects import _catalog_algorithm, _catalog_instances
 
 
 def one_read_alg(initial=1):
@@ -466,6 +470,54 @@ def test_method_with_no_base_operation_is_caught():
         run(alg, scripted_policy("strong", [0]), VectorCoins(()))
 
 
+def _program_of(*actions):
+    """Every process yields ``actions`` in order, then returns."""
+
+    def prog(p):
+        def gen():
+            for act in actions:
+                yield act
+
+        return gen()
+
+    return prog
+
+
+def test_a_program_yielding_an_unknown_action_is_caught():
+    alg = AlgorithmSpec((0,), (), _program_of(("bogus",)))
+    message = "process 0 yielded unknown action ('bogus',)"
+    with pytest.raises(EngineError, match=re.escape(message)):
+        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+
+
+def test_a_method_body_yielding_a_malformed_action_is_caught():
+    def setup(alloc):
+        return {"own": alloc(register_spec(0), "cell")}
+
+    def body(state, p, op, args):
+        yield ("read", state["own"])
+
+    sloppy = ImplProgram("sloppy", register_spec(0), setup, body)
+    prog = _program_of(("invoke", "X", "read", ()))
+    alg = AlgorithmSpec((0,), (Binding("X", impl=sloppy),), prog)
+    message = "method body yielded unknown action ('read', 1)"
+    with pytest.raises(EngineError, match=re.escape(message)):
+        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+
+
+def test_a_weak_flip_chaining_into_another_flip_is_caught():
+    alg = AlgorithmSpec((0,), (), _program_of(("flip",), ("flip",)))
+    with pytest.raises(EngineError, match="weak-class violation: flip #1 chains into another flip"):
+        run(alg, scripted_policy("weak", [0, 0]), VectorCoins((0, 1)))
+
+
+def test_a_program_invoking_an_atomic_coin_is_caught():
+    prog = _program_of(("invoke", "K", "flip", ()))
+    alg = AlgorithmSpec((0,), (Binding("K", spec=coin_spec()),), prog)
+    with pytest.raises(EngineError, match="coin objects are driven by the coin source"):
+        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+
+
 def test_allocation_after_set_up_is_refused():
     # A set-up may keep its allocator, but a body that calls it meets a
     # sealed registry.
@@ -646,3 +698,39 @@ def test_point_contention_matches_history_oracle(alg_name, klass, choices, coin_
     assert rec.max_point_contention == contention_from_history(rec)
     if alg_name == "mixed":
         assert rec.returns[0] == "idle"
+
+
+def _preview_algorithms():
+    # Both variants of every example and one algorithm per construction.
+    examples = [(name, make()) for name, make in EXAMPLES.items()]
+    algs = [pytest.param(getattr(ex, variant), id=f"{name}-{variant}")
+            for name, ex in examples for variant in ("atomic", "implemented")]
+    algs += [pytest.param(_catalog_algorithm(impl), id=name)
+             for name, impl in _catalog_instances().items()]
+    return algs
+
+
+@pytest.mark.parametrize("klass", ["weak", "strong"])
+@pytest.mark.parametrize("alg", _preview_algorithms())
+def test_a_grant_commits_the_previewed_base_step(alg, klass):
+    # Seeded random schedules under a grant budget: wherever next_response
+    # previews a base step, the grant appends exactly that step and leaves
+    # exactly that base state, every other base object untouched.
+    previewed = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        coins = tuple(rng.choice(alg.omega) for _ in range(40))
+        sim = Simulation(alg, VectorCoins(coins), klass=klass)
+        while not sim.all_finished() and len(sim.grants) < 60:
+            q = rng.choice(sim.live_pids())
+            nxt = sim.next_response(q)
+            before, base = len(sim.steps), dict(sim.base_state)
+            sim.grant(q)
+            if nxt is None:
+                continue
+            previewed += 1
+            oid, op, args, state, resp = nxt
+            new = [s for s in sim.steps[before:] if s.level == BASE]
+            assert new == [Step(INV, q, oid, op, args, BASE), Step(RSP, q, oid, op, resp, BASE)]
+            assert sim.base_state == {**base, oid: state}
+    assert previewed > 0
