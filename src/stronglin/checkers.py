@@ -429,20 +429,15 @@ def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
     """One linearization of an interpreted history, or None.
 
     All completed operations must appear; pending ones may be committed
-    with replay-derived responses when that helps.  The first order the
-    commit search yields, completed operations tried first; sound and
-    complete at the sizes this artifact deals in.
+    with replay-derived responses when that helps, except flips, whose
+    outcome no spec derives (_linearizations skips them).  The first
+    order the commit search yields, completed operations tried first;
+    sound and complete at the sizes this artifact deals in.
     """
-    ops = h.operations()
-    eligible = [
-        op
-        for op in ops
-        if op.complete or not h.objects[op.obj].is_coin
-    ]
-    eligible.sort(key=lambda o: (o.complete is False, o.process, o.inv_index))
+    ops = sorted(h.operations(), key=lambda o: (o.complete is False, o.process, o.inv_index))
     need = frozenset(op.inv_index for op in ops if op.complete)
     orders = _linearizations(
-        _candidates(eligible), _preds(eligible), need, partial(_spec_for, specs), {}
+        _candidates(ops), _preds(ops), need, partial(_spec_for, specs), {}
     )
     found = next(orders, None)
     return None if found is None else image_history(h, found[0])
@@ -588,85 +583,60 @@ def witness_violations(
     """Re-validate (L) and (P) node by node, from first principles.
 
     Deliberately shares no machinery with the search: plain loops over
-    the definition.  Returns human-readable violations, empty when the
-    witness is good.
+    the definition.  Returns human-readable violations, at most one per
+    node and in node order, empty when the witness is good.
     """
     out = []
     for nid in tree.node_ids():
-        img = witness.get(nid)
-        if img is None:
-            out.append(f"node {nid}: no image")
-            continue
-        by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
-        resolved = []
-        bad = False
-        for e in img:
-            op = by_key.get((e.process, e.inv_index))
-            if op is None or (op.obj, op.op, op.args) != (e.obj, e.op, e.args):
-                out.append(f"node {nid}: image op {e} is not in the history")
-                bad = True
-                break
-            if op.complete and op.ret != e.ret:
-                out.append(f"node {nid}: image response differs from history")
-                bad = True
-                break
-            resolved.append(op)
-        if bad:
-            continue
-        keys = {(o.process, o.inv_index) for o in resolved}
-        if len(keys) != len(resolved):
-            out.append(f"node {nid}: duplicate operation in image")
-            continue
-        missing = [
-            o
-            for o in tree.ops_of(nid)
-            if o.complete and (o.process, o.inv_index) not in keys
-        ]
-        if missing:
-            out.append(f"node {nid}: completed operation missing from image")
-            continue
-        # An op happens before some op placed ahead of it iff it happens
-        # before the one of those invoked last.
-        order_ok = True
-        latest = None
-        for o in resolved:
-            if latest is not None and happens_before(o, latest):
-                out.append(f"node {nid}: image order violates happens-before")
-                order_ok = False
-                break
-            if latest is None or o.inv_index > latest.inv_index:
-                latest = o
-        if not order_ok:
-            continue
-        states: dict = {}
-        valid = True
-        for e in img:
-            spec = _spec_for(specs, e.obj)
-            state = states.get(e.obj, spec.initial_state)
-            state2, resp = spec.transition(state, e.op, e.args, e.process)
-            states[e.obj] = state2
-            if resp is not ANY_RESPONSE and resp != e.ret:
-                out.append(f"node {nid}: image is not sequentially valid")
-                valid = False
-                break
-        if not valid:
-            continue
-        pid = tree.parent(nid)
-        if pid is not None:
-            pimg = witness.get(pid, ())
-            head = [(e.process, e.inv_index, e.ret) for e in img[: len(pimg)]]
-            want = [(e.process, e.inv_index, e.ret) for e in pimg]
-            if head != want:
-                out.append(f"node {nid}: image does not extend its parent's")
+        bad = _node_violation(tree, witness, specs, nid)
+        if bad is not None:
+            out.append(f"node {nid}: {bad}")
     return out
 
 
-def validate_witness(
-    tree: HistoryTree, witness: Witness, specs: Mapping[int, SeqSpec]
-) -> None:
-    bad = witness_violations(tree, witness, specs)
-    if bad:
-        raise CheckerError("; ".join(bad[:3]))
+def _node_violation(
+    tree: HistoryTree, witness: Witness, specs: Mapping[int, SeqSpec], nid: int
+) -> str | None:
+    # The first rule node ``nid``'s image breaks, or None.
+    img = witness.get(nid)
+    if img is None:
+        return "no image"
+    by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
+    resolved = []
+    for e in img:
+        op = by_key.get((e.process, e.inv_index))
+        if op is None or (op.obj, op.op, op.args) != (e.obj, e.op, e.args):
+            return f"image op {e} is not in the history"
+        if op.complete and op.ret != e.ret:
+            return "image response differs from history"
+        resolved.append(op)
+    keys = {(o.process, o.inv_index) for o in resolved}
+    if len(keys) != len(resolved):
+        return "duplicate operation in image"
+    if any(o.complete and (o.process, o.inv_index) not in keys for o in tree.ops_of(nid)):
+        return "completed operation missing from image"
+    # An op happens before some op placed ahead of it iff it happens
+    # before the one of those invoked last.
+    latest = None
+    for o in resolved:
+        if latest is not None and happens_before(o, latest):
+            return "image order violates happens-before"
+        if latest is None or o.inv_index > latest.inv_index:
+            latest = o
+    states: dict = {}
+    for e in img:
+        spec = _spec_for(specs, e.obj)
+        state = states.get(e.obj, spec.initial_state)
+        states[e.obj], resp = spec.transition(state, e.op, e.args, e.process)
+        if resp is not ANY_RESPONSE and resp != e.ret:
+            return "image is not sequentially valid"
+    pid = tree.parent(nid)
+    if pid is not None:
+        pimg = witness.get(pid, ())
+        head = [(e.process, e.inv_index, e.ret) for e in img[: len(pimg)]]
+        if head != [(e.process, e.inv_index, e.ret) for e in pimg]:
+            return "image does not extend its parent's"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -701,18 +671,25 @@ def normalize_witness(
 
     Per node: drop trailing still-pending ops, take the flips out, then
     reinsert each (in history order) at the first position compatible
-    with happens-before.  The output satisfies the same witness
-    properties plus normality, which is re-checked before returning.
+    with happens-before.  The input is not validated: a node without an
+    image, or with an image op the history lacks, is passed through as
+    it is.  The output must satisfy witness_violations and normality,
+    checked once before returning; CheckerError names the first
+    violation otherwise.
     """
-    validate_witness(tree, witness, specs)
     out: dict[int, tuple[ImageOp, ...]] = {}
     for nid in tree.node_ids():
+        if nid not in witness:
+            continue
         by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
         img = list(witness[nid])
+        if any(e.key not in by_key for e in img):
+            out[nid] = tuple(img)
+            continue
         while img and not by_key[img[-1].key].complete:
             img.pop()
-        flips = [e for e in img if tree.objects[e.obj].is_coin]
-        base = [e for e in img if not tree.objects[e.obj].is_coin]
+        flips = [e for e in img if tree.objects[by_key[e.key].obj].is_coin]
+        base = [e for e in img if not tree.objects[by_key[e.key].obj].is_coin]
         base_ops = [by_key[e.key] for e in base]
         for cf in sorted(flips, key=lambda e: e.inv_index):
             cf_op = by_key[cf.key]
@@ -730,9 +707,9 @@ def normalize_witness(
             base.insert(lo, cf)
             base_ops.insert(lo, cf_op)
         out[nid] = tuple(base)
-    bad = witness_violations(tree, out, specs) + normality_violations(tree, out)
+    bad = witness_violations(tree, out, specs) or normality_violations(tree, out)
     if bad:
-        raise CheckerError(f"normalization produced a bad witness: {bad[0]}")
+        raise CheckerError(f"no valid normal witness: {bad[0]}")
     return out
 
 

@@ -533,11 +533,11 @@ def rotation(view: RunView, ring: tuple[int, ...]) -> Iterator[int]:
                 yield q
 
 
-def scripted_policy(klass: str, grants: Iterable[int], name: str = "") -> AdversaryPolicy:
+def scripted_policy(klass: str, grants: Iterable[int]) -> AdversaryPolicy:
     """An adaptive-class policy that replays a fixed grant list then stops.
 
     Unlike an oblivious schedule, exhausting the list ends the run and
     scheduling a finished process is an error (the script is expected
     to know what it is doing)."""
     seq = tuple(grants)
-    return plan_policy(klass, lambda view: iter(seq), name)
+    return plan_policy(klass, lambda view: iter(seq))

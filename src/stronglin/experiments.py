@@ -114,7 +114,7 @@ def branching_script(
     return plan_policy("weak", script, name)
 
 
-def drain_policy(order: Sequence[int], name: str = "drain") -> AdversaryPolicy:
+def drain_policy(order: Sequence[int]) -> AdversaryPolicy:
     """Strong adversary that runs each process to completion, in order."""
     fixed = tuple(order)
 
@@ -123,13 +123,13 @@ def drain_policy(order: Sequence[int], name: str = "drain") -> AdversaryPolicy:
             while not view.finished(p):
                 yield p
 
-    return plan_policy("strong", drain, name)
+    return plan_policy("strong", drain, "drain")
 
 
-def alternating_policy(procs: Sequence[int], name: str = "alternate") -> AdversaryPolicy:
+def alternating_policy(procs: Sequence[int]) -> AdversaryPolicy:
     """Strong adversary cycling over the given processes, skipping the done."""
     ring = tuple(procs)
-    return plan_policy("strong", lambda view: rotation(view, ring), name)
+    return plan_policy("strong", lambda view: rotation(view, ring), "alternate")
 
 
 # ---------------------------------------------------------------------------

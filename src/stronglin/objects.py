@@ -594,7 +594,8 @@ def mutex_wrapped(spec: SeqSpec) -> ImplProgram:
     return ImplProgram(f"mutex-wrapped-{spec.type_name}", spec, setup, body)
 
 
-#: String-addressable catalog for CLI and config selection.
+#: Every construction by name: experiments._mutex_counter_runs picks the
+#: mutex-wrapped counter here, and the tests cover each entry.
 CATALOG: dict[str, Callable[..., ImplProgram]] = {
     "vidyasankar-register": vidyasankar_register,
     "aadgms-snapshot": aadgms_snapshot,

@@ -31,7 +31,6 @@ from stronglin.checkers import (
     normality_violations,
     normalize_witness,
     project_tree,
-    validate_witness,
     witness_doc,
     witness_violations,
 )
@@ -1115,8 +1114,6 @@ def test_tampered_witnesses_are_rejected():
     bad = dict(w)
     del bad[leaf]
     assert any("no image" in v for v in witness_violations(tree, bad, specs))
-    with pytest.raises(CheckerError):
-        validate_witness(tree, bad, specs)
 
 
 def test_search_guards():
@@ -1181,21 +1178,25 @@ def counter_race_fixture():
     return HistoryTree.from_runs(runs, omega=(0, 1))
 
 
-def test_normalize_pulls_flip_next_to_its_predecessor():
-    tree = counter_race_fixture()
-    specs = default_specs(tree.objects, tree.processes)
-    op_r = ImageOp(2, 2, 0, "fetch_inc", (), 0)
-    cf0 = ImageOp(2, 4, 1, "flip", (), 0)
-    cf1 = ImageOp(2, 4, 1, "flip", (), 1)
+# The four operations of counter_race_fixture, as image entries.
+RACE_R = ImageOp(2, 2, 0, "fetch_inc", (), 0)
+RACE_CF0 = ImageOp(2, 4, 1, "flip", (), 0)
+RACE_CF1 = ImageOp(2, 4, 1, "flip", (), 1)
 
-    def p(ret):
-        return ImageOp(0, 0, 0, "fetch_inc", (), ret)
 
-    def q(ret):
-        return ImageOp(1, 1, 0, "fetch_inc", (), ret)
+def race_p(ret):
+    return ImageOp(0, 0, 0, "fetch_inc", (), ret)
 
-    # a valid witness that parks both coin flips late in their images
-    witness = {
+
+def race_q(ret):
+    return ImageOp(1, 1, 0, "fetch_inc", (), ret)
+
+
+def late_flip_witness():
+    """A valid witness for counter_race_fixture that parks both coin
+    flips late in their images; nodes 8 and 11 are the leaves."""
+    op_r, cf0, cf1, p, q = RACE_R, RACE_CF0, RACE_CF1, race_p, race_q
+    return {
         0: (), 1: (), 2: (), 3: (),
         4: (op_r,), 5: (op_r,),
         6: (op_r, p(1), q(2), cf0),
@@ -1205,6 +1206,63 @@ def test_normalize_pulls_flip_next_to_its_predecessor():
         10: (op_r, cf1, q(1), p(2)),
         11: (op_r, cf1, q(1), p(2)),
     }
+
+
+STRANGER = ImageOp(2, 99, 0, "fetch_inc", (), 3)
+
+# One tampered image of leaf 8 per rule witness_violations checks, in
+# the order it checks them; the first rule broken is the one reported.
+LEAF_TAMPERS = {
+    "no image": None,
+    f"image op {STRANGER} is not in the history": (
+        RACE_R, race_p(1), race_q(2), RACE_CF0, STRANGER,
+    ),
+    "image response differs from history": (RACE_R, race_p(5), race_q(2), RACE_CF0),
+    "duplicate operation in image": (RACE_R, race_p(1), race_q(2), RACE_CF0, RACE_CF0),
+    "completed operation missing from image": (RACE_R, race_p(1), RACE_CF0),
+    # the flip is invoked after op_r responds
+    "image order violates happens-before": (RACE_CF0, RACE_R, race_p(1), race_q(2)),
+    # p and q are concurrent, but q's 2 is not the first increment
+    "image is not sequentially valid": (RACE_R, race_q(2), race_p(1), RACE_CF0),
+    # valid on its own, but node 7 committed the flip last
+    "image does not extend its parent's": (RACE_R, RACE_CF0, race_p(1), race_q(2)),
+}
+
+
+@pytest.mark.parametrize("text", list(LEAF_TAMPERS))
+def test_each_witness_violation_text_is_pinned(text):
+    tree = counter_race_fixture()
+    specs = default_specs(tree.objects, tree.processes)
+    bad = late_flip_witness()
+    assert witness_violations(tree, bad, specs) == []
+    if LEAF_TAMPERS[text] is None:
+        del bad[8]
+    else:
+        bad[8] = LEAF_TAMPERS[text]
+    assert witness_violations(tree, bad, specs) == [f"node 8: {text}"]
+
+
+def test_witness_violations_reports_one_message_per_bad_node_in_node_order():
+    tree = counter_race_fixture()
+    specs = default_specs(tree.objects, tree.processes)
+    bad = late_flip_witness()
+    # nodes 8 and 11 each break three rules; node 4's children extend
+    # the empty image a missing parent image reads as
+    bad[11] = (RACE_R, RACE_CF1, race_p(1), race_q(5))
+    bad[8] = (RACE_CF0, RACE_R, race_p(1), race_q(2), RACE_CF0)
+    del bad[4]
+    assert witness_violations(tree, bad, specs) == [
+        "node 4: no image",
+        "node 8: duplicate operation in image",
+        "node 11: image response differs from history",
+    ]
+
+
+def test_normalize_pulls_flip_next_to_its_predecessor():
+    tree = counter_race_fixture()
+    specs = default_specs(tree.objects, tree.processes)
+    op_r, cf0, cf1, p, q = RACE_R, RACE_CF0, RACE_CF1, race_p, race_q
+    witness = late_flip_witness()
     assert witness_violations(tree, witness, specs) == []
     flagged = normality_violations(tree, witness)
     assert {int(v.split(":")[0].split()[1]) for v in flagged} == {6, 7, 8}
@@ -1232,6 +1290,37 @@ def test_normalize_found_witness_and_rejects_garbage():
     assert normality_violations(tree, norm) == []
     with pytest.raises(CheckerError):
         normalize_witness(tree, {n: () for n in tree.node_ids()}, specs)
+
+
+@pytest.mark.parametrize("tamper", ["unknown-op", "wrong-op", "no-image"])
+def test_normalize_rejects_a_witness_it_cannot_repair(tamper):
+    tree = counter_race_fixture()
+    specs = default_specs(tree.objects, tree.processes)
+    bad = late_flip_witness()
+    if tamper == "unknown-op":
+        bad[8] += (STRANGER,)
+    elif tamper == "wrong-op":
+        # op_r's key, but a flip of the coin
+        bad[8] = (ImageOp(2, 2, 1, "flip", (), 0),) + bad[8][1:]
+    else:
+        del bad[8]  # node 8 has completed operations
+    with pytest.raises(CheckerError) as err:
+        normalize_witness(tree, bad, specs)
+    assert "node 8: " in str(err.value) and "\n" not in str(err.value)
+
+
+def test_normalize_validates_once(monkeypatch):
+    tree = counter_race_fixture()
+    specs = default_specs(tree.objects, tree.processes)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return witness_violations(*args)
+
+    monkeypatch.setattr(checkers, "witness_violations", counting)
+    normalize_witness(tree, late_flip_witness(), specs)
+    assert len(calls) == 1
 
 
 @settings(max_examples=500, deadline=None)
