@@ -10,10 +10,9 @@ linearizability of a single history, searches for prefix-preserving
 linearization witnesses over whole trees, re-validates and normalizes
 such witnesses, and composes per-object witnesses into one for a
 multi-object tree (locality, stated as a claim of the checker suite).
-``common_linearization`` is the matching oracle of the snapshot
-reachability test.  Specifications come from registry entries alone
-(``default_specs``).  Everything here is exhaustive by design and
-guarded accordingly; these are desk-scale tools, not model checkers.
+Specifications come from registry entries alone (``default_specs``).
+Everything here is exhaustive by design and guarded accordingly; these
+are desk-scale tools, not model checkers.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .histories import (
     ANY_RESPONSE,
@@ -48,7 +46,7 @@ from .histories import (
     step_doc,
     step_from_doc,
 )
-from .objects import coin_spec, spec_of_entry
+from .objects import spec_of_entry
 
 
 class CheckerError(Exception):
@@ -355,25 +353,25 @@ _REPLAYED = object()
 
 
 def _linearizations(
-    ops: list[tuple[Any, Any, OperationInstance, Any]],
-    preds: Mapping[Any, frozenset],
+    ops: list[tuple[OperationInstance, Any]],
+    preds: Mapping[int, frozenset],
     need: frozenset,
-    spec_of: Callable[[Any], SeqSpec],
-    states0: Mapping[Any, Any],
+    specs: Mapping[int, SeqSpec],
+    states0: Mapping[int, Any],
 ) -> Iterator[tuple[tuple[ImageOp, ...], dict]]:
     """Every replay-valid commit order, with the object states it ends in.
 
-    The one commit search: ``ops`` lists (key, spec key, operation,
-    response) candidates, tried in that order at every position.  A
-    candidate may commit once all of ``preds[key]`` has; stepping the
-    spec of its spec key must then reproduce the response, or, for a
-    pending candidate (response _REPLAYED), supplies it (ANY_RESPONSE
-    rules the candidate out: a coin's outcome is not derivable).  Each
-    order ends as soon as it covers ``need``.  A (committed, states)
-    pair is recorded dead only when nothing below it yielded, so the
-    memo changes neither what is yielded nor its order.  A spec that
-    rejects an operation (ValueError) or cannot apply it to the values
-    at hand (TypeError) raises CheckerError.
+    The one commit search: ``ops`` lists (operation, response)
+    candidates, tried in that order at every position and keyed by the
+    index of their invocation.  A candidate may commit once all of
+    ``preds[key]`` has; stepping its object's spec must then reproduce
+    the response, or, for a pending candidate (response _REPLAYED),
+    supplies it (ANY_RESPONSE rules the candidate out: a coin's outcome
+    is not derivable).  Each order ends as soon as it covers ``need``.
+    A (committed, states) pair is recorded dead only when nothing below
+    it yielded, so the memo changes neither what is yielded nor its
+    order.  A spec that rejects an operation (ValueError) or cannot
+    apply it to the values at hand (TypeError) raises CheckerError.
     """
     dead: set = set()
 
@@ -385,11 +383,12 @@ def _linearizations(
         if sig in dead:
             return
         found = False
-        for key, skey, op, want in ops:
+        for op, want in ops:
+            key = op.inv_index
             if key in committed or not preds[key] <= committed:
                 continue
-            spec = spec_of(skey)
-            state = states.get(skey, spec.initial_state)
+            spec = _spec_for(specs, op.obj)
+            state = states.get(op.obj, spec.initial_state)
             try:
                 state2, resp = spec.transition(state, op.op, op.args, op.process)
             except (ValueError, TypeError) as exc:
@@ -403,7 +402,7 @@ def _linearizations(
             else:
                 continue
             entry = ImageOp(op.process, op.inv_index, op.obj, op.op, op.args, ret)
-            nstates = {**states, skey: state2}
+            nstates = {**states, op.obj: state2}
             for got in extend(committed | {key}, nstates, acc + (entry,)):
                 found = True
                 yield got
@@ -414,8 +413,7 @@ def _linearizations(
 
 
 def _candidates(ops: list[OperationInstance]) -> list[tuple]:
-    # Operations of one history, keyed by the index of their invocation.
-    return [(o.inv_index, o.obj, o, o.ret if o.complete else _REPLAYED) for o in ops]
+    return [(o, o.ret if o.complete else _REPLAYED) for o in ops]
 
 
 def _preds(ops: list[OperationInstance]) -> dict[int, frozenset]:
@@ -436,10 +434,7 @@ def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
     """
     ops = sorted(h.operations(), key=lambda o: (o.complete is False, o.process, o.inv_index))
     need = frozenset(op.inv_index for op in ops if op.complete)
-    orders = _linearizations(
-        _candidates(ops), _preds(ops), need, partial(_spec_for, specs), {}
-    )
-    found = next(orders, None)
+    found = next(_linearizations(_candidates(ops), _preds(ops), need, specs, {}), None)
     return None if found is None else image_history(h, found[0])
 
 
@@ -474,13 +469,12 @@ def _image_extensions(
             may.append(op)
     may.sort(key=lambda o: (o.process, o.inv_index))
     preds = _preds(must + may)
-    spec_of = partial(_spec_for, specs)
     for size in range(len(may) + 1):
         for extra in itertools.combinations(may, size):
             chosen = sorted(must + list(extra), key=lambda o: (o.process, o.inv_index))
             need = frozenset(o.inv_index for o in chosen)
             for ext, states in _linearizations(
-                _candidates(chosen), preds, need, spec_of, parent_states
+                _candidates(chosen), preds, need, specs, parent_states
             ):
                 yield parent_img + ext, states
 
@@ -816,79 +810,3 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
     if bad:
         return LocalityVerdict("counterexample", comb, bad[0])
     return LocalityVerdict("witness", comb, "")
-
-
-# ---------------------------------------------------------------------------
-# Common linearization of two runs
-# ---------------------------------------------------------------------------
-
-
-def _program_key(h: History, op: OperationInstance) -> tuple:
-    info = h.objects[op.obj]
-    if info.is_coin:
-        process = info.label("process")
-        return ("coin", op.process if process is None else process)
-    key = info.label("key")
-    if key is None:
-        raise CheckerError(f"object {op.obj} has no program-visible key")
-    return ("obj", key)
-
-
-def common_linearization(
-    h1: History, h2: History, key_specs: Mapping[str, SeqSpec]
-) -> History | None:
-    """A sequential history linearizing both runs at once, or None.
-
-    Operations are matched positionally per process and by the program
-    key of their object; a completed op whose twin is missing, or whose
-    recorded responses disagree, rules a common linearization out
-    immediately.  Otherwise the same commit search as linearize_one
-    runs against the union of both happens-before orders.  No report
-    calls it: it is the oracle of
-    ``test_snapshot_branch_pair_is_unreachable_atomically``, which asks
-    whether an atomic run can match an implemented one.
-    """
-    cands, pairs = [], []
-    for p in sorted(set(h1.processes) | set(h2.processes)):
-        l1 = [o for o in h1.operations() if o.process == p]
-        l2 = [o for o in h2.operations() if o.process == p]
-        for j in range(max(len(l1), len(l2))):
-            o1 = l1[j] if j < len(l1) else None
-            o2 = l2[j] if j < len(l2) else None
-            if o1 is None or o2 is None:
-                present = o1 or o2
-                if present.complete:
-                    return None
-                continue
-            k1, k2 = _program_key(h1, o1), _program_key(h2, o2)
-            if (k1, o1.op, o1.args) != (k2, o2.op, o2.args):
-                if o1.complete or o2.complete:
-                    return None
-                continue
-            rets = [o.ret for o in (o1, o2) if o.complete]
-            if len(rets) == 2 and rets[0] != rets[1]:
-                return None
-            if not rets and k1[0] == "coin":
-                continue
-            cands.append((o1.inv_index, k1, o1, rets[0] if rets else _REPLAYED))
-            pairs.append((o1, o2))
-
-    def spec_of(key: tuple) -> SeqSpec:
-        if key[0] == "coin":
-            return coin_spec()
-        spec = key_specs.get(key[1])
-        if spec is None:
-            raise CheckerError(f"no specification for program object {key[1]!r}")
-        return spec
-
-    preds = {
-        o1.inv_index: frozenset(
-            q1.inv_index
-            for q1, q2 in pairs
-            if happens_before(q1, o1) or happens_before(q2, o2)
-        )
-        for o1, o2 in pairs
-    }
-    need = frozenset(key for key, _k, _o, ret in cands if ret is not _REPLAYED)
-    found = next(_linearizations(cands, preds, need, spec_of, {}), None)
-    return None if found is None else image_history(h1, found[0])

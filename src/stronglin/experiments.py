@@ -20,7 +20,6 @@ import io
 import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from math import isqrt
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .checkers import (
@@ -60,6 +59,7 @@ from .histories import (
 )
 from .loadbalance import (
     adversary_ap,
+    counter_count,
     estimate_phi,
     k_max_for,
     loadbalance_algorithm,
@@ -846,14 +846,16 @@ def _phi_row(variant: str, est: Any, bound: Fraction, side: str) -> Row:
 
 def _loadbalance_report(cfg: ExperimentConfig) -> Report:
     n = cfg.n
-    if n < 1:
-        raise ExperimentError(f"loadbalance needs at least one process, got {n}")
+    try:
+        m = counter_count(n)
+    except ValueError:
+        raise ExperimentError(
+            f"loadbalance needs a positive square process count, got {n}"
+        ) from None
     if cfg.trials < 1:
         raise ExperimentError(
             f"loadbalance needs at least one trial, got {cfg.trials}"
         )
-    if isqrt(n) ** 2 != n:
-        raise ExperimentError(f"loadbalance needs a square process count, got {n}")
     try:
         k_max = k_max_for(n, cfg.delta)
     except ValueError:
@@ -861,7 +863,7 @@ def _loadbalance_report(cfg: ExperimentConfig) -> Report:
             "loadbalance needs a delta with (1 + delta) * sqrt(n) finite and "
             f"positive, got {cfg.delta}"
         ) from None
-    bound = Fraction(k_max - 1, isqrt(n))
+    bound = Fraction(k_max - 1, m)
     two_phase = lambda p: adversary_ap(p, n)
     families = {"two-phase": two_phase, **scripted_weak_families(n, k_max)}
     atomic = loadbalance_algorithm(n, "atomic")

@@ -47,6 +47,16 @@ def counter_key(i: int) -> str:
     return f"F{i}"
 
 
+def counter_count(n: int) -> int:
+    """sqrt(n), the number of counters n processes balance over.
+
+    ValueError unless n is a positive square.
+    """
+    if n < 1 or isqrt(n) ** 2 != n:
+        raise ValueError(f"process count must be a positive square, got {n}")
+    return isqrt(n)
+
+
 def loadbalance_algorithm(n: int, counters: str = "atomic") -> AlgorithmSpec:
     """The balancing algorithm over sqrt(n) strong counters.
 
@@ -55,9 +65,7 @@ def loadbalance_algorithm(n: int, counters: str = "atomic") -> AlgorithmSpec:
     operation) or "writefirst" (announces into a shared pool before the
     LL/SC loop, so the first shared access is a write).
     """
-    m = isqrt(n)
-    if m * m != n or n < 1:
-        raise ValueError(f"process count must be a perfect square, got {n}")
+    m = counter_count(n)
     if counters not in COUNTER_KINDS:
         raise ValueError(f"unknown counter kind {counters!r}")
 
@@ -436,13 +444,10 @@ def estimate_phi(
 def k_max_for(n: int, delta: float = 0.5) -> int:
     """Contention cap: smallest integer at least (1 + delta) * sqrt(n).
 
-    ValueError unless n is a perfect square and the cap is a finite
+    ValueError unless n is a positive square and the cap is a finite
     integer of at least 1.
     """
-    m = isqrt(n)
-    if m * m != n:
-        raise ValueError(f"process count must be a perfect square, got {n}")
-    scale = (1 + delta) * m
+    scale = (1 + delta) * counter_count(n)
     if not (isfinite(scale) and scale > 0):
         raise ValueError(f"(1 + delta) * sqrt(n) must be finite and positive, got {scale}")
     return ceil(scale)

@@ -1,10 +1,11 @@
 """History trees, witness search and validation, normalization, locality,
-and common linearizations of run pairs."""
+and linearizations of single runs."""
 
 import functools
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stronglin import checkers
+from stronglin import checkers, experiments
 from stronglin.cli import main as cli_main
 from stronglin.checkers import (
     CheckerError,
@@ -24,7 +25,6 @@ from stronglin.checkers import (
     TreeError,
     check_locality,
     check_strong_lin,
-    common_linearization,
     default_specs,
     image_history,
     linearize_one,
@@ -598,9 +598,6 @@ def test_linearize_one_matches_brute_force(case):
     h, specs = case
     got = linearize_one(h, specs)
     assert (got is not None) == brute_linearizable(h, specs)
-    assert (
-        common_linearization(h, h, {"X": specs[0]}) is not None
-    ) == brute_linearizable(h, specs)
     if got is not None:
         # validate_sequential raises on a non-sequential history.
         assert validate_sequential(got, specs)
@@ -625,7 +622,7 @@ def test_commit_search_yields_every_order_once_in_candidate_order(case):
     h, specs = case
     ops = sorted(h.operations(), key=lambda o: (o.process, o.inv_index))
     need = frozenset(o.inv_index for o in ops)
-    orders = _linearizations(_candidates(ops), _preds(ops), need, specs.__getitem__, {})
+    orders = _linearizations(_candidates(ops), _preds(ops), need, specs, {})
     want = []
     for perm in itertools.permutations(ops):
         late = [b for i, a in enumerate(perm) for b in perm[i + 1:]
@@ -1375,6 +1372,24 @@ def test_locality_not_applicable_without_per_object_witness():
     assert "object 0" in verdict.detail
 
 
+def test_locality_reports_a_composed_witness_that_fails_validation(monkeypatch):
+    # Every projection still gets a witness, but one whose responses are
+    # wrong, so the composed witness cannot re-validate.
+    search = checkers.check_strong_lin
+
+    def tampered(tree, specs):
+        w = search(tree, specs)
+        return {nid: tuple(replace(e, ret="bad") for e in img) for nid, img in w.items()}
+
+    monkeypatch.setattr(checkers, "check_strong_lin", tampered)
+    tree = mutex_counter_tree()
+    specs = default_specs(tree.objects, tree.processes)
+    verdict = check_locality(tree, specs)
+    assert verdict.status == "counterexample"
+    assert verdict.detail == witness_violations(tree, verdict.witness, specs)[0]
+    assert experiments._locality_flag(tree) == "disagree"
+
+
 def test_locality_rejects_an_atomic_response_without_its_invocation():
     nodes = [
         {"id": 0, "parent": None, "step": None},
@@ -1470,17 +1485,17 @@ def test_locality_on_sampled_composed_runs(rng):
 
 
 # ---------------------------------------------------------------------------
-# Common linearizations of run pairs, coin vector by coin vector
+# Linearizations of whole runs
 # ---------------------------------------------------------------------------
 
 
 def test_equivalence_of_identical_run_sets():
-    key_specs = {"C1": counter_spec(), "C2": counter_spec()}
     for rec in mutex_counter_runs().values():
         h = interpret(rec.history)
-        w = common_linearization(h, h, key_specs)
+        specs = default_specs(h.objects, h.processes)
+        w = linearize_one(h, specs)
         assert w is not None
-        assert all(op.rsp_index == op.inv_index + 1 for op in w.operations())
+        assert validate_sequential(w, specs)
 
 
 def test_mutex_counter_equivalent_to_atomic_counter():
@@ -1505,47 +1520,12 @@ def test_mutex_counter_equivalent_to_atomic_counter():
     )
     for c in (0, 1):
         impl, atomic = (
-            interpret(run(alg, finish_in_order([1, 0]), VectorCoins([c])).history)
+            run(alg, finish_in_order([1, 0]), VectorCoins([c]))
             for alg in (impl_alg, atomic_alg)
         )
-        assert common_linearization(impl, atomic, {"C": counter_spec()}) is not None, c
-
-
-def test_inequivalence_shows_failing_coin_vector():
-    objs1 = {0: ObjectInfo("register", BASE, (("key", "R"),))}
-    h_read5 = History(
-        (inv(0, 0, "write", (5,)), rsp(0, 0, "write"),
-         inv(0, 0, "read"), rsp(0, 0, "read", 5)),
-        (0,), objs1,
-    )
-    h_read0 = History(
-        (inv(0, 0, "write", (5,)), rsp(0, 0, "write"),
-         inv(0, 0, "read"), rsp(0, 0, "read", 0)),
-        (0,), objs1,
-    )
-    key_specs = {"R": register_spec()}
-    assert common_linearization(h_read5, h_read0, key_specs) is None
-    assert common_linearization(h_read5, h_read5, key_specs) is not None
-
-
-def test_common_linearization_tolerates_mismatched_pendings():
-    objs = {0: ObjectInfo("register", BASE, (("key", "R"),))}
-    h1 = History(
-        (inv(0, 0, "read"), rsp(0, 0, "read", 0), inv(0, 0, "write", (1,))),
-        (0,), objs,
-    )
-    h2 = History(
-        (inv(0, 0, "read"), rsp(0, 0, "read", 0), inv(0, 0, "write", (2,))),
-        (0,), objs,
-    )
-    got = common_linearization(h1, h2, {"R": register_spec()})
-    assert got is not None
-    assert [s.op for s in got.steps if s.is_inv()] == ["read"]
-    # same shape, but the completed responses disagree
-    h3 = h2.with_steps(
-        h2.steps[:1] + (rsp(0, 0, "read", 1),) + h2.steps[2:]
-    )
-    assert common_linearization(h1, h3, {"R": register_spec()}) is None
+        assert impl.returns == atomic.returns, c
+        h = interpret(impl.history)
+        assert linearize_one(h, default_specs(h.objects, h.processes)) is not None, c
 
 
 def test_default_specs_cover_known_types_and_skip_internals():

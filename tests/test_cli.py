@@ -67,7 +67,8 @@ def test_experiment_bad_loadbalance_n_is_usage_error(runner, n):
     result = runner.invoke(main, ["experiment", "loadbalance", "--n", str(n)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert "Error: loadbalance needs" in result.output
+    errors = [ln for ln in result.output.splitlines() if "Error" in ln]
+    assert errors == [f"Error: loadbalance needs a positive square process count, got {n}"]
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])

@@ -37,8 +37,7 @@ from stronglin.experiments import (
     run_named_experiment,
     snapshot_example,
 )
-from stronglin.checkers import check_strong_lin, common_linearization, default_specs
-from stronglin.histories import interpret
+from stronglin.checkers import check_strong_lin, default_specs
 from stronglin.loadbalance import (
     COUNTER_KINDS,
     adversary_ap,
@@ -48,7 +47,7 @@ from stronglin.loadbalance import (
     scripted_weak_families,
     stagger_policy,
 )
-from stronglin.objects import register_spec, snapshot_spec
+from stronglin.objects import register_spec
 from stronglin.search import exists_adversary
 
 
@@ -112,42 +111,34 @@ def test_snapshot_schedule_splits_the_scan():
     assert sum(down.returns[0]) == -6
 
 
-def test_snapshot_branch_pair_is_unreachable_atomically():
-    """No single adversary over the atomic snapshot reproduces both
-    branch behaviours of the implemented one.
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_distribution_is_unreachable_atomically(name):
+    """No strong adversary over the atomic variant reproduces the
+    returns of the pinned schedule on every coin at once.
 
-    The implemented schedule makes the scan return a pre-update view on
-    one coin and a post-update view on the other.  An atomic scan that
-    misses the first update must finish before the flip, where grants
-    are still branch-independent, so one adversary cannot have it both
-    ways.  The search below is exhaustive at this size; the positive
-    control replays an atomic reference against itself.
+    Each example's flipper returns its coin, so equal returns per coin
+    are an equal outcome distribution.  Each coin alone is reachable,
+    and so are the atomic drain's returns (the positive control).
     """
-    ex = snapshot_example()
-    key_specs = {"S": snapshot_spec(3)}
+    ex = EXAMPLES[name]()
 
-    def matcher(reference):
+    def returns_of(alg, policy):
+        return {(c,): run(alg, policy, VectorCoins((c,))).returns for c in ex.omega}
+
+    def matches(pinned, only=None):
         def leaf_ok(rec, coins):
-            got = interpret(rec.history)
-            return common_linearization(reference[coins], got, key_specs) is not None
+            if only is not None and coins != only:
+                return True
+            return dict(rec.returns) == dict(pinned[coins])
 
         return leaf_ok
 
-    impl = {
-        (c,): interpret(run(ex.implemented, ex.schedule, VectorCoins((c,))).history)
-        for c in (-1, 1)
-    }
-    # each branch is matchable on its own; the conjunction is not
-    probe = run(ex.atomic, scripted_policy("strong", (2, 0, 1, 1, 1, 2)),
-                VectorCoins((1,)))
-    assert matcher(impl)(probe, (1,))
-    assert exists_adversary(ex.atomic, ex.omega, matcher(impl)) is None
-
-    atomic_ref = {
-        (c,): interpret(run(ex.atomic, drain_policy((1, 2, 0)), VectorCoins((c,))).history)
-        for c in (-1, 1)
-    }
-    assert exists_adversary(ex.atomic, ex.omega, matcher(atomic_ref)) is not None
+    pinned = returns_of(ex.implemented, ex.schedule)
+    assert exists_adversary(ex.atomic, ex.omega, matches(pinned)) is None
+    for coins in pinned:
+        assert exists_adversary(ex.atomic, ex.omega, matches(pinned, coins)) is not None
+    drained = returns_of(ex.atomic, drain_policy(ex.atomic.processes))
+    assert exists_adversary(ex.atomic, ex.omega, matches(drained)) is not None
 
 
 def test_branching_script_needs_a_flip_before_branching():

@@ -63,7 +63,6 @@ def test_top_level_imports_are_used(path):
 # Definitions no report, command or benchmark reaches, each with the
 # reason it stays in the package anyway.
 UNUSED_ON_PURPOSE = {
-    "common_linearization": "oracle of test_snapshot_branch_pair_is_unreachable_atomically",
     "scripted_policy": "the engine's scripted-schedule primitive; tests pin schedules with it",
 }
 SOURCES = MODULES + BENCH

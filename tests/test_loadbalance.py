@@ -44,10 +44,13 @@ def test_single_process_returns_zero():
     assert rec.max_point_contention == 1
 
 
-@pytest.mark.parametrize("n", [0, 3, 5, 12, 50])
+@pytest.mark.parametrize("n", [-4, 0, 3, 5, 12, 50])
 def test_non_square_process_count_rejected(n):
-    with pytest.raises(ValueError):
+    rule = f"process count must be a positive square, got {n}"
+    with pytest.raises(ValueError, match=rule):
         loadbalance_algorithm(n)
+    with pytest.raises(ValueError, match=rule):
+        k_max_for(n)
 
 
 def test_unknown_counter_kind_rejected():
