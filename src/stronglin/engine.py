@@ -18,6 +18,7 @@ source, and runs replay exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -33,6 +34,7 @@ from .histories import (
     ObjectInfo,
     SeqSpec,
     Step,
+    is_flip_response,
 )
 from .objects import ImplProgram, coin_spec
 
@@ -119,7 +121,9 @@ class AdversaryPolicy:
     Otherwise ``make_decide()`` builds a per-run decide function from
     observable prefixes (a RunView) to the next process id, or None to
     stop.  Every adaptive policy in this package is a plan turned into
-    ``make_decide`` by ``plan_policy``.
+    ``make_decide`` by ``plan_policy``.  A pinned adaptive schedule is
+    a strategy, a decision tree over the revealed coins written as a map
+    from coin vector to grants, and ``strategy_policy`` plays it.
     """
 
     klass: str
@@ -533,11 +537,35 @@ def rotation(view: RunView, ring: tuple[int, ...]) -> Iterator[int]:
                 yield q
 
 
-def scripted_policy(klass: str, grants: Iterable[int]) -> AdversaryPolicy:
-    """An adaptive-class policy that replays a fixed grant list then stops.
+def strategy_policy(klass: str, strategy: Mapping, name: str = "") -> AdversaryPolicy:
+    """An adaptive policy that plays a strategy: a map from coin vector
+    to grant sequence, the shape ``search.exists_adversary`` returns.
 
-    Unlike an oblivious schedule, exhausting the list ends the run and
-    scheduling a finished process is an error (the script is expected
-    to know what it is doing)."""
-    seq = tuple(grants)
-    return plan_policy(klass, lambda view: iter(seq))
+    Before each grant the policy keeps the entries whose vector agrees
+    with the coins revealed so far, one a prefix of the other, and
+    grants what they name next; once they name no more grants, the run
+    stops, so ``{(): grants}`` replays a fixed list.  Kept entries that
+    disagree on the next grant, or on whether to stop, branch on a coin
+    not yet revealed; revealed coins that no entry agrees with leave the
+    strategy without a move.  Both raise EngineError, and so does
+    scheduling a finished process, unlike an oblivious schedule.
+    """
+
+    def play(view: RunView) -> Iterator[int]:
+        live, revealed, seen = [(tuple(v), tuple(g)) for v, g in strategy.items()], (), 0
+        for i in itertools.count():
+            # Agreement only narrows as coins are revealed, so each grant
+            # reads only the steps made since the last one.
+            new, seen = view.steps[seen:], len(view.steps)
+            revealed += tuple(s.payload for s in new if is_flip_response(view.objects, s))
+            live = [(v, g) for v, g in live if v[:len(revealed)] == revealed[:len(v)]]
+            # The next grant of each kept entry; () once it has none left.
+            moves = {g[i:i + 1] for _v, g in live}
+            if len(moves) != 1:
+                why = "branches on a coin not yet revealed after" if moves else "has no entry for"
+                raise EngineError(f"strategy {name!r} {why} revealed coins {revealed}")
+            if moves == {()}:
+                return
+            yield from moves.pop()
+
+    return plan_policy(klass, play, name)

@@ -20,6 +20,7 @@ import io
 import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from math import isfinite
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .checkers import (
@@ -44,6 +45,7 @@ from .engine import (
     plan_policy,
     rotation,
     run,
+    strategy_policy,
 )
 from .histories import (
     BASE,
@@ -55,7 +57,6 @@ from .histories import (
     ObjectInfo,
     Step,
     interpret,
-    is_flip_response,
 )
 from .loadbalance import (
     adversary_ap,
@@ -83,35 +84,8 @@ class ExperimentError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Branching schedules
+# Schedules
 # ---------------------------------------------------------------------------
-
-
-def branching_script(
-    common: Sequence[int],
-    branches: Mapping[Any, Sequence[int]],
-    name: str = "branching",
-) -> AdversaryPolicy:
-    """Weak adversary that plays ``common``, then one tail per flip outcome.
-
-    The tail is selected by the first coin response visible in the run,
-    so the schedule may react to a flip it has already granted.  Grants
-    past the end of the chosen tail halt the run.
-    """
-    head = tuple(common)
-    tails = {outcome: tuple(g) for outcome, g in branches.items()}
-
-    def script(view: RunView) -> Iterator[int]:
-        yield from head
-        flips = (s.payload for s in view.steps if is_flip_response(view.objects, s))
-        outcome = next(flips, None)
-        if outcome is None:
-            raise EngineError("branch point reached before any flip resolved")
-        if outcome not in tails:
-            raise EngineError(f"script {name!r} has no tail for flip outcome {outcome!r}")
-        yield from tails[outcome]
-
-    return plan_policy("weak", script, name)
 
 
 def drain_policy(order: Sequence[int]) -> AdversaryPolicy:
@@ -242,11 +216,10 @@ def snapshot_example() -> Example:
 
         return (scanner, flipper, steady)[pid]()
 
-    schedule = branching_script(
-        common=[0] * 3 + [2] * 7 + [2] * 6 + [1] * 7 + [1] * 1 + [1] * 7 + [0] * 3,
-        branches={1: [2] * 1 + [0] * 3, -1: [0] * 3 + [2] * 1},
-        name="steal-embedded-view",
-    )
+    common = (0,) * 3 + (2,) * 7 + (2,) * 6 + (1,) * 7 + (1,) * 1 + (1,) * 7 + (0,) * 3
+    schedule = strategy_policy("weak", {
+        (1,): common + (2,) * 1 + (0,) * 3, (-1,): common + (0,) * 3 + (2,) * 1
+    }, "steal-embedded-view")
     return _example(
         "snapshot", (0, 1, 2), "S", aadgms_snapshot(3),
         make_program, (-1, 1), schedule, _snapshot_payoff, "min",
@@ -302,11 +275,10 @@ def mrsw_register_example() -> Example:
     cell before either write, then decides, after seeing the coin,
     whether r2 runs first and relays -1 into r1's remaining reads.
     """
-    schedule = branching_script(
-        common=[1] * 1 + [0] * 2 + [0] * 1 + [0] * 2,
-        branches={1: [1] * 4 + [2] * 5, -1: [2] * 5 + [1] * 4},
-        name="relay-steal",
-    )
+    common = (1,) * 1 + (0,) * 2 + (0,) * 1 + (0,) * 2
+    schedule = strategy_policy("weak", {
+        (1,): common + (1,) * 4 + (2,) * 5, (-1,): common + (2,) * 5 + (1,) * 4
+    }, "relay-steal")
     return _example(
         "mrsw-register", (0, 1, 2), "R", vitanyi_awerbuch_mrsw(),
         _register_program(1), (-1, 1), schedule, _reader_payoff, "min",
@@ -357,14 +329,11 @@ def hw_queue_example() -> Example:
 
         return racer() if pid == 2 else enqueuer()
 
-    schedule = branching_script(
-        common=[0] * 1 + [1] * 2 + [2] * 2 + [2] * 1,
-        branches={
-            0: [0] * 1 + [2] * 2 + [2] * 3 + [2] * 4,
-            1: [2] * 3 + [0] * 1 + [2] * 2 + [2] * 4,
-        },
-        name="held-write",
-    )
+    common = (0,) * 1 + (1,) * 2 + (2,) * 2 + (2,) * 1
+    schedule = strategy_policy("weak", {
+        (0,): common + (0,) * 1 + (2,) * 2 + (2,) * 3 + (2,) * 4,
+        (1,): common + (2,) * 3 + (0,) * 1 + (2,) * 2 + (2,) * 4,
+    }, "held-write")
     return _example(
         "hw-queue", (0, 1, 2), "Q", herlihy_wing_queue(),
         make_program, (0, 1), schedule, _queue_payoff, "max",
@@ -942,10 +911,15 @@ EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_named_experiment(cfg: ExperimentConfig) -> Report:
-    """Execute one named experiment and attach verdicts to every row."""
+    """Execute one named experiment and attach verdicts to every row.
+
+    Every experiment echoes ``delta`` in its config, read or not, so a
+    non-finite one is an error for all of them: JSON has no NaN."""
     runner = _RUNNERS.get(cfg.name)
     if runner is None:
         raise ExperimentError(
             f"unknown experiment {cfg.name!r}; names: {', '.join(EXPERIMENT_NAMES)}"
         )
+    if not isfinite(cfg.delta):
+        raise ExperimentError(f"{cfg.name} needs a finite delta, got {cfg.delta}")
     return runner(cfg)

@@ -260,7 +260,8 @@ def exists_adversary(
 
     Returns a map from consumed coin vector to the grant sequence of
     that branch (branches share their pre-flip grant prefixes by
-    construction), or None.
+    construction), or None.  ``engine.strategy_policy`` plays the map
+    through ``engine.run``: each branch's run replays its grants.
     """
     walk = _Walk(alg, omega, klass, "existence", node_cap, grant_cap)
 

@@ -40,7 +40,7 @@ from stronglin.engine import (
     Binding,
     VectorCoins,
     run,
-    scripted_policy,
+    strategy_policy,
 )
 from stronglin.experiments import (
     counter_race_tree,
@@ -119,7 +119,7 @@ def write_flip_read_alg():
 def write_flip_read_tree():
     alg = write_flip_read_alg()
     runs = {
-        (c,): run(alg, scripted_policy("strong", [0, 0, 1, 0]), VectorCoins([c]))
+        (c,): run(alg, strategy_policy("strong", {(): [0, 0, 1, 0]}), VectorCoins([c]))
         for c in (0, 1)
     }
     return HistoryTree.from_runs(runs, omega=(0, 1))

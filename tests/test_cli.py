@@ -80,6 +80,20 @@ def test_experiment_bad_loadbalance_delta_is_usage_error(runner, delta):
     assert len(errors) == 1 and errors[0].startswith("Error: loadbalance needs")
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["srsw-register", "strong-lin-suite"])
+def test_experiment_non_finite_delta_is_usage_error(runner, name, delta):
+    # These experiments do not read delta, but their config echoes it,
+    # and JSON has no NaN or Infinity.
+    result = runner.invoke(
+        main, ["experiment", name, "--delta", delta, "--format", "json"]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [ln for ln in result.output.splitlines() if "Error" in ln]
+    assert errors == [f"Error: {name} needs a finite delta, got {float(delta)}"]
+
+
 @pytest.mark.parametrize("name", ["snapshot", "srsw-register", "hw-queue"])
 def test_budget_exhausted_exact_rows_are_inconclusive(runner, name):
     result = runner.invoke(

@@ -22,7 +22,7 @@ from stronglin.engine import (
     VectorCoins,
     plan_policy,
     run,
-    scripted_policy,
+    strategy_policy,
 )
 from stronglin.experiments import EXAMPLES
 from stronglin.histories import BASE, FLIP, INTERPRETED, INV, RSP, Step, interpret
@@ -94,7 +94,7 @@ def counter_race_alg(impl=True, nproc=2):
 
 
 def test_single_atomic_read():
-    rec = run(one_read_alg(1), scripted_policy("strong", [0]), VectorCoins(()))
+    rec = run(one_read_alg(1), strategy_policy("strong", {(): [0]}), VectorCoins(()))
     assert rec.returns == {0: 1}
     assert [s.kind for s in rec.history.steps] == [INV, RSP]
     assert rec.schedule == (0,)
@@ -104,9 +104,9 @@ def test_single_atomic_read():
 def test_scheduling_a_halted_process_errors():
     alg = counter_race_alg(impl=False, nproc=2)
     with pytest.raises(EngineError, match="halted"):
-        run(alg, scripted_policy("strong", [0, 0]), VectorCoins(()))
+        run(alg, strategy_policy("strong", {(): [0, 0]}), VectorCoins(()))
     with pytest.raises(EngineError, match="unknown"):
-        run(alg, scripted_policy("strong", [3]), VectorCoins(()))
+        run(alg, strategy_policy("strong", {(): [3]}), VectorCoins(()))
 
 
 def test_oblivious_schedule_skips_finished_processes():
@@ -155,7 +155,7 @@ def test_budget_flag_on_nonterminating_program():
 
 def test_method_boundaries_ride_with_first_and_last_base_step():
     alg = counter_race_alg(impl=True, nproc=1)
-    rec = run(alg, scripted_policy("strong", [0, 0]), VectorCoins(()))
+    rec = run(alg, strategy_policy("strong", {(): [0, 0]}), VectorCoins(()))
     kinds = [(s.kind, s.level) for s in rec.history.steps]
     # grant 1: method inv + ll; grant 2: sc + method rsp
     assert kinds == [
@@ -172,7 +172,7 @@ def test_method_boundaries_ride_with_first_and_last_base_step():
 def test_weak_flip_bundles_next_invocation():
     # atomic next op: response included in the bundle
     alg = flip_write_alg(1)
-    rec = run(alg, scripted_policy("weak", [0]), VectorCoins((1,)))
+    rec = run(alg, strategy_policy("weak", {(): [0]}), VectorCoins((1,)))
     ops = [(s.kind, s.op) for s in rec.history.steps]
     assert ops == [(INV, FLIP), (RSP, FLIP), (INV, "write"), (RSP, "write")]
 
@@ -188,7 +188,7 @@ def test_weak_flip_bundles_next_invocation():
     alg2 = AlgorithmSpec(
         (0,), (Binding("C", impl=llsc_strong_counter()),), prog, omega=(0, 1)
     )
-    rec2 = run(alg2, scripted_policy("weak", [0, 0, 0]), VectorCoins((0,)))
+    rec2 = run(alg2, strategy_policy("weak", {(): [0, 0, 0]}), VectorCoins((0,)))
     ops2 = [(s.kind, s.op, s.level) for s in rec2.history.steps]
     assert ops2[:3] == [
         (INV, FLIP, BASE),
@@ -209,9 +209,9 @@ def test_weak_violation_flip_as_last_action():
 
     alg = AlgorithmSpec((0,), (Binding("R", spec=register_spec(0)),), prog)
     with pytest.raises(EngineError, match="weak-class violation"):
-        run(alg, scripted_policy("weak", [0]), VectorCoins((1,)))
+        run(alg, strategy_policy("weak", {(): [0]}), VectorCoins((1,)))
     # the same program is fine under a strong adversary
-    rec = run(alg, scripted_policy("strong", [0]), VectorCoins((1,)))
+    rec = run(alg, strategy_policy("strong", {(): [0]}), VectorCoins((1,)))
     assert rec.returns == {0: 1}
 
 
@@ -445,7 +445,7 @@ def test_naturalness_violation_is_caught():
 
     alg = AlgorithmSpec((0,), (Binding("X", impl=rogue),), prog)
     with pytest.raises(EngineError, match="foreign base object"):
-        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+        run(alg, strategy_policy("strong", {(): [0]}), VectorCoins(()))
 
 
 def test_method_with_no_base_operation_is_caught():
@@ -467,7 +467,7 @@ def test_method_with_no_base_operation_is_caught():
 
     alg = AlgorithmSpec((0,), (Binding("X", impl=lazy),), prog)
     with pytest.raises(EngineError, match="no base operation"):
-        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+        run(alg, strategy_policy("strong", {(): [0]}), VectorCoins(()))
 
 
 def _program_of(*actions):
@@ -487,7 +487,7 @@ def test_a_program_yielding_an_unknown_action_is_caught():
     alg = AlgorithmSpec((0,), (), _program_of(("bogus",)))
     message = "process 0 yielded unknown action ('bogus',)"
     with pytest.raises(EngineError, match=re.escape(message)):
-        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+        run(alg, strategy_policy("strong", {(): [0]}), VectorCoins(()))
 
 
 def test_a_method_body_yielding_a_malformed_action_is_caught():
@@ -502,20 +502,20 @@ def test_a_method_body_yielding_a_malformed_action_is_caught():
     alg = AlgorithmSpec((0,), (Binding("X", impl=sloppy),), prog)
     message = "method body yielded unknown action ('read', 1)"
     with pytest.raises(EngineError, match=re.escape(message)):
-        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+        run(alg, strategy_policy("strong", {(): [0]}), VectorCoins(()))
 
 
 def test_a_weak_flip_chaining_into_another_flip_is_caught():
     alg = AlgorithmSpec((0,), (), _program_of(("flip",), ("flip",)))
     with pytest.raises(EngineError, match="weak-class violation: flip #1 chains into another flip"):
-        run(alg, scripted_policy("weak", [0, 0]), VectorCoins((0, 1)))
+        run(alg, strategy_policy("weak", {(): [0, 0]}), VectorCoins((0, 1)))
 
 
 def test_a_program_invoking_an_atomic_coin_is_caught():
     prog = _program_of(("invoke", "K", "flip", ()))
     alg = AlgorithmSpec((0,), (Binding("K", spec=coin_spec()),), prog)
     with pytest.raises(EngineError, match="coin objects are driven by the coin source"):
-        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+        run(alg, strategy_policy("strong", {(): [0]}), VectorCoins(()))
 
 
 def test_allocation_after_set_up_is_refused():
@@ -538,18 +538,18 @@ def test_allocation_after_set_up_is_refused():
 
     alg = AlgorithmSpec((0,), (Binding("X", impl=hoarder),), prog)
     with pytest.raises(EngineError, match="'late-cell' after set-up"):
-        run(alg, scripted_policy("strong", [0]), VectorCoins(()))
+        run(alg, strategy_policy("strong", {(): [0]}), VectorCoins(()))
 
 
 def test_per_process_coins_and_exhaustion():
     alg = flip_write_alg(2)
     coins = PerProcessCoins({0: (1,), 1: (0,)})
-    rec = run(alg, scripted_policy("strong", [1, 1, 0, 0]), coins)
+    rec = run(alg, strategy_policy("strong", {(): [1, 1, 0, 0]}), coins)
     assert rec.returns == {0: 1, 1: 0}
     flips = tuple(s.payload for s in rec.history.steps if s.op == FLIP and s.kind == RSP)
     assert flips == (0, 1)  # consumption order: process 1 flipped first
     with pytest.raises(NeedCoinError):
-        run(alg, scripted_policy("strong", [1]), PerProcessCoins({0: (1,), 1: ()}))
+        run(alg, strategy_policy("strong", {(): [1]}), PerProcessCoins({0: (1,), 1: ()}))
 
 
 def test_simulations_are_freed_without_the_cycle_collector():
@@ -594,17 +594,17 @@ def test_the_engine_coins_are_the_only_coins_of_a_registry():
 def test_point_contention_tracking():
     alg = counter_race_alg(impl=True, nproc=2)
     # p0 alone start to finish, then p1: never more than one inside
-    rec = run(alg, scripted_policy("strong", [0, 0, 1, 1]), VectorCoins(()))
+    rec = run(alg, strategy_policy("strong", {(): [0, 0, 1, 1]}), VectorCoins(()))
     assert rec.max_point_contention == 1
     # interleaved: both inside at once; p1 loses one SC race and retries
-    rec = run(alg, scripted_policy("strong", [0, 1, 0, 1, 1, 1]), VectorCoins(()))
+    rec = run(alg, strategy_policy("strong", {(): [0, 1, 0, 1, 1, 1]}), VectorCoins(()))
     assert rec.max_point_contention == 2
     assert rec.returns == {0: 0, 1: 1}
 
 
 def test_interpret_of_engine_run_is_well_formed_and_atomicizes():
     alg = counter_race_alg(impl=True, nproc=2)
-    rec = run(alg, scripted_policy("strong", [0, 1, 0, 1, 1, 1]), VectorCoins(()))
+    rec = run(alg, strategy_policy("strong", {(): [0, 1, 0, 1, 1, 1]}), VectorCoins(()))
     g = interpret(rec.history)
     assert all(s.level == INTERPRETED for s in g.steps)
     ops = g.operations()

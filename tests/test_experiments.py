@@ -15,7 +15,7 @@ from stronglin.engine import (
     PerProcessCoins,
     VectorCoins,
     run,
-    scripted_policy,
+    strategy_policy,
 )
 from stronglin.experiments import (
     CSV_COLUMNS,
@@ -28,7 +28,6 @@ from stronglin.experiments import (
     RACE_EARLY_FLIP,
     RACE_LATE_FLIP,
     alternating_policy,
-    branching_script,
     coschedulable,
     drain_policy,
     hw_queue_example,
@@ -112,7 +111,7 @@ def test_snapshot_schedule_splits_the_scan():
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_distribution_is_unreachable_atomically(name):
+def test_pinned_distribution_is_unreachable_atomically(name, assert_replays):
     """No strong adversary over the atomic variant reproduces the
     returns of the pinned schedule on every coin at once.
 
@@ -135,29 +134,47 @@ def test_pinned_distribution_is_unreachable_atomically(name):
 
     pinned = returns_of(ex.implemented, ex.schedule)
     assert exists_adversary(ex.atomic, ex.omega, matches(pinned)) is None
-    for coins in pinned:
-        assert exists_adversary(ex.atomic, ex.omega, matches(pinned, coins)) is not None
     drained = returns_of(ex.atomic, drain_policy(ex.atomic.processes))
-    assert exists_adversary(ex.atomic, ex.omega, matches(drained)) is not None
+    for leaf_ok in [matches(pinned, coins) for coins in pinned] + [matches(drained)]:
+        found = exists_adversary(ex.atomic, ex.omega, leaf_ok)
+        assert_replays(ex.atomic, found, leaf_ok)
 
 
-def test_branching_script_needs_a_flip_before_branching():
+@pytest.mark.parametrize(
+    "strategy",
+    [{(1,): (0, 1), (-1,): (0, 2)}, {(1,): (0,), (-1,): (0, 1)}],
+    ids=["next-grant", "stop"],
+)
+def test_strategy_that_branches_before_the_flip_raises(strategy):
+    # Grant 1 precedes every flip of the snapshot run, so the two
+    # entries still agree with the revealed coins, yet part there.
     ex = snapshot_example()
-    eager = branching_script(common=[0], branches={1: [], -1: []})
-    with pytest.raises(EngineError):
+    eager = strategy_policy("weak", strategy, "eager")
+    with pytest.raises(
+        EngineError,
+        match=r"^strategy 'eager' branches on a coin not yet revealed after revealed coins \(\)$",
+    ):
         run(ex.implemented, eager, VectorCoins((1,)))
 
 
-def test_branching_script_names_an_outcome_without_a_tail():
-    # The mrsw relay script with only its 1 tail, run on coin -1.
+def test_strategy_without_an_entry_for_the_revealed_coins_raises():
+    # The mrsw relay strategy with only its entry for coin 1, run on -1.
     ex = EXAMPLES["mrsw-register"]()
-    relay = branching_script(
-        common=[1] * 1 + [0] * 2 + [0] * 1 + [0] * 2,
-        branches={1: [1] * 4 + [2] * 5},
-        name="relay-steal",
-    )
-    with pytest.raises(EngineError, match="'relay-steal' has no tail for flip outcome -1"):
+    common = (1,) * 1 + (0,) * 2 + (0,) * 1 + (0,) * 2
+    relay = strategy_policy("weak", {(1,): common + (1,) * 4 + (2,) * 5}, "relay-steal")
+    with pytest.raises(
+        EngineError, match=r"^strategy 'relay-steal' has no entry for revealed coins \(-1,\)$"
+    ):
         run(ex.implemented, relay, VectorCoins((-1,)))
+    # Coin 1 has its entry and plays it to the end.
+    assert run(ex.implemented, relay, VectorCoins((1,))).schedule == common + (1,) * 4 + (2,) * 5
+
+
+def test_a_strategy_for_no_coins_replays_a_fixed_list_whatever_the_coins():
+    ex = snapshot_example()
+    fixed = strategy_policy("strong", {(): (1, 1)})
+    for c in ex.omega:
+        assert run(ex.atomic, fixed, VectorCoins((c,))).schedule == (1, 1)
 
 
 # sha256 of the grant sequences of each case in _pinned_schedules.
@@ -295,8 +312,7 @@ def _src_policies():
     snap_coins = lambda: VectorCoins((1,))
     lb_coins = lambda: PerProcessCoins({q: (q % 4,) for q in lb.processes})
     cases = [
-        (scripted_policy, scripted_policy("strong", (2, 0, 1, 1, 1, 2)), ex.atomic, snap_coins),
-        (branching_script, ex.schedule, ex.implemented, snap_coins),
+        (strategy_policy, ex.schedule, ex.implemented, snap_coins),
         (drain_policy, drain_policy((1, 2, 0)), ex.implemented, snap_coins),
         (alternating_policy, alternating_policy((0, 1, 2)), ex.implemented, snap_coins),
         (adversary_ap, adversary_ap(3, 16), lb, lb_coins),

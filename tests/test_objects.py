@@ -18,7 +18,7 @@ from stronglin.engine import (
     plan_policy,
     rotation,
     run,
-    scripted_policy,
+    strategy_policy,
 )
 from stronglin import objects
 from stronglin.checkers import default_specs, linearize_one
@@ -339,7 +339,7 @@ def test_hw_queue_dequeue_empty_spins_until_budget():
         return gen()
 
     alg = AlgorithmSpec((0,), (Binding("O", impl=impl),), prog)
-    rec = run(alg, scripted_policy("strong", [0] * 100), VectorCoins(()), budget=50)
+    rec = run(alg, strategy_policy("strong", {(): [0] * 100}), VectorCoins(()), budget=50)
     assert "budget-exhausted" in rec.flags
     assert rec.returns == {}
 
@@ -356,7 +356,7 @@ def test_llsc_counter_retry_after_lost_race():
 
     alg = AlgorithmSpec((0, 1), (Binding("C", impl=impl),), prog)
     # p0 links; p1 runs a full fetch&inc; p0's SC fails and it retries
-    rec = run(alg, scripted_policy("strong", [0, 1, 1, 0, 0, 0]), VectorCoins(()))
+    rec = run(alg, strategy_policy("strong", {(): [0, 1, 1, 0, 0, 0]}), VectorCoins(()))
     assert rec.returns == {1: 0, 0: 1}
 
 
@@ -371,7 +371,7 @@ def test_writefirst_first_shared_access_is_a_write():
         return gen()
 
     alg = AlgorithmSpec((0,), (Binding("C", impl=impl),), prog)
-    rec = run(alg, scripted_policy("strong", [0] * 10), VectorCoins(()))
+    rec = run(alg, strategy_policy("strong", {(): [0] * 10}), VectorCoins(()))
     first_base = next(s for s in rec.history.steps if s.level == BASE)
     assert first_base.op == "write"
     assert rec.returns == {0: 0}
@@ -389,7 +389,7 @@ def test_writefirst_announce_collision_overwrites_mark():
 
     alg = AlgorithmSpec((0, 2), (Binding("C", impl=impl),), prog)
     rec = run(
-        alg, scripted_policy("strong", [0, 2, 2, 2, 0, 0, 0]), VectorCoins(())
+        alg, strategy_policy("strong", {(): [0, 2, 2, 2, 0, 0, 0]}), VectorCoins(())
     )
     announce = next(
         oid
@@ -420,7 +420,7 @@ def test_cas_loser_returns_leaders_value():
     # everyone reads cur and val; then p1 wins the election; p0 and p2 lose,
     # spin on the signal and return p1's installed value
     grants = [0, 0, 1, 1, 2, 2, 1, 0, 2, 1, 1, 1, 0, 2]
-    rec = run(alg, scripted_policy("strong", grants), VectorCoins(()), budget=100)
+    rec = run(alg, strategy_policy("strong", {(): grants}), VectorCoins(()), budget=100)
     assert rec.returns[1] == 0  # the winner's CAS succeeded
     assert rec.returns[0] == 11 and rec.returns[2] == 11
     # a later read agrees with the installed value
@@ -651,7 +651,7 @@ def test_an_operation_a_construction_lacks_is_rejected():
     for impl in _catalog_instances().values():
         alg = AlgorithmSpec((0,), (Binding("X", impl=impl),), prog)
         with pytest.raises((EngineError, ValueError), match="no base|not support"):
-            run(alg, scripted_policy("strong", [0] * 8), VectorCoins(()))
+            run(alg, strategy_policy("strong", {(): [0] * 8}), VectorCoins(()))
 
 
 # One call per process for each target type of the catalog.

@@ -87,13 +87,13 @@ def _read_targets(want):
     return leaf_ok
 
 
-def test_exists_adversary_finds_reachable_reader_targets():
+def test_exists_adversary_finds_reachable_reader_targets(assert_replays):
     alg = mrsw_register_example().atomic
-    found = exists_adversary(
-        alg, (-1, 1), _read_targets({(-1,): -1, (1,): 1}), klass="strong"
-    )
+    leaf_ok = _read_targets({(-1,): -1, (1,): 1})
+    found = exists_adversary(alg, (-1, 1), leaf_ok, klass="strong")
     assert found is not None
     assert set(found) == {(-1,), (1,)}
+    assert_replays(alg, found, leaf_ok)
 
 
 def test_exists_adversary_rejects_branch_inconsistent_targets():
@@ -107,10 +107,11 @@ def test_exists_adversary_rejects_branch_inconsistent_targets():
     assert found is None
 
 
-def test_replay_and_tree_round_trip():
+def test_replay_and_tree_round_trip(assert_replays):
     alg = mrsw_register_example().atomic
     targets = {(-1,): -1, (1,): 1}
     found = exists_adversary(alg, (-1, 1), _read_targets(targets), klass="strong")
+    assert_replays(alg, found, _read_targets(targets))
     runs = {}
     for coins, grants in found.items():
         status, sim = replay_grants(alg, grants, coins, "strong")
@@ -140,7 +141,7 @@ def test_search_caps_are_enforced():
         exists_adversary(ex.atomic, ex.omega, lambda rec, coins: False, node_cap=7)
 
 
-def test_existence_grant_cap_raises_instead_of_answering_no():
+def test_existence_grant_cap_raises_instead_of_answering_no(assert_replays):
     # A run cut at the cap says nothing about the target, so the search
     # must not report "no adversary" for it.
     ex = snapshot_example()
@@ -151,7 +152,7 @@ def test_existence_grant_cap_raises_instead_of_answering_no():
         exists_adversary(ex.atomic, ex.omega, lambda rec, coins: True, grant_cap=2)
     # With room for a whole run, the same search answers.
     found = exists_adversary(ex.atomic, ex.omega, lambda rec, coins: True, grant_cap=40)
-    assert found is not None
+    assert_replays(ex.atomic, found, lambda rec, coins: set(rec.returns) == {0, 1, 2})
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def test_game_values_match_replay_from_root(monkeypatch, game):
     [{(-1,): -1, (1,): 1}, {(-1,): -1, (1,): 0}],
     ids=["reachable", "inconsistent"],
 )
-def test_mrsw_decision_trees_match_replay_from_root(monkeypatch, want):
+def test_mrsw_decision_trees_match_replay_from_root(monkeypatch, assert_replays, want):
     alg = mrsw_register_example().atomic
     args = (alg, (-1, 1), _read_targets(want))
     _walks, statuses = _record_walks(monkeypatch)
@@ -307,14 +308,22 @@ def test_mrsw_decision_trees_match_replay_from_root(monkeypatch, want):
     assert (found is None) == (expected is None)
     if found is not None:
         assert list(found.items()) == list(expected.items())
+        assert_replays(alg, found, args[2])
+
+
+# The early-flip plan: both slow increments wait for the racer's flip,
+# and its outcome picks which of them goes first.
+EARLY_FLIP_PLAN = {(0,): (2, 2, 0, 1), (1,): (2, 2, 1, 0)}
 
 
 @pytest.mark.parametrize(
-    "name, targets",
-    [("early", RACE_EARLY_FLIP), ("late", RACE_LATE_FLIP)],
+    "name, targets, plan",
+    [("early", RACE_EARLY_FLIP, EARLY_FLIP_PLAN), ("late", RACE_LATE_FLIP, None)],
     ids=["early", "late"],
 )
-def test_coschedulability_search_matches_replay_from_root(monkeypatch, name, targets):
+def test_coschedulability_search_matches_replay_from_root(
+    monkeypatch, assert_replays, name, targets, plan
+):
     calls = []
 
     def recording(*args, **kwargs):
@@ -327,10 +336,12 @@ def test_coschedulability_search_matches_replay_from_root(monkeypatch, name, tar
     coschedulable(targets)
     _assert_walk_pinned(f"coschedulable-{name}", walks, statuses)
     [(args, kwargs, found)] = calls
+    assert found == plan
     expected = _reference_exists(*args, **kwargs)
     assert (found is None) == (expected is None)
     if found is not None:
         assert list(found.items()) == list(expected.items())
+        assert_replays(args[0], found, args[2], kwargs["klass"])
 
 
 def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkeypatch):
