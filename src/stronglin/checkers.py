@@ -532,7 +532,7 @@ def check_strong_lin(
 
     dead: set = set()
     frames = [_Frame(tree.root, None, _image_extensions(tree, tree.root, (), {}, specs))]
-    while frames:
+    while True:
         f = frames[-1]
         if f.img is None:
             for img, states in f.exts:
@@ -568,7 +568,6 @@ def check_strong_lin(
         if not frames:
             return solved
         frames[-1].results.update(solved)
-    return None
 
 
 def witness_violations(
@@ -664,12 +663,13 @@ def normalize_witness(
     """Pull flips to their earliest order-respecting image positions.
 
     Per node: drop trailing still-pending ops, take the flips out, then
-    reinsert each (in history order) at the first position compatible
-    with happens-before.  The input is not validated: a node without an
-    image, or with an image op the history lacks, is passed through as
-    it is.  The output must satisfy witness_violations and normality,
-    checked once before returning; CheckerError names the first
-    violation otherwise.
+    reinsert each (in history order) right after the last operation
+    that happens before it.  The input is not validated: a node without
+    an image, or with an image op the history lacks, is passed through
+    as it is, and base operations keep their order even where it breaks
+    happens-before.  The output must satisfy witness_violations and
+    normality, checked once before returning; CheckerError names the
+    first violation otherwise.
     """
     out: dict[int, tuple[ImageOp, ...]] = {}
     for nid in tree.node_ids():
@@ -688,16 +688,9 @@ def normalize_witness(
         for cf in sorted(flips, key=lambda e: e.inv_index):
             cf_op = by_key[cf.key]
             lo = 0
-            hi = len(base)
             for i, op in enumerate(base_ops):
                 if happens_before(op, cf_op):
                     lo = i + 1
-                if happens_before(cf_op, op):
-                    hi = min(hi, i)
-            if lo > hi:
-                raise CheckerError(
-                    f"node {nid}: no order-respecting slot for a flip"
-                )
             base.insert(lo, cf)
             base_ops.insert(lo, cf_op)
         out[nid] = tuple(base)

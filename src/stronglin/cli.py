@@ -31,7 +31,7 @@ from .experiments import (
     drain_policy,
     run_named_experiment,
 )
-from .histories import HistoryError, from_jsonl, interpret, step_doc, to_jsonl
+from .histories import HistoryError, from_jsonl, interpret, is_flip_response, step_doc, to_jsonl
 
 
 def _write(out: str, text: str) -> None:
@@ -125,6 +125,9 @@ def simulate(alg: str, variant: str, coins: str, policy: str, out: str) -> None:
         rec = run(spec, adv, VectorCoins(vector))
     except EngineError as err:
         raise click.UsageError(str(err)) from err
+    drawn = sum(is_flip_response(rec.history.objects, s) for s in rec.history.steps)
+    if drawn < len(vector):
+        raise click.UsageError(f"coin vector has {len(vector)} outcomes; the run drew {drawn}")
     _write(out, to_jsonl(rec.history))
 
 

@@ -113,6 +113,12 @@ class AlgorithmSpec:
     omega: tuple = (0, 1)
 
 
+def _adversary_class(klass: str) -> str:
+    if klass not in ("oblivious", "weak", "strong"):
+        raise ValueError(f"unknown adversary class {klass!r}")
+    return klass
+
+
 @dataclass(frozen=True)
 class AdversaryPolicy:
     """A scheduler of one of the three classes.
@@ -132,8 +138,7 @@ class AdversaryPolicy:
     name: str = ""
 
     def __post_init__(self):
-        if self.klass not in ("oblivious", "weak", "strong"):
-            raise ValueError(f"unknown adversary class {self.klass!r}")
+        _adversary_class(self.klass)
         if self.klass == "oblivious":
             if self.make_decide is not None:
                 raise ValueError("oblivious adversaries are a constant schedule")
@@ -255,7 +260,7 @@ class Simulation:
     def __init__(self, alg: AlgorithmSpec, coins, klass: str = "strong"):
         self.alg = alg
         self.coins = coins
-        self.klass = klass
+        self.klass = _adversary_class(klass)
         self.steps: list[Step] = []
         self.registry: dict[int, ObjectInfo] = {}
         self.base_spec: dict[int, SeqSpec] = {}

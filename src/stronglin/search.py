@@ -6,7 +6,8 @@ value of a finished run is a caller-supplied rational payoff of the
 run's returns.  Because decisions may depend on everything scheduled
 and flipped so far (and on nothing more), the searched space is exactly
 the strong adversaries; with weak-style flip bundling it is exactly the
-weak ones.
+weak ones.  No search covers the oblivious class yet: both raise
+ValueError for it.
 
 The existence search walks the same tree but asks for one decision tree
 whose every completed branch satisfies a predicate, for example "the
@@ -99,6 +100,8 @@ class _Walk:
 
     def __init__(self, alg: AlgorithmSpec, omega: tuple, klass: str, what: str,
                  node_cap: int, grant_cap: int, table: dict | None = None):
+        if klass == "oblivious":
+            raise ValueError("the searches cover the weak and strong classes, not oblivious")
         self.alg, self.omega, self.klass = alg, omega, klass
         self.what, self.node_cap, self.grant_cap = what, node_cap, grant_cap
         self.table = table

@@ -35,15 +35,17 @@ from stronglin.checkers import (
     witness_violations,
 )
 from stronglin.engine import (
-    AdversaryPolicy,
     AlgorithmSpec,
     Binding,
     VectorCoins,
+    plan_policy,
     run,
     strategy_policy,
 )
 from stronglin.experiments import (
+    alternating_policy,
     counter_race_tree,
+    drain_policy,
     hw_atomic_dequeue_tree,
     mutex_counter_runs,
     mutex_counter_tree,
@@ -123,22 +125,6 @@ def write_flip_read_tree():
         for c in (0, 1)
     }
     return HistoryTree.from_runs(runs, omega=(0, 1))
-
-
-def finish_in_order(order):
-    """A strong policy that drains each process to completion in turn."""
-
-    def make_decide():
-        queue = list(order)
-
-        def decide(view):
-            while queue and view.finished(queue[0]):
-                queue.pop(0)
-            return queue[0] if queue else None
-
-        return decide
-
-    return AdversaryPolicy("strong", make_decide=make_decide, name="in-order")
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +657,8 @@ def test_linearize_one_pinned_cases():
     got = linearize_one(h, {0: register_spec()})
     assert got is not None
     assert [s.payload for s in got.steps if s.is_rsp()] == [None, 2]
+    with pytest.raises(CheckerError, match="^no specification for object 0$"):
+        linearize_one(h, {})
 
 
 # ---------------------------------------------------------------------------
@@ -1143,39 +1131,7 @@ def test_witness_doc_shape():
 # ---------------------------------------------------------------------------
 
 
-def counter_race_fixture():
-    """Three increments on one counter; the third client flips a coin
-    right after its own increment returns, and the branch decides which
-    of the two slower increments wins."""
-    objs = {
-        0: ObjectInfo("strong-counter", BASE, (("key", "X"),)),
-        1: ObjectInfo("coin", BASE, (("process", 2),)),
-    }
-    common = (
-        inv(0, 0, "fetch_inc"),
-        inv(1, 0, "fetch_inc"),
-        inv(2, 0, "fetch_inc"),
-        rsp(2, 0, "fetch_inc", 0),
-        inv(2, 1, "flip"),
-    )
-    h0 = common + (
-        rsp(2, 1, "flip", 0),
-        rsp(0, 0, "fetch_inc", 1),
-        rsp(1, 0, "fetch_inc", 2),
-    )
-    h1 = common + (
-        rsp(2, 1, "flip", 1),
-        rsp(1, 0, "fetch_inc", 1),
-        rsp(0, 0, "fetch_inc", 2),
-    )
-    runs = {
-        (0,): History(h0, (0, 1, 2), objs),
-        (1,): History(h1, (0, 1, 2), objs),
-    }
-    return HistoryTree.from_runs(runs, omega=(0, 1))
-
-
-# The four operations of counter_race_fixture, as image entries.
+# The four operations of counter_race_tree, as image entries.
 RACE_R = ImageOp(2, 2, 0, "fetch_inc", (), 0)
 RACE_CF0 = ImageOp(2, 4, 1, "flip", (), 0)
 RACE_CF1 = ImageOp(2, 4, 1, "flip", (), 1)
@@ -1190,7 +1146,7 @@ def race_q(ret):
 
 
 def late_flip_witness():
-    """A valid witness for counter_race_fixture that parks both coin
+    """A valid witness for counter_race_tree that parks both coin
     flips late in their images; nodes 8 and 11 are the leaves."""
     op_r, cf0, cf1, p, q = RACE_R, RACE_CF0, RACE_CF1, race_p, race_q
     return {
@@ -1228,7 +1184,7 @@ LEAF_TAMPERS = {
 
 @pytest.mark.parametrize("text", list(LEAF_TAMPERS))
 def test_each_witness_violation_text_is_pinned(text):
-    tree = counter_race_fixture()
+    tree = counter_race_tree()
     specs = default_specs(tree.objects, tree.processes)
     bad = late_flip_witness()
     assert witness_violations(tree, bad, specs) == []
@@ -1240,7 +1196,7 @@ def test_each_witness_violation_text_is_pinned(text):
 
 
 def test_witness_violations_reports_one_message_per_bad_node_in_node_order():
-    tree = counter_race_fixture()
+    tree = counter_race_tree()
     specs = default_specs(tree.objects, tree.processes)
     bad = late_flip_witness()
     # nodes 8 and 11 each break three rules; node 4's children extend
@@ -1256,7 +1212,7 @@ def test_witness_violations_reports_one_message_per_bad_node_in_node_order():
 
 
 def test_normalize_pulls_flip_next_to_its_predecessor():
-    tree = counter_race_fixture()
+    tree = counter_race_tree()
     specs = default_specs(tree.objects, tree.processes)
     op_r, cf0, cf1, p, q = RACE_R, RACE_CF0, RACE_CF1, race_p, race_q
     witness = late_flip_witness()
@@ -1279,7 +1235,7 @@ def test_normalize_pulls_flip_next_to_its_predecessor():
 
 
 def test_normalize_found_witness_and_rejects_garbage():
-    tree = counter_race_fixture()
+    tree = counter_race_tree()
     specs = default_specs(tree.objects, tree.processes)
     w = check_strong_lin(tree, specs)
     norm = normalize_witness(tree, w, specs)
@@ -1291,7 +1247,7 @@ def test_normalize_found_witness_and_rejects_garbage():
 
 @pytest.mark.parametrize("tamper", ["unknown-op", "wrong-op", "no-image"])
 def test_normalize_rejects_a_witness_it_cannot_repair(tamper):
-    tree = counter_race_fixture()
+    tree = counter_race_tree()
     specs = default_specs(tree.objects, tree.processes)
     bad = late_flip_witness()
     if tamper == "unknown-op":
@@ -1306,8 +1262,23 @@ def test_normalize_rejects_a_witness_it_cannot_repair(tamper):
     assert "node 8: " in str(err.value) and "\n" not in str(err.value)
 
 
+def test_normalize_reports_an_image_that_breaks_happens_before():
+    # Node 6 reads before the write that happens before the read, so no
+    # slot puts the flip after the write and before the read.
+    tree = write_flip_read_tree()
+    specs = default_specs(tree.objects, tree.processes)
+    w = check_strong_lin(tree, specs)
+    write, flip, read = w[6]
+    w[6] = (read, write, flip)
+    with pytest.raises(CheckerError) as err:
+        normalize_witness(tree, w, specs)
+    assert str(err.value) == (
+        "no valid normal witness: node 6: image order violates happens-before"
+    )
+
+
 def test_normalize_validates_once(monkeypatch):
-    tree = counter_race_fixture()
+    tree = counter_race_tree()
     specs = default_specs(tree.objects, tree.processes)
     calls = []
 
@@ -1399,6 +1370,10 @@ def test_locality_rejects_an_atomic_response_without_its_invocation():
     tree = HistoryTree.from_json(json.dumps(doc))
     with pytest.raises(TreeError, match="not adjacent"):
         check_locality(tree, default_specs(tree.objects, tree.processes))
+    # The counter race: the slow increments respond after the flip.
+    tree = counter_race_tree()
+    with pytest.raises(TreeError, match="^atomic response is not adjacent to its invocation$"):
+        check_locality(tree, default_specs(tree.objects, tree.processes))
 
 
 def test_project_tree_demands_interpreted_object():
@@ -1468,14 +1443,11 @@ def test_locality_on_sampled_composed_runs(rng):
         make_program,
     )
 
-    def make_decide():
-        def decide(view):
-            alive = [q for q in alg.processes if not view.finished(q)]
-            return rng.choice(alive) if alive else None
+    def random_turns(view):
+        while alive := [q for q in alg.processes if not view.finished(q)]:
+            yield rng.choice(alive)
 
-        return decide
-
-    adv = AdversaryPolicy("strong", make_decide=make_decide, name="random")
+    adv = plan_policy("strong", random_turns, "random")
     rec = run(alg, adv, VectorCoins([]))
     tree = HistoryTree.from_runs({(): rec})
     specs = default_specs(tree.objects, tree.processes)
@@ -1520,7 +1492,7 @@ def test_mutex_counter_equivalent_to_atomic_counter():
     )
     for c in (0, 1):
         impl, atomic = (
-            run(alg, finish_in_order([1, 0]), VectorCoins([c]))
+            run(alg, drain_policy([1, 0]), VectorCoins([c]))
             for alg in (impl_alg, atomic_alg)
         )
         assert impl.returns == atomic.returns, c
@@ -1546,24 +1518,6 @@ def test_default_specs_cover_known_types_and_skip_internals():
 # ---------------------------------------------------------------------------
 
 
-def alternate(order):
-    """A strong policy cycling over the given pids, skipping the halted."""
-
-    def make_decide():
-        ring = itertools.cycle(order)
-
-        def decide(view):
-            for _ in order:
-                p = next(ring)
-                if not view.finished(p):
-                    return p
-            return None
-
-        return decide
-
-    return AdversaryPolicy("strong", make_decide=make_decide, name="alternate")
-
-
 def _cas_race_record():
     """Two CAS(0, .) calls race for the election while a third, expecting
     a stale value, fails against the current one."""
@@ -1581,7 +1535,7 @@ def _cas_race_record():
         make_program,
         omega=(0, 1),
     )
-    return run(alg, alternate((0, 1, 2)), VectorCoins(()))
+    return run(alg, alternating_policy((0, 1, 2)), VectorCoins(()))
 
 
 def _sketch_points(raw):
@@ -1667,7 +1621,7 @@ def test_cas_from_registers_certified_on_a_small_tree():
         omega=(0, 1),
     )
     runs = {
-        (c,): interpret(run(alg, alternate((0, 1)), VectorCoins((c,))).history)
+        (c,): interpret(run(alg, alternating_policy((0, 1)), VectorCoins((c,))).history)
         for c in (0, 1)
     }
     tree = HistoryTree.from_runs(runs, omega=(0, 1))

@@ -291,6 +291,14 @@ def test_simulate_rejects_bad_inputs(runner):
         assert runner.invoke(main, argv).exit_code == 2, argv
 
 
+def test_simulate_rejects_coins_the_run_never_drew(runner):
+    result = runner.invoke(main, ["simulate", "--alg", "snapshot", "--coins", "1,1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [ln for ln in result.output.splitlines() if "Error" in ln]
+    assert errors == ["Error: coin vector has 2 outcomes; the run drew 1"]
+
+
 def test_simulate_drain_works_on_atomic_variant(runner):
     result = runner.invoke(
         main,

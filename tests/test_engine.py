@@ -57,6 +57,21 @@ def live(view, processes):
     return [q for q in processes if not view.finished(q)]
 
 
+def choice_policy(klass, processes, choices):
+    """A seeded adversary: each choice picks among the unfinished
+    processes by index modulo their number; the run stops when the
+    choices run out."""
+
+    def choose(view):
+        for i in choices:
+            alive = live(view, processes)
+            if not alive:
+                return
+            yield alive[i % len(alive)]
+
+    return plan_policy(klass, choose, "choices")
+
+
 def flip_write_alg(nproc=2):
     """Each process flips, then writes a value derived from the outcome."""
 
@@ -121,6 +136,13 @@ def test_oblivious_schedule_rejects_an_unknown_process():
     alg = counter_race_alg(impl=False, nproc=2)
     with pytest.raises(EngineError, match="unknown process 7"):
         run(alg, AdversaryPolicy("oblivious", schedule=(7,)), VectorCoins(()))
+
+
+def test_an_unknown_adversary_class_is_refused():
+    with pytest.raises(ValueError, match="^unknown adversary class 'bogus'$"):
+        Simulation(one_read_alg(), VectorCoins(()), klass="bogus")
+    with pytest.raises(ValueError, match="^unknown adversary class 'bogus'$"):
+        plan_policy("bogus", lambda view: iter(()))
 
 
 def test_a_returning_plan_ends_the_run_without_a_budget_flag():
@@ -221,25 +243,8 @@ def test_determinism_and_weak_adjacency(choices, coin_bits):
     coins = tuple((coin_bits >> i) & 1 for i in range(4))
     alg = counter_flip_alg()
 
-    def make_policy():
-        def make_decide():
-            it = iter(choices)
-
-            def decide(view):
-                alive = live(view, alg.processes)
-                if not alive:
-                    return None
-                i = next(it, None)
-                if i is None:
-                    return None
-                return alive[i % len(alive)]
-
-            return decide
-
-        return AdversaryPolicy("weak", make_decide=make_decide)
-
-    rec1 = run(alg, make_policy(), VectorCoins(coins))
-    rec2 = run(alg, make_policy(), VectorCoins(coins))
+    rec1 = run(alg, choice_policy("weak", alg.processes, choices), VectorCoins(coins))
+    rec2 = run(alg, choice_policy("weak", alg.processes, choices), VectorCoins(coins))
     assert rec1 == rec2
     for i, s in enumerate(rec1.history.steps):
         if s.op == FLIP and s.kind == RSP:
@@ -267,19 +272,12 @@ def counter_flip_alg():
 def adaptive_strong_policy(processes):
     """Reacts to the latest flip outcome; used to stress H[k+1] equality."""
 
-    def make_decide():
-        def decide(view):
-            alive = live(view, processes)
-            if not alive:
-                return None
+    def react(view):
+        while alive := live(view, processes):
             flips = [s.payload for s in view.steps if s.op == FLIP and s.kind == RSP]
-            if flips and flips[-1] == 1:
-                return alive[-1]
-            return alive[0]
+            yield alive[-1] if flips and flips[-1] == 1 else alive[0]
 
-        return decide
-
-    return AdversaryPolicy("strong", make_decide=make_decide)
+    return plan_policy("strong", react, "adaptive")
 
 
 def test_strong_class_prefix_equality_exhaustive():
@@ -403,21 +401,7 @@ def test_derive_mark_state_matches_pairwise_rules(plans, choices, coin_bits, cut
     coins = tuple((coin_bits >> i) & 1 for i in range(len(plans)))
     alg = mark_rules_alg(plans)
 
-    def make_decide():
-        it = iter(choices)
-
-        def decide(view):
-            alive = live(view, alg.processes)
-            i = next(it, None)
-            return None if i is None or not alive else alive[i % len(alive)]
-
-        return decide
-
-    rec = run(
-        alg,
-        AdversaryPolicy("weak", make_decide=make_decide),
-        VectorCoins(coins),
-    )
+    rec = run(alg, choice_policy("weak", alg.processes, choices), VectorCoins(coins))
     h = rec.history
     whole = MarkState().after(h.steps)
     assert whole == pairwise_mark_state(h)
@@ -682,19 +666,7 @@ def test_point_contention_matches_history_oracle(alg_name, klass, choices, coin_
     }[alg_name]()
     coins = tuple((coin_bits >> i) & 1 for i in range(4))
 
-    def make_decide():
-        it = iter(choices)
-
-        def decide(view):
-            alive = live(view, alg.processes)
-            i = next(it, None)
-            if not alive or i is None:
-                return None
-            return alive[i % len(alive)]
-
-        return decide
-
-    rec = run(alg, AdversaryPolicy(klass, make_decide=make_decide), VectorCoins(coins))
+    rec = run(alg, choice_policy(klass, alg.processes, choices), VectorCoins(coins))
     assert rec.max_point_contention == contention_from_history(rec)
     if alg_name == "mixed":
         assert rec.returns[0] == "idle"

@@ -14,6 +14,7 @@ from stronglin.engine import (
     MarkState,
     PerProcessCoins,
     run,
+    strategy_policy,
 )
 from stronglin.histories import BASE, FLIP, INV, RSP
 from stronglin.loadbalance import (
@@ -249,6 +250,13 @@ def test_estimate_phi_rejects_zero_trials():
     alg = loadbalance_algorithm(4, "atomic")
     with pytest.raises(ValueError):
         estimate_phi(alg, lambda p: adversary_ap(p, 4), 3, 0, 1)
+
+
+def test_a_family_that_stops_at_once_is_flagged_incomplete():
+    alg = loadbalance_algorithm(4, "atomic")
+    est = estimate_phi(alg, lambda p: strategy_policy("weak", {(): ()}, "stop"), 3, 5, seed=0)
+    assert est.flags == ("fai-incomplete",)
+    assert est.mean == 0
 
 
 def test_estimate_phi_deterministic():
@@ -493,6 +501,43 @@ def test_helper_bound_reads_sees_at_the_end_of_the_run():
     )
     tampered = dataclasses.replace(rec, history=rec.history.with_steps(steps))
     assert assert_certifiers_agree(tampered, 12)[0] == "returns"
+
+
+# Each failure of the two-phase certifier, by the fault that triggers it.
+DOCTORED = {
+    "contention": "contention 99 exceeds 6",
+    "cut": "phase 1 never completed",
+    "no-steps": "target process 3 never accessed shared memory",
+    "sc-first": "target visible at C but its first access was no write",
+    "unowned": "shared access on unowned object 16",
+}
+
+
+@pytest.mark.parametrize("fault", list(DOCTORED))
+def test_doctored_two_phase_runs_fail_both_certifiers(fault):
+    # Write-first, seed 2, target 3: a case-1 run whose target makes its
+    # first shared access, a write to object 16, at step 4.
+    alg = loadbalance_algorithm(16, "writefirst")
+    rec = run(alg, adversary_ap(3, 16), PerProcessCoins(_seeded_coins(alg, 2)))
+    verdict, report = assert_certifiers_agree(rec, 3)
+    assert verdict == "returns" and report.case == 1
+    h = rec.history
+    first = h.steps[4]
+    assert (first.kind, first.process, first.obj, first.op) == (RSP, 3, 16, "write")
+    if fault == "contention":
+        rec = dataclasses.replace(rec, max_point_contention=99)
+    elif fault == "cut":
+        rec = dataclasses.replace(rec, history=h.with_steps(h.steps[:40]))
+    elif fault == "no-steps":
+        rec = dataclasses.replace(rec, history=h.with_steps(()))
+    elif fault == "sc-first":
+        steps = h.steps[:4] + (first._replace(op="sc", payload=1),) + h.steps[5:]
+        rec = dataclasses.replace(rec, history=h.with_steps(steps))
+    else:
+        bare = dataclasses.replace(h.objects[16], params=())
+        objects = {**h.objects, 16: bare}
+        rec = dataclasses.replace(rec, history=dataclasses.replace(h, objects=objects))
+    assert assert_certifiers_agree(rec, 3) == ("raises", DOCTORED[fault])
 
 
 def test_estimator_reaches_the_traced_functions_through_module_globals(monkeypatch):

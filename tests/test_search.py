@@ -32,18 +32,21 @@ from stronglin.search import (
     replay_grants,
 )
 
-EXAMPLES = (
-    snapshot_example,
-    srsw_register_example,
-    mrsw_register_example,
-    hw_queue_example,
-)
-
 
 def test_snapshot_atomic_games():
     ex = snapshot_example()
     assert atomic_value(ex, klass="strong") == Fraction(-1)
     assert atomic_value(ex, klass="weak") == Fraction(0)
+
+
+@pytest.mark.parametrize("search", ["optimal", "existence"])
+def test_the_searches_refuse_the_oblivious_class(search):
+    ex = snapshot_example()
+    with pytest.raises(ValueError, match="not oblivious"):
+        if search == "optimal":
+            atomic_value(ex, klass="oblivious")
+        else:
+            exists_adversary(ex.atomic, ex.omega, lambda rec, coins: True, klass="oblivious")
 
 
 def test_srsw_atomic_strong_min():
@@ -213,7 +216,7 @@ def _reference_exists(alg, omega, leaf_ok, klass="strong", grant_cap=200):
 
 def _games():
     # (id, algorithm, omega, payoff, class, goal)
-    for make in EXAMPLES:
+    for make in experiments.EXAMPLES.values():
         ex = make()
         for klass in ("weak", "strong"):
             yield (f"{ex.name}-atomic-{klass}", ex.atomic, ex.omega, ex.payoff,
