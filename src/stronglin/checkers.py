@@ -271,28 +271,12 @@ class HistoryTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImageOp:
-    """One committed operation inside a witness image.
-
-    ``inv_index`` names the operation by the position of its invocation
-    in the node's history; ``ret`` is the actual response for completed
-    operations and the replay-derived one for committed pending ops.
-    """
-
-    process: int
-    inv_index: int
-    obj: int
-    op: str
-    args: tuple
-    ret: Any
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.process, self.inv_index)
-
-
-Witness = Mapping[int, tuple[ImageOp, ...]]
+#: A witness image: a node's own operations in commit order, each named
+#: by its ``inv_index``.  A completed entry is the operation ``ops_of``
+#: returned; a committed pending entry carries, as ``ret``, the response
+#: its replay derived.
+Image = tuple[OperationInstance, ...]
+Witness = Mapping[int, Image]
 
 
 def witness_doc(tree: HistoryTree, witness: Witness) -> dict[str, list]:
@@ -335,7 +319,7 @@ def default_specs(
 # ---------------------------------------------------------------------------
 
 
-def image_history(h: History, image: tuple[ImageOp, ...]) -> History:
+def image_history(h: History, image: Image) -> History:
     """The image as a sequential history over ``h``'s registries.
 
     Each operation keeps the level of its invocation in ``h``.
@@ -348,30 +332,28 @@ def image_history(h: History, image: tuple[ImageOp, ...]) -> History:
     return History(tuple(steps), h.processes, h.objects)
 
 
-#: The response slot of a pending candidate: the replay supplies it.
-_REPLAYED = object()
-
-
 def _linearizations(
-    ops: list[tuple[OperationInstance, Any]],
+    ops: list[OperationInstance],
     preds: Mapping[int, frozenset],
     need: frozenset,
     specs: Mapping[int, SeqSpec],
     states0: Mapping[int, Any],
-) -> Iterator[tuple[tuple[ImageOp, ...], dict]]:
+) -> Iterator[tuple[Image, dict]]:
     """Every replay-valid commit order, with the object states it ends in.
 
-    The one commit search: ``ops`` lists (operation, response)
-    candidates, tried in that order at every position and keyed by the
-    index of their invocation.  A candidate may commit once all of
-    ``preds[key]`` has; stepping its object's spec must then reproduce
-    the response, or, for a pending candidate (response _REPLAYED),
-    supplies it (ANY_RESPONSE rules the candidate out: a coin's outcome
-    is not derivable).  Each order ends as soon as it covers ``need``.
-    A (committed, states) pair is recorded dead only when nothing below
-    it yielded, so the memo changes neither what is yielded nor its
-    order.  A spec that rejects an operation (ValueError) or cannot
-    apply it to the values at hand (TypeError) raises CheckerError.
+    The one commit search: ``ops`` are tried in that order at every
+    position and keyed by the index of their invocation.  An operation
+    may commit once all of ``preds[key]`` has; stepping its object's
+    spec must then reproduce a completed operation's response, or
+    supplies a pending one's (ANY_RESPONSE rules a pending operation
+    out: a coin's outcome is not derivable).  A committed completed
+    operation is its own image entry; a pending one is entered as a
+    copy carrying the derived response.  Each order ends as soon as it
+    covers ``need``.  A (committed, states) pair is recorded dead only
+    when nothing below it yielded, so the memo changes neither what is
+    yielded nor its order.  A spec that rejects an operation
+    (ValueError) or cannot apply it to the values at hand (TypeError)
+    raises CheckerError.
     """
     dead: set = set()
 
@@ -383,7 +365,7 @@ def _linearizations(
         if sig in dead:
             return
         found = False
-        for op, want in ops:
+        for op in ops:
             key = op.inv_index
             if key in committed or not preds[key] <= committed:
                 continue
@@ -393,15 +375,16 @@ def _linearizations(
                 state2, resp = spec.transition(state, op.op, op.args, op.process)
             except (ValueError, TypeError) as exc:
                 raise CheckerError(f"object {op.obj} rejects {op.op!r}: {exc}") from None
-            if want is _REPLAYED:
-                if resp is ANY_RESPONSE:
+            if op.complete:
+                if resp is not ANY_RESPONSE and resp != op.ret:
                     continue
-                ret = resp
-            elif resp is ANY_RESPONSE or resp == want:
-                ret = want
-            else:
+                entry = op
+            elif resp is ANY_RESPONSE:
                 continue
-            entry = ImageOp(op.process, op.inv_index, op.obj, op.op, op.args, ret)
+            else:
+                entry = OperationInstance(
+                    op.inv_index, None, op.process, op.obj, op.op, op.args, resp
+                )
             nstates = {**states, op.obj: state2}
             for got in extend(committed | {key}, nstates, acc + (entry,)):
                 found = True
@@ -410,10 +393,6 @@ def _linearizations(
             dead.add(sig)
 
     yield from extend(frozenset(), dict(states0), ())
-
-
-def _candidates(ops: list[OperationInstance]) -> list[tuple]:
-    return [(o, o.ret if o.complete else _REPLAYED) for o in ops]
 
 
 def _preds(ops: list[OperationInstance]) -> dict[int, frozenset]:
@@ -434,7 +413,7 @@ def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
     """
     ops = sorted(h.operations(), key=lambda o: (o.complete is False, o.process, o.inv_index))
     need = frozenset(op.inv_index for op in ops if op.complete)
-    found = next(_linearizations(_candidates(ops), _preds(ops), need, specs, {}), None)
+    found = next(_linearizations(ops, _preds(ops), need, specs, {}), None)
     return None if found is None else image_history(h, found[0])
 
 
@@ -446,22 +425,21 @@ def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
 def _image_extensions(
     tree: HistoryTree,
     nid: int,
-    parent_img: tuple[ImageOp, ...],
+    parent_img: Image,
     parent_states: dict,
     specs: Mapping[int, SeqSpec],
-) -> Iterator[tuple[tuple[ImageOp, ...], dict]]:
+) -> Iterator[tuple[Image, dict]]:
     """Legal images for a node, as extensions of its parent's image.
 
     Ordered by number of newly committed operations: completed-but-
     uncommitted ops are mandatory, pending ones optional (coins are
     never committed early, their outcome is not derivable).
     """
-    committed = {e.key: e.ret for e in parent_img}
+    committed = {e.inv_index: e.ret for e in parent_img}
     must, may = [], []
     for op in tree.ops_of(nid):
-        key = (op.process, op.inv_index)
-        if key in committed:
-            if op.complete and op.ret != committed[key]:
+        if op.inv_index in committed:
+            if op.complete and op.ret != committed[op.inv_index]:
                 return  # a guessed response for a pending op turned out wrong
         elif op.complete:
             must.append(op)
@@ -473,18 +451,17 @@ def _image_extensions(
         for extra in itertools.combinations(may, size):
             chosen = sorted(must + list(extra), key=lambda o: (o.process, o.inv_index))
             need = frozenset(o.inv_index for o in chosen)
-            for ext, states in _linearizations(
-                _candidates(chosen), preds, need, specs, parent_states
-            ):
+            for ext, states in _linearizations(chosen, preds, need, specs, parent_states):
                 yield parent_img + ext, states
 
 
-def _dead_key(nid: int, img: tuple[ImageOp, ...], states: dict) -> tuple:
+def _dead_key(nid: int, img: Image, states: dict) -> tuple:
     # What decides whether node ``nid``'s subtree completes under a parent
-    # image: its committed (key, ret) pairs and object states, not their order.
+    # image: its committed (inv_index, ret) pairs and object states, not
+    # their order.
     return (
         nid,
-        frozenset((e.key, e.ret) for e in img),
+        frozenset((e.inv_index, e.ret) for e in img),
         tuple(sorted(states.items())),
     )
 
@@ -506,7 +483,7 @@ def check_strong_lin(
     specs: Mapping[int, SeqSpec],
     node_cap: int = 100_000,
     pending_cap: int = 8,
-) -> dict[int, tuple[ImageOp, ...]] | None:
+) -> dict[int, Image] | None:
     """A prefix-preserving linearization witness for the tree, or None.
 
     Depth-first over the tree: each node picks an image extending its
@@ -514,7 +491,7 @@ def check_strong_lin(
     while every child subtree can complete under it; exhausting a
     node's choices backtracks into the parent.  A child that ran out of
     images is remembered as dead under its parent image's committed
-    (key, ret) pairs and object states, which are all its subtree
+    (inv_index, ret) pairs and object states, which are all its subtree
     depends on; a later parent image reaching the same triple is
     dropped at once.  That prunes only subtrees that would fail again,
     so the order of the search and the witness it finds are unchanged.
@@ -594,19 +571,21 @@ def _node_violation(
     img = witness.get(nid)
     if img is None:
         return "no image"
-    by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
+    by_key = {o.inv_index: o for o in tree.ops_of(nid)}
     resolved = []
     for e in img:
-        op = by_key.get((e.process, e.inv_index))
-        if op is None or (op.obj, op.op, op.args) != (e.obj, e.op, e.args):
+        op = by_key.get(e.inv_index)
+        if op is None or (op.process, op.obj, op.op, op.args) != (
+            e.process, e.obj, e.op, e.args
+        ):
             return f"image op {e} is not in the history"
         if op.complete and op.ret != e.ret:
             return "image response differs from history"
         resolved.append(op)
-    keys = {(o.process, o.inv_index) for o in resolved}
+    keys = {o.inv_index for o in resolved}
     if len(keys) != len(resolved):
         return "duplicate operation in image"
-    if any(o.complete and (o.process, o.inv_index) not in keys for o in tree.ops_of(nid)):
+    if any(o.complete and o.inv_index not in keys for o in tree.ops_of(nid)):
         return "completed operation missing from image"
     # An op happens before some op placed ahead of it iff it happens
     # before the one of those invoked last.
@@ -641,15 +620,13 @@ def normality_violations(tree: HistoryTree, witness: Witness) -> list[str]:
     """Nodes where a flip directly follows an op it is concurrent with."""
     out = []
     for nid in tree.node_ids():
-        by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
+        by_key = {o.inv_index: o for o in tree.ops_of(nid)}
         img = witness[nid]
         for i in range(1, len(img)):
             e = img[i]
             if not tree.objects[e.obj].is_coin:
                 continue
-            before = by_key[img[i - 1].key]
-            cf = by_key[e.key]
-            if not happens_before(before, cf):
+            if not happens_before(by_key[img[i - 1].inv_index], by_key[e.inv_index]):
                 out.append(
                     f"node {nid}: flip at image position {i} follows a "
                     f"concurrent operation"
@@ -659,7 +636,7 @@ def normality_violations(tree: HistoryTree, witness: Witness) -> list[str]:
 
 def normalize_witness(
     tree: HistoryTree, witness: Witness, specs: Mapping[int, SeqSpec]
-) -> dict[int, tuple[ImageOp, ...]]:
+) -> dict[int, Image]:
     """Pull flips to their earliest order-respecting image positions.
 
     Per node: drop trailing still-pending ops, take the flips out, then
@@ -671,22 +648,22 @@ def normalize_witness(
     normality, checked once before returning; CheckerError names the
     first violation otherwise.
     """
-    out: dict[int, tuple[ImageOp, ...]] = {}
+    out: dict[int, Image] = {}
     for nid in tree.node_ids():
         if nid not in witness:
             continue
-        by_key = {(o.process, o.inv_index): o for o in tree.ops_of(nid)}
+        by_key = {o.inv_index: o for o in tree.ops_of(nid)}
         img = list(witness[nid])
-        if any(e.key not in by_key for e in img):
+        if any(e.inv_index not in by_key for e in img):
             out[nid] = tuple(img)
             continue
-        while img and not by_key[img[-1].key].complete:
+        while img and not by_key[img[-1].inv_index].complete:
             img.pop()
-        flips = [e for e in img if tree.objects[by_key[e.key].obj].is_coin]
-        base = [e for e in img if not tree.objects[by_key[e.key].obj].is_coin]
-        base_ops = [by_key[e.key] for e in base]
+        flips = [e for e in img if tree.objects[by_key[e.inv_index].obj].is_coin]
+        base = [e for e in img if not tree.objects[by_key[e.inv_index].obj].is_coin]
+        base_ops = [by_key[e.inv_index] for e in base]
         for cf in sorted(flips, key=lambda e: e.inv_index):
-            cf_op = by_key[cf.key]
+            cf_op = by_key[cf.inv_index]
             lo = 0
             for i, op in enumerate(base_ops):
                 if happens_before(op, cf_op):
@@ -716,7 +693,7 @@ class LocalityVerdict:
     """
 
     status: str
-    witness: dict[int, tuple[ImageOp, ...]] | None
+    witness: dict[int, Image] | None
     detail: str = ""
 
 
@@ -764,7 +741,7 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
             )
         images[oid] = {nid: w[pn] for nid, pn in lands.items()}
 
-    comb: dict[int, tuple[ImageOp, ...]] = {tree.root: ()}
+    comb: dict[int, Image] = {tree.root: ()}
     depth = {tree.root: 0}
     posmap = {tree.root: {oid: () for oid in impl}}
     for nid in tree.node_ids()[1:]:
@@ -777,7 +754,11 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
             newpos = ppos[oid] + (at,)
             lam = images[oid][nid][len(images[oid][pnid]) :]
             comb[nid] = pimg + tuple(
-                ImageOp(x.process, newpos[x.inv_index], x.obj, x.op, x.args, x.ret)
+                OperationInstance(
+                    newpos[x.inv_index],
+                    None if x.rsp_index is None else newpos[x.rsp_index],
+                    x.process, x.obj, x.op, x.args, x.ret,
+                )
                 for x in lam
             )
             posmap[nid] = {**ppos, oid: newpos}
@@ -793,9 +774,8 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
                     raise TreeError(
                         "atomic response is not adjacent to its invocation"
                     )
-                comb[nid] = pimg + (
-                    ImageOp(s.process, at - 1, s.obj, s.op, prev.payload, s.payload),
-                )
+                # the operation invoked last, at step at - 1
+                comb[nid] = pimg + (tree.ops_of(nid)[-1],)
             else:
                 comb[nid] = pimg
             posmap[nid] = ppos

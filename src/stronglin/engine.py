@@ -34,7 +34,6 @@ from .histories import (
     ObjectInfo,
     SeqSpec,
     Step,
-    is_flip_response,
 )
 from .objects import ImplProgram, coin_spec
 
@@ -219,6 +218,11 @@ class RunView:
     def objects(self) -> Mapping[int, ObjectInfo]:
         return self._sim.registry
 
+    @property
+    def coins(self) -> tuple:
+        """The coin outcomes drawn so far, in the order drawn."""
+        return tuple(self._sim.outcomes)
+
     def finished(self, p: int) -> bool:
         """True once ``p`` has returned; False for an unknown process,
         which ``grant`` rejects."""
@@ -269,7 +273,7 @@ class Simulation:
         self.flags: set = set()
         self.max_contention = 0
         self._active = 0
-        self.flip_count = 0
+        self.outcomes: list = []
         self.targets: dict[str, tuple] = {}
         registry, base_spec, base_state = self.registry, self.base_spec, self.base_state
         sealed = False
@@ -344,10 +348,15 @@ class Simulation:
             _, oid, op, args = rt.method.pending_base
         else:
             act = rt.pending
-            if act[0] != "invoke" or self.targets[act[1]][0] != "atomic":
+            if act[0] != "invoke":
                 return None
-            _, key, op, args = act
-            oid = self.targets[key][1]
+            target = self.targets.get(act[1])
+            if target is None:
+                raise EngineError(f"process {pid} invoked unknown object {act[1]!r}")
+            if target[0] != "atomic":
+                return None
+            _, _key, op, args = act
+            oid = target[1]
         args = tuple(args)
         state, resp = self.base_spec[oid].transition(self.base_state[oid], op, args, pid)
         if resp is ANY_RESPONSE:
@@ -442,7 +451,7 @@ class Simulation:
 
     def _flip_grant(self, pid: int) -> None:
         outcome = self.coins.next(pid)
-        self.flip_count += 1
+        self.outcomes.append(outcome)
         oid = self.coin_oid[pid]
         self.steps.append(Step(INV, pid, oid, FLIP, (), BASE))
         self.steps.append(Step(RSP, pid, oid, FLIP, outcome, BASE))
@@ -452,11 +461,11 @@ class Simulation:
         rt = self.procs[pid]
         if rt.finished:
             raise EngineError(
-                f"weak-class violation: flip #{self.flip_count} is process {pid}'s last action"
+                f"weak-class violation: flip #{len(self.outcomes)} is process {pid}'s last action"
             )
         if rt.pending == ("flip",):
             raise EngineError(
-                f"weak-class violation: flip #{self.flip_count} chains into another flip"
+                f"weak-class violation: flip #{len(self.outcomes)} chains into another flip"
             )
         self._step(pid, bundled=True)
 
@@ -557,12 +566,11 @@ def strategy_policy(klass: str, strategy: Mapping, name: str = "") -> AdversaryP
     """
 
     def play(view: RunView) -> Iterator[int]:
-        live, revealed, seen = [(tuple(v), tuple(g)) for v, g in strategy.items()], (), 0
+        live = [(tuple(v), tuple(g)) for v, g in strategy.items()]
         for i in itertools.count():
             # Agreement only narrows as coins are revealed, so each grant
-            # reads only the steps made since the last one.
-            new, seen = view.steps[seen:], len(view.steps)
-            revealed += tuple(s.payload for s in new if is_flip_response(view.objects, s))
+            # filters the entries the last one kept.
+            revealed = view.coins
             live = [(v, g) for v, g in live if v[:len(revealed)] == revealed[:len(v)]]
             # The next grant of each kept entry; () once it has none left.
             moves = {g[i:i + 1] for _v, g in live}

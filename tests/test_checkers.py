@@ -17,11 +17,9 @@ from stronglin import checkers, experiments
 from stronglin.cli import main as cli_main
 from stronglin.checkers import (
     CheckerError,
-    _candidates,
     _linearizations,
     _preds,
     HistoryTree,
-    ImageOp,
     TreeError,
     check_locality,
     check_strong_lin,
@@ -61,6 +59,7 @@ from stronglin.histories import (
     History,
     MalformedHistoryError,
     ObjectInfo,
+    OperationInstance,
     Step,
     happens_before,
     interpret,
@@ -608,7 +607,7 @@ def test_commit_search_yields_every_order_once_in_candidate_order(case):
     h, specs = case
     ops = sorted(h.operations(), key=lambda o: (o.process, o.inv_index))
     need = frozenset(o.inv_index for o in ops)
-    orders = _linearizations(_candidates(ops), _preds(ops), need, specs, {})
+    orders = _linearizations(ops, _preds(ops), need, specs, {})
     want = []
     for perm in itertools.permutations(ops):
         late = [b for i, a in enumerate(perm) for b in perm[i + 1:]
@@ -626,7 +625,7 @@ def test_commit_search_yields_every_order_once_in_candidate_order(case):
                 resp = o.ret
             elif resp is ANY_RESPONSE:
                 break
-            image.append(ImageOp(o.process, o.inv_index, o.obj, o.op, o.args, resp))
+            image.append(o if o.complete else replace(o, ret=resp))
         else:
             want.append(tuple(image))
     assert [img for img, _states in orders] == want
@@ -742,8 +741,17 @@ def brute_images(tree, nid, pimg, specs):
     pending non-coin ops, pending responses taken from a replay of that
     order.  Validity is left to witness_violations.
     """
-    taken = {e.key for e in pimg}
-    ops = [o for o in tree.ops_of(nid) if (o.process, o.inv_index) not in taken]
+    def replay(states, o):
+        spec = specs[o.obj]
+        state = states.get(o.obj, spec.initial_state)
+        states[o.obj], resp = spec.transition(state, o.op, o.args, o.process)
+        return resp
+
+    pstates = {}
+    for e in pimg:
+        replay(pstates, e)
+    taken = {e.inv_index for e in pimg}
+    ops = [o for o in tree.ops_of(nid) if o.inv_index not in taken]
     done = [o for o in ops if o.complete]
     pend = [
         o for o in ops
@@ -752,17 +760,10 @@ def brute_images(tree, nid, pimg, specs):
     for r in range(len(pend) + 1):
         for extra in itertools.combinations(pend, r):
             for perm in itertools.permutations(done + list(extra)):
-                states, img = {}, list(pimg)
-                for o in list(pimg) + list(perm):
-                    spec = specs[o.obj]
-                    state = states.get(o.obj, spec.initial_state)
-                    states[o.obj], resp = spec.transition(
-                        state, o.op, o.args, o.process
-                    )
-                    if isinstance(o, ImageOp):
-                        continue
-                    ret = o.ret if o.complete else resp
-                    img.append(ImageOp(o.process, o.inv_index, o.obj, o.op, o.args, ret))
+                states, img = dict(pstates), list(pimg)
+                for o in perm:
+                    resp = replay(states, o)
+                    img.append(o if o.complete else replace(o, ret=resp))
                 yield tuple(img)
 
 
@@ -1068,10 +1069,41 @@ def test_image_order_check_matches_pairwise_definition(case, data):
     tree = HistoryTree.from_runs({(0,): h})
     leaf = tree.leaves()[0]
     ops = data.draw(st.permutations(tree.ops_of(leaf)))
-    image = tuple(ImageOp(o.process, o.inv_index, o.obj, o.op, o.args, o.ret) for o in ops)
+    image = tuple(ops)
     late = any(happens_before(b, a) for i, a in enumerate(ops) for b in ops[i + 1:])
     flagged = f"node {leaf}: image order violates happens-before"
     assert (flagged in witness_violations(tree, {leaf: image}, specs)) == late
+
+
+def test_an_image_holds_the_nodes_own_operations():
+    # A completed entry is the operation ops_of returned; a committed
+    # pending one differs from it only in the response its replay
+    # derived.  check_locality carries its projections' responses, so
+    # its entries only equal the tree's operations.
+    def entries(tree, witness):
+        for nid, img in witness.items():
+            ops = {o.inv_index: o for o in tree.ops_of(nid)}
+            for e in img:
+                op = ops[e.inv_index]
+                if not e.complete:
+                    assert e == replace(op, rsp_index=None, ret=e.ret)
+                yield e, op
+
+    # p1 reads the 1 that p0's pending write puts there
+    h = History(
+        (inv(0, 0, "write", (1,)), inv(1, 0, "read"), rsp(1, 0, "read", 1)), (0, 1), REG_OBJS
+    )
+    pending = HistoryTree.from_runs({(0,): h})
+    mutex = mutex_counter_tree()
+    for tree in (pending, counter_race_tree(), mutex):
+        specs = default_specs(tree.objects, tree.processes)
+        found = check_strong_lin(tree, specs)
+        for witness in (found, normalize_witness(tree, found, specs)):
+            assert all(e is op for e, op in entries(tree, witness) if e.complete)
+        if tree is pending:
+            assert not found[tree.leaves()[0]][0].complete
+    located = check_locality(mutex, specs).witness  # specs are mutex's
+    assert all(e == op for e, op in entries(mutex, located) if e.complete)
 
 
 def test_tampered_witnesses_are_rejected():
@@ -1082,9 +1114,7 @@ def test_tampered_witnesses_are_rejected():
 
     bad = dict(w)
     e = bad[leaf][-1]
-    bad[leaf] = bad[leaf][:-1] + (
-        ImageOp(e.process, e.inv_index, e.obj, e.op, e.args, 99),
-    )
+    bad[leaf] = bad[leaf][:-1] + (replace(e, ret=99),)
     assert any("response" in v or "valid" in v
                for v in witness_violations(tree, bad, specs))
 
@@ -1131,18 +1161,20 @@ def test_witness_doc_shape():
 # ---------------------------------------------------------------------------
 
 
-# The four operations of counter_race_tree, as image entries.
-RACE_R = ImageOp(2, 2, 0, "fetch_inc", (), 0)
-RACE_CF0 = ImageOp(2, 4, 1, "flip", (), 0)
-RACE_CF1 = ImageOp(2, 4, 1, "flip", (), 1)
+# The four operations of counter_race_tree, as image entries.  The
+# checkers find an entry's operation by its inv_index and read the
+# response index off the history, so these leave rsp_index unset.
+RACE_R = OperationInstance(2, None, 2, 0, "fetch_inc", (), 0)
+RACE_CF0 = OperationInstance(4, None, 2, 1, "flip", (), 0)
+RACE_CF1 = OperationInstance(4, None, 2, 1, "flip", (), 1)
 
 
 def race_p(ret):
-    return ImageOp(0, 0, 0, "fetch_inc", (), ret)
+    return OperationInstance(0, None, 0, 0, "fetch_inc", (), ret)
 
 
 def race_q(ret):
-    return ImageOp(1, 1, 0, "fetch_inc", (), ret)
+    return OperationInstance(1, None, 1, 0, "fetch_inc", (), ret)
 
 
 def late_flip_witness():
@@ -1161,7 +1193,7 @@ def late_flip_witness():
     }
 
 
-STRANGER = ImageOp(2, 99, 0, "fetch_inc", (), 3)
+STRANGER = OperationInstance(99, None, 2, 0, "fetch_inc", (), 3)
 
 # One tampered image of leaf 8 per rule witness_violations checks, in
 # the order it checks them; the first rule broken is the one reported.
@@ -1253,8 +1285,8 @@ def test_normalize_rejects_a_witness_it_cannot_repair(tamper):
     if tamper == "unknown-op":
         bad[8] += (STRANGER,)
     elif tamper == "wrong-op":
-        # op_r's key, but a flip of the coin
-        bad[8] = (ImageOp(2, 2, 1, "flip", (), 0),) + bad[8][1:]
+        # op_r's inv_index, but a flip of the coin
+        bad[8] = (OperationInstance(2, None, 2, 1, "flip", (), 0),) + bad[8][1:]
     else:
         del bad[8]  # node 8 has completed operations
     with pytest.raises(CheckerError) as err:
@@ -1595,11 +1627,7 @@ def test_cas_sketch_points_validate_as_a_linearization():
 
     hi = interpret(raw)
     by_proc = {op.process: op for op in hi.operations()}
-    image = tuple(
-        ImageOp(p, by_proc[p].inv_index, by_proc[p].obj, "cas",
-                by_proc[p].args, by_proc[p].ret)
-        for p in order
-    )
+    image = tuple(by_proc[p] for p in order)
     specs = default_specs(hi.objects, hi.processes)
     assert validate_sequential(image_history(hi, image), specs)
 

@@ -28,6 +28,7 @@ from stronglin.histories import (
     ObjectInfo,
     Step,
     from_jsonl,
+    step_doc,
     to_jsonl,
 )
 
@@ -322,6 +323,23 @@ def test_check_lin_rejects_unlinearizable_history(runner, tmp_path):
     assert json.loads(result.output) == {"linearizable": False}
 
 
+def test_check_lin_leaves_a_pending_flip_out_of_the_image(runner, tmp_path):
+    # No spec derives a coin's outcome, so the pending flip stays out.
+    objs = {
+        0: ObjectInfo("register", BASE, (("key", "R"),)),
+        1: ObjectInfo("coin", BASE, (("process", 1),)),
+    }
+    write = (Step(INV, 0, 0, "write", (1,), BASE), Step(RSP, 0, 0, "write", None, BASE))
+    h = History(write + (Step(INV, 1, 1, "flip", (), BASE),), (0, 1), objs)
+    src = tmp_path / "flip.jsonl"
+    src.write_text(to_jsonl(h))
+    result = runner.invoke(main, ["check-lin", str(src)])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "linearizable": True, "image": [step_doc(s) for s in write]
+    }
+
+
 def test_check_strong_lin_witness_and_none(runner, tmp_path):
     good = tmp_path / "race.json"
     good.write_text(counter_race_tree().to_json())
@@ -485,6 +503,8 @@ REGISTRY_HOLES = {
     "integer-impl": {"impl": 5},
     "param-the-spec-lacks": {"params": {"key": "R", "colour": 1}},
     "string-domain-bound": {"params": {"key": "R", "domain_bound": "x"}},
+    "unknown-level": {"level": "weird"},
+    "list-params": {"params": [1]},
 }
 
 

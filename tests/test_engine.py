@@ -474,6 +474,31 @@ def test_a_program_yielding_an_unknown_action_is_caught():
         run(alg, strategy_policy("strong", {(): [0]}), VectorCoins(()))
 
 
+def test_a_program_invoking_an_unknown_object_is_caught():
+    alg = AlgorithmSpec((0,), (), _program_of(("invoke", "Z", "read", ())))
+    message = "process 0 invoked unknown object 'Z'"
+    with pytest.raises(EngineError, match=re.escape(message)):
+        run(alg, strategy_policy("strong", {(): [0]}), VectorCoins(()))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Binding("X"), "binding needs exactly one of spec or impl"),
+        (lambda: Binding("X", register_spec(0), llsc_strong_counter()),
+         "binding needs exactly one of spec or impl"),
+        (lambda: AdversaryPolicy("oblivious", lambda: None),
+         "oblivious adversaries are a constant schedule"),
+        (lambda: AdversaryPolicy("weak"), "weak adversary needs a decide function"),
+    ],
+    ids=["binding-with-neither", "binding-with-both", "oblivious-with-decide",
+         "weak-without-decide"],
+)
+def test_a_malformed_binding_or_policy_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_a_method_body_yielding_a_malformed_action_is_caught():
     def setup(alloc):
         return {"own": alloc(register_spec(0), "cell")}

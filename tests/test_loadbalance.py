@@ -54,6 +54,11 @@ def test_non_square_process_count_rejected(n):
         k_max_for(n)
 
 
+def test_empty_stagger_batch_rejected():
+    with pytest.raises(ValueError, match="batch size must be positive"):
+        stagger_policy(4, 0)
+
+
 def test_unknown_counter_kind_rejected():
     with pytest.raises(ValueError):
         loadbalance_algorithm(4, "mutex")

@@ -314,6 +314,22 @@ def test_aadgms_update_then_scan():
     assert responses == [None, (0, 7, 0)]
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: aadgms_snapshot(0), "need at least one component"),
+        (lambda: writefirst_strong_counter(0), "need at least one process"),
+        (lambda: run_calls(aadgms_snapshot(2), [(5, "update", (1,))], nproc=6),
+         "process 5 has no snapshot component"),
+    ],
+    ids=["snapshot-of-no-components", "counter-for-no-processes",
+         "update-without-a-component"],
+)
+def test_a_construction_refuses_sizes_it_cannot_serve(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_va_solo_read_returns_initial():
     responses, _ = run_calls(vitanyi_awerbuch_mrsw(), [(1, "read", ())], nproc=3)
     assert responses == [0]
