@@ -17,6 +17,7 @@ are desk-scale tools, not model checkers.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .histories import (
     processes_from_doc,
     step_doc,
     step_from_doc,
+    validate_sequential,
 )
 from .objects import spec_of_entry
 
@@ -405,16 +407,49 @@ def _preds(ops: list[OperationInstance]) -> dict[int, frozenset]:
 def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
     """One linearization of an interpreted history, or None.
 
-    All completed operations must appear; pending ones may be committed
-    with replay-derived responses when that helps, except flips, whose
-    outcome no spec derives (_linearizations skips them).  The first
-    order the commit search yields, completed operations tried first;
-    sound and complete at the sizes this artifact deals in.
+    Linearizability is local (Herlihy & Wing, TOPLAS 1990), so each
+    object is searched alone, in ascending object id: the commit search
+    over that object's operations, completed ones tried first and then
+    by (process, inv_index), must cover its completed operations.
+    Pending ones may be committed with replay-derived responses when
+    that helps, except flips, whose outcome no spec derives
+    (_linearizations skips them).  The answer is None as soon as one
+    object has no order.
+
+    The per-object orders are merged by always placing, of the entries
+    each order has next, the one invoked first.  Real time always
+    allows that entry, so the merge never waits and never fails: of
+    the entries not yet placed, let f be the completed one that
+    responds first.  Its object's next entry e is f itself, or comes
+    before f in an order that respects real time; either way e was
+    invoked before f responded.  The entry placed is invoked no later
+    than e, so before every unplaced response, and no unplaced
+    operation happens before it.  The merged image is replayed once
+    more with ``validate_sequential``; CheckerError if that fails.
     """
-    ops = sorted(h.operations(), key=lambda o: (o.complete is False, o.process, o.inv_index))
-    need = frozenset(op.inv_index for op in ops if op.complete)
-    found = next(_linearizations(ops, _preds(ops), need, specs, {}), None)
-    return None if found is None else image_history(h, found[0])
+    by_obj: dict[int, list[OperationInstance]] = {}
+    for op in sorted(h.operations(), key=lambda o: (o.complete is False, o.process, o.inv_index)):
+        by_obj.setdefault(op.obj, []).append(op)
+    orders = []
+    for oid in sorted(by_obj):
+        ops = by_obj[oid]
+        need = frozenset(op.inv_index for op in ops if op.complete)
+        found = next(_linearizations(ops, _preds(ops), need, specs, {}), None)
+        if found is None:
+            return None
+        orders.append(found[0])
+    heads = [(order[0].inv_index, k, 0) for k, order in enumerate(orders) if order]
+    heapq.heapify(heads)
+    merged = []
+    while heads:
+        _, k, i = heapq.heappop(heads)
+        merged.append(orders[k][i])
+        if i + 1 < len(orders[k]):
+            heapq.heappush(heads, (orders[k][i + 1].inv_index, k, i + 1))
+    image = image_history(h, tuple(merged))
+    if not validate_sequential(image, specs):
+        raise CheckerError("merged image is not sequentially valid")
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +764,11 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
     tree indices); a top-level atomic or coin response appends that one
     op.  The result is re-validated against the tree, so a failure here
     is a counterexample report against the implementations.
+
+    Each top-level atomic response must directly follow its invocation,
+    as engine runs write them; TreeError otherwise, for example on
+    ``experiments.counter_race_tree()``, whose atomic operations overlap
+    (``check_strong_lin`` still decides such a tree).
     """
     impl = sorted(oid for oid, info in tree.objects.items() if info.level == INTERPRETED)
     images = {}

@@ -176,6 +176,10 @@ def test_criterion_8_property_suites_meet_their_budgets():
     assert callable(engine.test_strong_class_prefix_equality_exhaustive)
     assert _examples_budget(checkers.test_linearize_one_matches_brute_force) >= 500
     assert (
+        _examples_budget(checkers.test_per_object_search_matches_the_whole_history_search)
+        >= 300
+    )
+    assert (
         _examples_budget(checkers.test_normalization_preserves_witness_properties)
         >= 500
     )

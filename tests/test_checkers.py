@@ -518,15 +518,35 @@ def brute_linearizable(h, specs):
     return False
 
 
+def _draw_op(draw, flavor):
+    # One operation with a freely drawn response: (op, args, ret).
+    if flavor == "register":
+        if draw(st.booleans()):
+            return ("write", (draw(st.integers(1, 2)),), None)
+        return ("read", (), draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        return ("enqueue", (draw(st.integers(1, 2)),), None)
+    return ("dequeue", (), draw(st.sampled_from([BOTTOM, 1, 2])))
+
+
+SPEC_OF_FLAVOR = {"register": register_spec, "queue": queue_spec}
+
+
 @st.composite
-def small_histories(draw):
+def small_histories(draw, flavors=None):
     """Interleaved register and queue traffic with adversarial responses.
 
+    One object, a register or a queue, unless ``flavors`` names one
+    object per entry (ids 0, 1, ...), each operation drawing its object.
     Responses are drawn freely from small pools, so a sizable fraction
     of draws is not linearizable; that is the point.
     """
-    flavor = draw(st.sampled_from(["register", "queue"]))
-    objs = {0: ObjectInfo(flavor, BASE, (("key", "X"),))}
+    if flavors is None:
+        flavors = (draw(st.sampled_from(["register", "queue"])),)
+    objs = {
+        oid: ObjectInfo(flavor, BASE, (("key", "XY"[oid]),))
+        for oid, flavor in enumerate(flavors)
+    }
     nproc = draw(st.integers(min_value=1, max_value=3))
     scripts = []
     total = 0
@@ -536,18 +556,8 @@ def small_histories(draw):
         total += n
         ops = []
         for _ in range(n):
-            if flavor == "register":
-                if draw(st.booleans()):
-                    ops.append(("write", (draw(st.integers(1, 2)),), None))
-                else:
-                    ops.append(("read", (), draw(st.integers(0, 2))))
-            else:
-                if draw(st.booleans()):
-                    ops.append(("enqueue", (draw(st.integers(1, 2)),), None))
-                else:
-                    ops.append(
-                        ("dequeue", (), draw(st.sampled_from([BOTTOM, 1, 2])))
-                    )
+            oid = draw(st.integers(0, len(flavors) - 1)) if len(flavors) > 1 else 0
+            ops.append((oid, *_draw_op(draw, flavors[oid])))
         scripts.append(ops)
     steps = []
     open_op = {p: None for p in range(nproc)}
@@ -562,19 +572,24 @@ def small_histories(draw):
             break
         p = draw(st.sampled_from(live))
         if open_op[p] is None:
-            op, args, ret = scripts[p][cursor[p]]
+            oid, op, args, ret = scripts[p][cursor[p]]
             cursor[p] += 1
-            steps.append(inv(p, 0, op, args))
-            open_op[p] = (op, ret)
+            steps.append(inv(p, oid, op, args))
+            open_op[p] = (oid, op, ret)
         else:
-            op, ret = open_op[p]
+            oid, op, ret = open_op[p]
             if draw(st.booleans()):
-                steps.append(rsp(p, 0, op, ret))
+                steps.append(rsp(p, oid, op, ret))
             else:
                 cursor[p] = len(scripts[p])  # abandon: stays pending forever
             open_op[p] = None
-    spec = register_spec() if flavor == "register" else queue_spec()
-    return History(tuple(steps), tuple(range(nproc)), objs), {0: spec}
+    specs = {oid: SPEC_OF_FLAVOR[flavor]() for oid, flavor in enumerate(flavors)}
+    return History(tuple(steps), tuple(range(nproc)), objs), specs
+
+
+def register_and_queue_histories():
+    """``small_histories`` over a register (object 0) and a queue (1)."""
+    return small_histories(("register", "queue"))
 
 
 @settings(max_examples=500, deadline=None)
@@ -597,6 +612,43 @@ def test_linearize_one_matches_brute_force(case):
         }
         for p in h.processes:
             assert per_proc_img.get(p, 0) >= per_proc_done[p]
+
+
+def whole_history_linearizable(h, specs):
+    """The commit search over all of ``h``'s operations at once, in
+    ``linearize_one``'s candidate order: the search it made before it
+    searched each object alone, kept here as an oracle only."""
+    ops = sorted(h.operations(), key=lambda o: (o.complete is False, o.process, o.inv_index))
+    need = frozenset(o.inv_index for o in ops if o.complete)
+    return next(_linearizations(ops, _preds(ops), need, specs, {}), None) is not None
+
+
+def image_sources(h, image):
+    """The operation of ``h`` behind each operation of ``image``, in image
+    order: a process's k-th image operation is its k-th one in ``h``."""
+    own = {p: iter([o for o in h.operations() if o.process == p]) for p in h.processes}
+    out = []
+    for e in image.operations():
+        src = next(own[e.process])
+        assert (src.obj, src.op, src.args) == (e.obj, e.op, e.args)
+        out.append(src)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(register_and_queue_histories())
+def test_per_object_search_matches_the_whole_history_search(case):
+    h, specs = case
+    got = linearize_one(h, specs)
+    assert (got is not None) == brute_linearizable(h, specs)
+    assert (got is not None) == whole_history_linearizable(h, specs)
+    if got is not None:
+        assert validate_sequential(got, specs)
+        srcs = image_sources(h, got)
+        done = {o.inv_index for o in h.operations() if o.complete}
+        assert done <= {src.inv_index for src in srcs}
+        for i, a in enumerate(srcs):
+            assert not any(happens_before(b, a) for b in srcs[i + 1:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -679,9 +731,9 @@ def test_register_flip_tree_has_witness():
         assert len(w[leaf]) >= done
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_histories())
-def test_single_path_tree_agrees_with_linearize_one(case):
+def assert_single_path_tree_agrees(case):
+    # check_strong_lin searches the whole one-run tree: a second route to
+    # linearize_one's verdict.
     h, specs = case
     tree = HistoryTree.from_runs({(0,): h})
     w = check_strong_lin(tree, specs)
@@ -689,6 +741,18 @@ def test_single_path_tree_agrees_with_linearize_one(case):
     assert (w is None) == (lin is None)
     if w is not None:
         assert witness_violations(tree, w, specs) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_histories())
+def test_single_path_tree_agrees_with_linearize_one(case):
+    assert_single_path_tree_agrees(case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(register_and_queue_histories())
+def test_single_path_tree_agrees_with_linearize_one_on_two_objects(case):
+    assert_single_path_tree_agrees(case)
 
 
 def committed_enqueue_tree(enqueues=2):

@@ -713,17 +713,22 @@ def test_coin_outcome_is_derived_from_the_step():
     assert HistoryTree.from_json(json.dumps(doc)).to_json() == text
 
 
-def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+def test_outputs_do_not_depend_on_the_hash_seed(runner, tmp_path):
     race, dequeue = tmp_path / "race.json", tmp_path / "dequeue.json"
     race.write_text(counter_race_tree().to_json())
     # Refuting this tree prunes through the witness search's memo of dead
     # subtrees, a set keyed by frozensets.
     dequeue.write_text(hw_atomic_dequeue_tree().to_json())
+    # A snapshot and a coin: check-lin merges two objects' orders.
+    snap = tmp_path / "snapshot.jsonl"
+    argv = ["simulate", "--alg", "snapshot", "--coins", "1", "--out", str(snap)]
+    assert runner.invoke(main, argv).exit_code == 0
     env = dict(os.environ, PYTHONPATH=str(Path(stronglin.__file__).parent.parent))
     commands = [
         (["experiment", "strong-lin-suite", "--format", "json"], 0),
         (["check-strong-lin", str(race)], 0),
         (["check-strong-lin", str(dequeue)], 1),
+        (["check-lin", str(snap)], 0),
     ]
     for argv, code in commands:
         outs = []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stronglin import loadbalance
+from stronglin.checkers import default_specs, linearize_one
 from stronglin.engine import (
     AdversaryPolicy,
     EngineError,
@@ -16,7 +17,7 @@ from stronglin.engine import (
     run,
     strategy_policy,
 )
-from stronglin.histories import BASE, FLIP, INV, RSP
+from stronglin.histories import BASE, FLIP, INV, RSP, interpret, validate_sequential
 from stronglin.loadbalance import (
     COUNTER_KINDS,
     ApReport,
@@ -240,6 +241,26 @@ def test_two_phase_runs_keep_weak_flip_adjacency(kind, n):
         for i in flip_rsps:
             nxt = steps[i + 1]
             assert nxt.kind == INV and nxt.process == steps[i].process
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("kind", ["llsc", "writefirst"])
+def test_round_robin_histories_linearize(kind, n):
+    # The premise of the load-balance claims: both counters are
+    # linearizable.  Coins are drawn as bench/workloads.py draws them, and
+    # the budget lets every process finish (the default cuts writefirst
+    # at n=256 short).  The writefirst history at n=64 is the one a
+    # search over all objects at once took about a minute on.
+    alg = loadbalance_algorithm(n, kind)
+    rng = random.Random(f"0:{n}:0")
+    coins = PerProcessCoins({q: (rng.randrange(len(alg.omega)),) for q in alg.processes})
+    rec = run(alg, round_robin_policy(n), coins, budget=100_000)
+    assert not rec.flags
+    h = interpret(rec.history)
+    specs = default_specs(h.objects, h.processes)
+    image = linearize_one(h, specs)
+    assert image is not None
+    assert validate_sequential(image, specs)
 
 
 def test_ap_report_matches_flip_assignment():
