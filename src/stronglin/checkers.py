@@ -17,9 +17,11 @@ are desk-scale tools, not model checkers.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
@@ -536,7 +538,7 @@ def check_strong_lin(
     if len(tree) > node_cap:
         raise TreeError(f"tree has {len(tree)} nodes, cap is {node_cap}")
     for nid in tree.node_ids():
-        pending = sum(1 for op in tree.ops_of(nid) if not op.complete)
+        pending = len(tree._frame(nid)[1])
         if pending > pending_cap:
             raise TreeError(
                 f"node {nid} has {pending} pending operations, cap is {pending_cap}"
@@ -587,62 +589,143 @@ def witness_violations(
 ) -> list[str]:
     """Re-validate (L) and (P) node by node, from first principles.
 
+    A node's image must exist; each entry must be one of the node's
+    operations, with that operation's response if it completed; no
+    operation may appear twice and no completed one may be missing; no
+    entry may happen before one placed ahead of it; the image must
+    replay against the specs; and it must extend the parent's image.
+    Returns human-readable violations, at most one per node (the first
+    of those rules, in that order, that the node breaks) and in node
+    order, empty when the witness is good.
+
+    Node ids ascend from parents, so each node is checked after its
+    parent.  A node that breaks no rule leaves a record until its last
+    child is checked: its image, its committed {inv_index: ret} and its
+    object states after the replay.  A child whose image starts with
+    that image checks only what it adds: the operation its own step
+    completes (its response against the committed entry, and that it
+    is present), then its tail entries in image order (in the history,
+    not committed twice, replayed from the parent's states).  That
+    equals the check of the whole image.  The head entries are the
+    parent's, with the same invocations, and the parent passed every
+    rule on them.  The node's history adds one step, so it completes at
+    most one operation, and that operation responds at the history's
+    last step.  So the head replays as before, and no head entry
+    happens before an earlier one.  A tail entry is not in the head,
+    so it was pending in the parent (whose completed operations are all
+    in the head) or is new; it has no response yet or responds last,
+    and happens before no entry, so the tail needs no order check.
+    Every other node is checked whole.
+
     Deliberately shares no machinery with the search: plain loops over
-    the definition.  Returns human-readable violations, at most one per
-    node and in node order, empty when the witness is good.
+    the definition, and records built by its own replay, never the
+    search's states or memo, so a witness the search builds wrongly is
+    still caught.
     """
     out = []
+    kept: dict[int, tuple] = {}
     for nid in tree.node_ids():
-        bad = _node_violation(tree, witness, specs, nid)
+        pid = tree.parent(nid)
+        img = witness.get(nid)
+        base = kept.get(pid)
+        if img is None:
+            bad, rec = "no image", None
+        elif base is not None and img[: len(base[0])] == base[0]:
+            bad, rec = _image_violation(tree, nid, img, base, specs)
+        else:
+            bad, rec = _image_violation(tree, nid, img, None, specs)
+            if bad is None and pid is not None:
+                pimg = witness.get(pid, ())
+                head = [(e.process, e.inv_index, e.ret) for e in img[: len(pimg)]]
+                if head != [(e.process, e.inv_index, e.ret) for e in pimg]:
+                    bad = "image does not extend its parent's"
         if bad is not None:
             out.append(f"node {nid}: {bad}")
+        elif tree.children(nid):
+            kept[nid] = rec
+        if base is not None and nid == max(tree.children(pid)):
+            del kept[pid]
     return out
 
 
-def _node_violation(
-    tree: HistoryTree, witness: Witness, specs: Mapping[int, SeqSpec], nid: int
-) -> str | None:
-    # The first rule node ``nid``'s image breaks, or None.
-    img = witness.get(nid)
-    if img is None:
-        return "no image"
-    by_key = {o.inv_index: o for o in tree.ops_of(nid)}
+def _image_violation(
+    tree: HistoryTree,
+    nid: int,
+    img: Image,
+    base: tuple | None,
+    specs: Mapping[int, SeqSpec],
+) -> tuple[str | None, tuple | None]:
+    # The first rule but (P) that node ``nid``'s image breaks, or None
+    # and the node's record.  ``base`` is the record of a parent whose
+    # image ``img`` starts with, or None to check ``img`` whole.
+    ops = tree.ops_of(nid)
+    if base is None:
+        start, committed, states = 0, {}, {}
+        must = [o for o in ops if o.complete]
+    else:
+        pimg, committed, states = base
+        start = len(pimg)
+        done = _completed_by_step(tree, nid)
+        must = [] if done is None else [done]
+        if done is not None and committed.get(done.inv_index, done.ret) != done.ret:
+            return "image response differs from history", None
+    tail = img[start:]
     resolved = []
-    for e in img:
-        op = by_key.get(e.inv_index)
+    for e in tail:
+        op = _op_at(ops, e.inv_index)
         if op is None or (op.process, op.obj, op.op, op.args) != (
             e.process, e.obj, e.op, e.args
         ):
-            return f"image op {e} is not in the history"
+            return f"image op {e} is not in the history", None
         if op.complete and op.ret != e.ret:
-            return "image response differs from history"
+            return "image response differs from history", None
         resolved.append(op)
-    keys = {o.inv_index for o in resolved}
-    if len(keys) != len(resolved):
-        return "duplicate operation in image"
-    if any(o.complete and o.inv_index not in keys for o in tree.ops_of(nid)):
-        return "completed operation missing from image"
-    # An op happens before some op placed ahead of it iff it happens
-    # before the one of those invoked last.
-    latest = None
-    for o in resolved:
-        if latest is not None and happens_before(o, latest):
-            return "image order violates happens-before"
-        if latest is None or o.inv_index > latest.inv_index:
-            latest = o
-    states: dict = {}
-    for e in img:
-        spec = _spec_for(specs, e.obj)
-        state = states.get(e.obj, spec.initial_state)
-        states[e.obj], resp = spec.transition(state, e.op, e.args, e.process)
-        if resp is not ANY_RESPONSE and resp != e.ret:
-            return "image is not sequentially valid"
-    pid = tree.parent(nid)
-    if pid is not None:
-        pimg = witness.get(pid, ())
-        head = [(e.process, e.inv_index, e.ret) for e in img[: len(pimg)]]
-        if head != [(e.process, e.inv_index, e.ret) for e in pimg]:
-            return "image does not extend its parent's"
+    if tail:
+        committed = dict(committed)
+        for e in tail:
+            if e.inv_index in committed:
+                return "duplicate operation in image", None
+            committed[e.inv_index] = e.ret
+    if any(o.inv_index not in committed for o in must):
+        return "completed operation missing from image", None
+    if base is None:
+        # An op happens before some op placed ahead of it iff it happens
+        # before the one of those invoked last.
+        latest = None
+        for o in resolved:
+            if latest is not None and happens_before(o, latest):
+                return "image order violates happens-before", None
+            if latest is None or o.inv_index > latest.inv_index:
+                latest = o
+    if tail:
+        states = dict(states)
+        for e in tail:
+            spec = _spec_for(specs, e.obj)
+            state = states.get(e.obj, spec.initial_state)
+            states[e.obj], resp = spec.transition(state, e.op, e.args, e.process)
+            if resp is not ANY_RESPONSE and resp != e.ret:
+                return "image is not sequentially valid", None
+    return None, (img, committed, states)
+
+
+_INV_INDEX = operator.attrgetter("inv_index")
+
+
+def _op_at(ops: tuple[OperationInstance, ...], key: int) -> OperationInstance | None:
+    # ops are in invocation order, so ascending by inv_index
+    i = bisect.bisect_left(ops, key, key=_INV_INDEX)
+    return ops[i] if i < len(ops) and ops[i].inv_index == key else None
+
+
+def _completed_by_step(tree: HistoryTree, nid: int) -> OperationInstance | None:
+    # The operation node ``nid``'s step responds to, if it is a response:
+    # the one its parent holds open for the step's process and level.
+    s = tree.step(nid)
+    if not s.is_rsp():
+        return None
+    for pos, _, first in tree._frame(tree.parent(nid))[1]:
+        if (first.process, first.level) == (s.process, s.level):
+            return tree.ops_of(nid)[pos]
     return None
 
 
@@ -652,20 +735,41 @@ def _node_violation(
 
 
 def normality_violations(tree: HistoryTree, witness: Witness) -> list[str]:
-    """Nodes where a flip directly follows an op it is concurrent with."""
+    """Nodes where a flip directly follows an op it is concurrent with.
+
+    A node whose image starts with its parent's keeps the parent's
+    flagged positions and checks only the pairs its tail adds: the head
+    pairs hold the same operations, and the one the node's step
+    completes responds after every flip in the head was invoked, so
+    each head pair keeps its verdict.
+    """
     out = []
+    kept: dict[int, tuple] = {}
     for nid in tree.node_ids():
-        by_key = {o.inv_index: o for o in tree.ops_of(nid)}
+        pid = tree.parent(nid)
         img = witness[nid]
-        for i in range(1, len(img)):
+        base = kept.get(pid)
+        if base is not None and img[: len(base[0])] == base[0]:
+            start, flagged = len(base[0]), list(base[1])
+        else:
+            start, flagged = 0, []
+        by_key = None
+        for i in range(max(start, 1), len(img)):
             e = img[i]
             if not tree.objects[e.obj].is_coin:
                 continue
+            if by_key is None:
+                by_key = {o.inv_index: o for o in tree.ops_of(nid)}
             if not happens_before(by_key[img[i - 1].inv_index], by_key[e.inv_index]):
-                out.append(
-                    f"node {nid}: flip at image position {i} follows a "
-                    f"concurrent operation"
-                )
+                flagged.append(i)
+        out.extend(
+            f"node {nid}: flip at image position {i} follows a concurrent operation"
+            for i in flagged
+        )
+        if tree.children(nid):
+            kept[nid] = (img, flagged)
+        if base is not None and nid == max(tree.children(pid)):
+            del kept[pid]
     return out
 
 
@@ -676,13 +780,15 @@ def normalize_witness(
 
     Per node: drop trailing still-pending ops, take the flips out, then
     reinsert each (in history order) right after the last operation
-    that happens before it.  The input is not validated: a node without
+    that happens before it, found by scanning back from the end over
+    the response indices.  The input is not validated: a node without
     an image, or with an image op the history lacks, is passed through
     as it is, and base operations keep their order even where it breaks
     happens-before.  The output must satisfy witness_violations and
     normality, checked once before returning; CheckerError names the
     first violation otherwise.
     """
+    coins = {oid for oid, info in tree.objects.items() if info.is_coin}
     out: dict[int, Image] = {}
     for nid in tree.node_ids():
         if nid not in witness:
@@ -694,17 +800,17 @@ def normalize_witness(
             continue
         while img and not by_key[img[-1].inv_index].complete:
             img.pop()
-        flips = [e for e in img if tree.objects[by_key[e.inv_index].obj].is_coin]
-        base = [e for e in img if not tree.objects[by_key[e.inv_index].obj].is_coin]
-        base_ops = [by_key[e.inv_index] for e in base]
+        flips = [e for e in img if by_key[e.inv_index].obj in coins]
+        base = [e for e in img if by_key[e.inv_index].obj not in coins]
+        rsps = [by_key[e.inv_index].rsp_index for e in base]
         for cf in sorted(flips, key=lambda e: e.inv_index):
-            cf_op = by_key[cf.inv_index]
-            lo = 0
-            for i, op in enumerate(base_ops):
-                if happens_before(op, cf_op):
-                    lo = i + 1
+            # an entry happens before the flip iff it responded before
+            # the flip was invoked
+            lo = len(base)
+            while lo and (rsps[lo - 1] is None or rsps[lo - 1] >= cf.inv_index):
+                lo -= 1
             base.insert(lo, cf)
-            base_ops.insert(lo, cf_op)
+            rsps.insert(lo, by_key[cf.inv_index].rsp_index)
         out[nid] = tuple(base)
     bad = witness_violations(tree, out, specs) or normality_violations(tree, out)
     if bad:

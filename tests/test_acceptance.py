@@ -184,6 +184,10 @@ def test_criterion_8_property_suites_meet_their_budgets():
         >= 500
     )
     assert _examples_budget(checkers.test_locality_on_sampled_composed_runs) >= 100
+    assert (
+        _examples_budget(checkers.test_witness_checks_match_their_per_node_definitions)
+        >= 300
+    )
     # Two-phase runs are certified against the phase-1 postcondition and
     # the contention cap inside estimate_phi; one live run proves the
     # certification path is wired in.

@@ -70,6 +70,7 @@ from stronglin.histories import (
 from stronglin.objects import (
     cas_from_registers,
     counter_spec,
+    llsc_strong_counter,
     mutex_wrapped,
     queue_spec,
     register_spec,
@@ -834,18 +835,18 @@ def brute_images(tree, nid, pimg, specs):
 def brute_strong_linearizable(tree, specs):
     """Try every candidate image at every node, subtree by subtree.
 
-    A node keeps a candidate only where witness_violations finds nothing
-    wrong with that node given its parent's image, and only when every
-    child subtree can be completed under it.  The assembled assignment
-    is accepted iff witness_violations is empty for the whole tree.
+    A node keeps a candidate only where the per-node definition of the
+    witness rules (plain_node_violation, below) finds nothing wrong with
+    it given its parent's image, and only when every child subtree can
+    be completed under it.  The assembled assignment is accepted iff
+    plain_witness_violations is empty for the whole tree.
     """
 
     def solve(nid, pimg):
         pid = tree.parent(nid)
         for img in brute_images(tree, nid, pimg, specs):
             pair = {nid: img} if pid is None else {pid: pimg, nid: img}
-            here = f"node {nid}:"
-            if any(v.startswith(here) for v in witness_violations(tree, pair, specs)):
+            if plain_node_violation(tree, pair, specs, nid) is not None:
                 continue
             out = {nid: img}
             for c in tree.children(nid):
@@ -858,7 +859,7 @@ def brute_strong_linearizable(tree, specs):
         return None
 
     witness = solve(tree.root, ())
-    return witness is not None and witness_violations(tree, witness, specs) == []
+    return witness is not None and plain_witness_violations(tree, witness, specs) == []
 
 
 @st.composite
@@ -946,7 +947,9 @@ def assert_ops_match_histories(tree):
     first (each call walks to an uncached ancestor) and again in id order
     (cached); a history that does not pair gives the same message.  Both
     sides pair by histories.pair_steps, so this checks the frame cache and
-    the path walk; test_histories pins the rule itself."""
+    the path walk; test_histories pins the rule itself.  The frame's open
+    operations, which check_strong_lin's pending cap counts, are as many
+    as the pending ones."""
     for nid in tree.node_ids()[::-1] + tree.node_ids():
         try:
             want = tree.history_of(nid).operations()
@@ -956,6 +959,7 @@ def assert_ops_match_histories(tree):
             assert str(err.value) == f"node {nid}: {exc}"
         else:
             assert tree.ops_of(nid) == want
+            assert len(tree._frame(nid)[1]) == sum(1 for o in want if not o.complete)
 
 
 @pytest.mark.parametrize("make", [
@@ -1204,8 +1208,9 @@ def test_search_guards():
         tuple(inv(p, 0, "read") for p in range(3)), (0, 1, 2), REG_OBJS
     )
     small = HistoryTree.from_runs({(0,): h})
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError) as err:
         check_strong_lin(small, {0: register_spec()}, pending_cap=2)
+    assert str(err.value) == "node 3 has 3 pending operations, cap is 2"
 
 
 def test_witness_doc_shape():
@@ -1398,6 +1403,305 @@ def test_normalization_preserves_witness_properties(case):
     norm = normalize_witness(tree, w, specs)
     assert witness_violations(tree, norm, specs) == []
     assert normality_violations(tree, norm) == []
+
+
+# ---------------------------------------------------------------------------
+# Witness checks against their per-node definitions
+# ---------------------------------------------------------------------------
+
+
+def plain_witness_violations(tree, witness, specs):
+    """The witness rules as their per-node definition.
+
+    Each node's whole image is resolved against the node's history,
+    replayed from the initial states and compared with its parent's
+    image.  witness_violations checks a node from its parent's record
+    instead, and must return exactly these messages; this stays as its
+    oracle, and as the validity test of brute_strong_linearizable, so
+    the brute-force decider does not lean on the code under test.
+    """
+    out = []
+    for nid in tree.node_ids():
+        bad = plain_node_violation(tree, witness, specs, nid)
+        if bad is not None:
+            out.append(f"node {nid}: {bad}")
+    return out
+
+
+def plain_node_violation(tree, witness, specs, nid):
+    # The first rule node ``nid``'s image breaks, or None.
+    img = witness.get(nid)
+    if img is None:
+        return "no image"
+    by_key = {o.inv_index: o for o in tree.ops_of(nid)}
+    resolved = []
+    for e in img:
+        op = by_key.get(e.inv_index)
+        if op is None or (op.process, op.obj, op.op, op.args) != (
+            e.process, e.obj, e.op, e.args
+        ):
+            return f"image op {e} is not in the history"
+        if op.complete and op.ret != e.ret:
+            return "image response differs from history"
+        resolved.append(op)
+    keys = {o.inv_index for o in resolved}
+    if len(keys) != len(resolved):
+        return "duplicate operation in image"
+    if any(o.complete and o.inv_index not in keys for o in tree.ops_of(nid)):
+        return "completed operation missing from image"
+    for i, a in enumerate(resolved):
+        if any(happens_before(b, a) for b in resolved[i + 1:]):
+            return "image order violates happens-before"
+    states = {}
+    for e in img:
+        spec = specs[e.obj]
+        state = states.get(e.obj, spec.initial_state)
+        states[e.obj], resp = spec.transition(state, e.op, e.args, e.process)
+        if resp is not ANY_RESPONSE and resp != e.ret:
+            return "image is not sequentially valid"
+    pid = tree.parent(nid)
+    if pid is not None:
+        pimg = witness.get(pid, ())
+        head = [(e.process, e.inv_index, e.ret) for e in img[: len(pimg)]]
+        if head != [(e.process, e.inv_index, e.ret) for e in pimg]:
+            return "image does not extend its parent's"
+    return None
+
+
+def plain_normality_violations(tree, witness):
+    """normality_violations as its definition: every adjacent pair of
+    every node's whole image, looked up in that node's history."""
+    out = []
+    for nid in tree.node_ids():
+        by_key = {o.inv_index: o for o in tree.ops_of(nid)}
+        img = witness[nid]
+        for i in range(1, len(img)):
+            e = img[i]
+            if not tree.objects[e.obj].is_coin:
+                continue
+            if not happens_before(by_key[img[i - 1].inv_index], by_key[e.inv_index]):
+                out.append(
+                    f"node {nid}: flip at image position {i} follows a "
+                    f"concurrent operation"
+                )
+    return out
+
+
+def per_pair_placement(tree, witness):
+    """normalize_witness's images before its validation, placing each
+    flip after the last entry that happens_before it, asked of every
+    entry in turn."""
+    out = {}
+    for nid in tree.node_ids():
+        if nid not in witness:
+            continue
+        by_key = {o.inv_index: o for o in tree.ops_of(nid)}
+        img = list(witness[nid])
+        if any(e.inv_index not in by_key for e in img):
+            out[nid] = tuple(img)
+            continue
+        while img and not by_key[img[-1].inv_index].complete:
+            img.pop()
+        coin = [tree.objects[by_key[e.inv_index].obj].is_coin for e in img]
+        base = [e for e, c in zip(img, coin) if not c]
+        for cf in sorted((e for e, c in zip(img, coin) if c), key=lambda e: e.inv_index):
+            lo = 0
+            for i, e in enumerate(base):
+                if happens_before(by_key[e.inv_index], by_key[cf.inv_index]):
+                    lo = i + 1
+            base.insert(lo, cf)
+        out[nid] = tuple(base)
+    return out
+
+
+def outcome(check, *args):
+    # What a normality check returns, or the lookup it fails on: a node
+    # without an image, or an entry its history lacks.
+    try:
+        return check(*args)
+    except KeyError as exc:
+        return "KeyError", exc.args
+
+
+def assert_checks_match_definitions(tree, specs, witness):
+    assert witness_violations(tree, witness, specs) == plain_witness_violations(
+        tree, witness, specs
+    )
+    assert outcome(normality_violations, tree, witness) == outcome(
+        plain_normality_violations, tree, witness
+    )
+    placed = per_pair_placement(tree, witness)
+    bad = plain_witness_violations(tree, placed, specs) or plain_normality_violations(
+        tree, placed
+    )
+    if bad:
+        with pytest.raises(CheckerError) as err:
+            normalize_witness(tree, witness, specs)
+        assert str(err.value) == f"no valid normal witness: {bad[0]}"
+    else:
+        assert normalize_witness(tree, witness, specs) == placed
+
+
+def descendants(tree, nid):
+    out, todo = [], list(tree.children(nid))
+    while todo:
+        out.append(todo.pop())
+        todo.extend(tree.children(out[-1]))
+    return out
+
+
+def rederived(tree, specs, nid, img):
+    """``img`` with each entry pending at node ``nid`` answered by a
+    replay, so a reordered image can stay valid there and be contradicted
+    only where a later step completes the operation."""
+    pending = {o.inv_index for o in tree.ops_of(nid) if not o.complete}
+    states, out = {}, []
+    for e in img:
+        spec = specs[e.obj]
+        state = states.get(e.obj, spec.initial_state)
+        states[e.obj], resp = spec.transition(state, e.op, e.args, e.process)
+        if e.inv_index in pending and resp is not ANY_RESPONSE:
+            e = replace(e, ret=resp)
+        out.append(e)
+    return out
+
+
+def tampered(data, tree, specs, witness):
+    """``witness`` with one to three drawn edits of node images.
+
+    An edit rewrites a node's image: drop, swap, repeat or re-answer
+    entries, swap two or commit a pending operation and answer the
+    pending ones by replay, insert an operation from elsewhere in the
+    tree or one no history has, move the flips last, truncate, or
+    delete the image.  With ``spread`` drawn (always for a commit),
+    every descendant whose image starts with the node's old image gets
+    the same edit of that head, and loses from the rest of its image the operations the edit
+    brought into the head; so it still extends the edited image and is
+    checked from the node's record.
+    """
+    bad = dict(witness)
+    foreign = sorted({o for leaf in tree.leaves() for o in tree.ops_of(leaf)},
+                     key=lambda o: o.inv_index)
+    stranger = replace(foreign[0], inv_index=99, rsp_index=None)
+    for _ in range(data.draw(st.integers(1, 3))):
+        nid = data.draw(st.sampled_from(tree.node_ids()))
+        kind = data.draw(st.sampled_from(
+            ["drop", "swap", "ret", "repeat", "reorder", "commit", "insert", "flips-last",
+             "truncate", "no-image"]
+        ))
+        if kind == "no-image":
+            bad.pop(nid, None)
+            continue
+        img = bad.get(nid, ())
+        head = list(img)
+        at = data.draw(st.integers(0, max(len(img) - 1, 0)))
+        if kind == "drop" and img:
+            del head[at]
+        elif kind in ("swap", "reorder") and img:
+            other = data.draw(st.integers(0, len(img) - 1))
+            head[at], head[other] = head[other], head[at]
+            if kind == "reorder":
+                head = rederived(tree, specs, nid, head)
+        elif kind == "ret" and img:
+            head[at] = replace(head[at], ret=data.draw(st.sampled_from([0, 1, 2, None, BOTTOM])))
+        elif kind == "repeat" and img:
+            head.insert(data.draw(st.integers(0, len(img))), head[at])
+        elif kind == "commit":
+            # a pending flip too: a replay accepts any outcome for it
+            taken = {e.inv_index for e in img}
+            pend = [o for o in tree.ops_of(nid) if not (o.complete or o.inv_index in taken)]
+            if pend:
+                head = rederived(tree, specs, nid, head + [data.draw(st.sampled_from(pend))])
+        elif kind == "insert":
+            extra = data.draw(st.sampled_from(foreign + [stranger]))
+            head.insert(data.draw(st.integers(0, len(img))), extra)
+        elif kind == "flips-last":
+            head.sort(key=lambda e: tree.objects[e.obj].is_coin)
+        elif kind == "truncate":
+            del head[at:]
+        moved = {e.inv_index for e in head} - {e.inv_index for e in img}
+        spread = kind == "commit" or data.draw(st.booleans())
+        for d in [nid] + (descendants(tree, nid) if spread else []):
+            if d in bad and bad[d][: len(img)] == img:
+                rest = bad[d][len(img):]
+                bad[d] = tuple(head) + tuple(e for e in rest if e.inv_index not in moved)
+    return bad
+
+
+def some_witness(tree, specs):
+    """The search's witness, or, where none exists, each node's completed
+    operations in invocation order."""
+    found = check_strong_lin(tree, specs)
+    if found is not None:
+        return found
+    return {n: tuple(o for o in tree.ops_of(n) if o.complete) for n in tree.node_ids()}
+
+
+def test_a_response_that_contradicts_a_committed_guess_is_reported():
+    # Node 6 commits both slow increments while they are pending, q's
+    # first; node 7's step then completes p with 1, not the guessed 2.
+    # Node 7 is checked from node 6's record, node 8 whole.
+    tree = counter_race_tree()
+    specs = default_specs(tree.objects, tree.processes)
+    bad = late_flip_witness()
+    for nid in (6, 7, 8):
+        bad[nid] = (RACE_R, race_q(1), race_p(2), RACE_CF0)
+    want = [
+        "node 7: image response differs from history",
+        "node 8: image response differs from history",
+    ]
+    assert witness_violations(tree, bad, specs) == want
+    assert plain_witness_violations(tree, bad, specs) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tiny_trees(max_flips=2), st.data())
+def test_witness_checks_match_their_per_node_definitions(case, data):
+    tree, specs = case
+    witness = some_witness(tree, specs)
+    assert_checks_match_definitions(tree, specs, witness)
+    assert_checks_match_definitions(tree, specs, tampered(data, tree, specs, witness))
+
+
+@functools.cache
+def llsc_counter_case(flips=4, clients=3):
+    """Real runs over one ll/sc counter: client 0 flips ``flips`` times
+    and increments or decrements on each outcome, the others increment
+    twice, under an alternating strong schedule; one run per coin
+    vector.  The tree, its specs and the search's witness."""
+
+    def make_program(pid):
+        def flipper():
+            for _ in range(flips):
+                c = yield ("flip",)
+                yield ("invoke", "C", "fetch_inc" if c else "fetch_dec", ())
+
+        def bumper():
+            for _ in range(2):
+                yield ("invoke", "C", "fetch_inc", ())
+
+        return flipper() if pid == 0 else bumper()
+
+    procs = tuple(range(clients))
+    alg = AlgorithmSpec(
+        procs, (Binding("C", impl=llsc_strong_counter()),), make_program, (0, 1)
+    )
+    runs = {
+        coins: interpret(run(alg, alternating_policy(procs), VectorCoins(coins)).history)
+        for coins in itertools.product((0, 1), repeat=flips)
+    }
+    tree = HistoryTree.from_runs(runs, omega=(0, 1))
+    specs = default_specs(tree.objects, tree.processes)
+    return tree, specs, check_strong_lin(tree, specs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_witness_checks_match_their_per_node_definitions_on_real_runs(data):
+    tree, specs, witness = llsc_counter_case()
+    assert witness is not None and len(tree) > 100
+    assert_checks_match_definitions(tree, specs, witness)
+    assert_checks_match_definitions(tree, specs, tampered(data, tree, specs, witness))
 
 
 # ---------------------------------------------------------------------------
