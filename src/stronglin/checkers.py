@@ -342,6 +342,7 @@ def _linearizations(
     need: frozenset,
     specs: Mapping[int, SeqSpec],
     states0: Mapping[int, Any],
+    by_class: bool = False,
 ) -> Iterator[tuple[Image, dict]]:
     """Every replay-valid commit order, with the object states it ends in.
 
@@ -358,6 +359,18 @@ def _linearizations(
     yielded nor its order.  A spec that rejects an operation
     (ValueError) or cannot apply it to the values at hand (TypeError)
     raises CheckerError.
+
+    With ``by_class``, a position tries only the first enabled pending
+    operation of each (object, op, args) class whose spec ignores the
+    process.  Two such operations reach one state with one response,
+    nothing happens after a pending operation, and one enabled now
+    stays enabled, so an order that commits the later one here has a
+    twin that commits the earlier one here and the later one where the
+    earlier one was.  Every skipped subtree therefore holds a complete
+    order only if the one tried first does, and the first order
+    yielded is unchanged; later ones are not all yielded, so a search
+    over a tree, whose pending operations must match their later
+    responses, leaves it off.
     """
     dead: set = set()
 
@@ -369,11 +382,17 @@ def _linearizations(
         if sig in dead:
             return
         found = False
+        tried = set()
         for op in ops:
             key = op.inv_index
             if key in committed or not preds[key] <= committed:
                 continue
             spec = _spec_for(specs, op.obj)
+            if by_class and not op.complete and spec.ignores_process:
+                cls = (op.obj, op.op, op.args)
+                if cls in tried:
+                    continue
+                tried.add(cls)
             state = states.get(op.obj, spec.initial_state)
             try:
                 state2, resp = spec.transition(state, op.op, op.args, op.process)
@@ -415,8 +434,10 @@ def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
     by (process, inv_index), must cover its completed operations.
     Pending ones may be committed with replay-derived responses when
     that helps, except flips, whose outcome no spec derives
-    (_linearizations skips them).  The answer is None as soon as one
-    object has no order.
+    (_linearizations skips them).  Interchangeable pending operations
+    are tried once per position (``by_class``), which leaves the order
+    found as it was.  The answer is None as soon as one object has no
+    order.
 
     The per-object orders are merged by always placing, of the entries
     each order has next, the one invoked first.  Real time always
@@ -436,7 +457,7 @@ def linearize_one(h: History, specs: Mapping[int, SeqSpec]) -> History | None:
     for oid in sorted(by_obj):
         ops = by_obj[oid]
         need = frozenset(op.inv_index for op in ops if op.complete)
-        found = next(_linearizations(ops, _preds(ops), need, specs, {}), None)
+        found = next(_linearizations(ops, _preds(ops), need, specs, {}, True), None)
         if found is None:
             return None
         orders.append(found[0])

@@ -255,12 +255,15 @@ class SeqSpec:
     ``ops`` maps each operation to (arity, step), where ``step(state,
     process, *args)`` gives (new_state, response).  ``params`` are the
     factory arguments off their defaults, which registry entries carry.
+    ``ignores_process`` declares that no step reads its ``process``, so
+    two invocations with equal arguments in equal states go alike.
     """
 
     type_name: str
     initial_state: Any
     ops: Mapping[str, tuple[int, Callable[..., tuple[Any, Any]]]]
     params: tuple[tuple[str, Any], ...] = ()
+    ignores_process: bool = False
 
     def transition(self, state: Any, op: str, args: tuple, process: int) -> tuple:
         """(new_state, response) of one invocation; ValueError for an
@@ -438,12 +441,41 @@ def processes_from_doc(doc: Any) -> tuple[int, ...]:
     return tuple(doc)
 
 
+def _exact(v: Any) -> bool:
+    # Equal values of these exact types encode alike; 1 == True == 1.0
+    # and (1,) == (True,) do not, and they hash alike.
+    if type(v) is tuple:
+        return all(map(_exact, v))
+    return type(v) is int or type(v) is str or v is None
+
+
+def _body(s: Step) -> str:
+    # The canonical line of ``s`` at index i is '{"index":i,' + body.
+    return _dumps(step_doc(s))[1:]
+
+
 def to_jsonl(h: History) -> str:
-    """Serialize with canonical field order (byte-exact round trips)."""
+    """Serialize with canonical field order (byte-exact round trips).
+
+    Step ``i`` is the line '{"index":i,' followed by its step's body,
+    ``step_doc`` as canonical JSON without its opening brace.  Each
+    distinct step is encoded once per call and its body reused for the
+    equal steps after it, so the cost grows with the distinct steps.
+    A step is reused only when every field and payload scalar is an
+    ``int`` (not a ``bool``), a ``str`` or ``None``, or a tuple of
+    these: equal values of those types encode alike.  Any other step
+    (a ``True`` or ``1.0`` payload, say, which equals ``1``) is encoded
+    every time.
+    """
     header = {"objects": objects_doc(h.objects), "processes": list(h.processes)}
     lines = [_dumps(header)]
+    bodies: dict[Step, str] = {}
     for i, s in enumerate(h.steps):
-        lines.append(_dumps({"index": i, **step_doc(s)}))
+        if not all(map(_exact, s)):
+            body = _body(s)
+        elif (body := bodies.get(s)) is None:
+            body = bodies[s] = _body(s)
+        lines.append('{"index":%d,' % i + body)
     return "\n".join(lines) + "\n"
 
 
@@ -458,7 +490,19 @@ def _json_line(n: int, line: str) -> Any:
 
 def from_jsonl(text: str) -> History:
     """Inverse of to_jsonl; HistoryError naming the file line of the first
-    record that is not JSON or not a well-formed step."""
+    record that is not JSON or not a well-formed step.
+
+    Each distinct step line is parsed and checked once per call.  A
+    line that is exactly '{"index":i,' (``i`` its step's position)
+    followed by the body of a line already accepted is that line's
+    step: the full decoding of a byte-identical record would give an
+    equal step at the same index.  Every other line is decoded and
+    checked in full, and its body is reused only if the line is the
+    canonical ``to_jsonl`` line of the step it decoded to.  So a line
+    with reordered or escaped keys, a second ``"index"``, other spacing
+    or a trailing ``\\r`` never skips a check, and every error keeps its
+    text and line number.  Equal decoded steps are one ``Step`` object.
+    """
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise HistoryError("empty input")
@@ -468,12 +512,20 @@ def from_jsonl(text: str) -> History:
     processes = processes_from_doc(processes)
     listed = frozenset(processes)
     steps = []
+    decoded: dict[str, Step] = {}
     for i, (n, ln) in enumerate(lines[1:]):
-        rec = _json_line(n, ln)
-        try:
-            steps.append(step_from_doc(rec, objects, listed))
-        except HistoryError as exc:
-            raise HistoryError(f"line {n}: {exc}") from None
-        if not _is_id(rec.get("index")) or rec["index"] != i:
-            raise HistoryError(f"non-consecutive step index at line {n}")
+        prefix = '{"index":%d,' % i
+        body = ln[len(prefix):] if ln.startswith(prefix) else None
+        step = decoded.get(body)
+        if step is None:
+            rec = _json_line(n, ln)
+            try:
+                step = step_from_doc(rec, objects, listed)
+            except HistoryError as exc:
+                raise HistoryError(f"line {n}: {exc}") from None
+            if not _is_id(rec.get("index")) or rec["index"] != i:
+                raise HistoryError(f"non-consecutive step index at line {n}")
+            if body is not None and body == _body(step):
+                decoded[body] = step
+        steps.append(step)
     return History(tuple(steps), processes, objects)

@@ -73,7 +73,7 @@ def register_spec(initial: Any = 0, domain_bound: int | None = None) -> SeqSpec:
 
     ops = {"write": (1, write), "read": (0, _observe)}
     changed = _changed(register_spec, initial, domain_bound)
-    return SeqSpec("register", initial, ops, changed)
+    return SeqSpec("register", initial, ops, changed, ignores_process=True)
 
 
 def snapshot_spec(n: int, initial: int = 0) -> SeqSpec:
@@ -101,7 +101,8 @@ def queue_spec() -> SeqSpec:
             return state, BOTTOM
         return state[1:], state[0]
 
-    return SeqSpec("queue", (), {"enqueue": (1, enqueue), "dequeue": (0, dequeue)})
+    ops = {"enqueue": (1, enqueue), "dequeue": (0, dequeue)}
+    return SeqSpec("queue", (), ops, ignores_process=True)
 
 
 def counter_spec(initial: int = 0) -> SeqSpec:
@@ -113,7 +114,8 @@ def counter_spec(initial: int = 0) -> SeqSpec:
 
     ops = {"fetch_inc": (0, _increment), "fetch_dec": (0, fetch_dec),
            "read": (0, _observe)}
-    return SeqSpec("strong-counter", initial, ops, _changed(counter_spec, initial))
+    changed = _changed(counter_spec, initial)
+    return SeqSpec("strong-counter", initial, ops, changed, ignores_process=True)
 
 
 def cas_spec(initial: Any = 0) -> SeqSpec:
@@ -125,7 +127,7 @@ def cas_spec(initial: Any = 0) -> SeqSpec:
         return state, state
 
     ops = {"cas": (2, cas), "read": (0, _observe)}
-    return SeqSpec("cas", initial, ops, _changed(cas_spec, initial))
+    return SeqSpec("cas", initial, ops, _changed(cas_spec, initial), ignores_process=True)
 
 
 def llsc_spec(initial: Any = 0) -> SeqSpec:
@@ -163,7 +165,8 @@ def rmw_cell_spec(initial: Any = 0) -> SeqSpec:
 
     ops = {"read": (0, _observe), "write": (1, _overwrite),
            "fetch_set": (1, fetch_set), "fetch_inc": (0, _increment)}
-    return SeqSpec("rmw-cell", initial, ops, _changed(rmw_cell_spec, initial))
+    changed = _changed(rmw_cell_spec, initial)
+    return SeqSpec("rmw-cell", initial, ops, changed, ignores_process=True)
 
 
 def test_and_set_spec() -> SeqSpec:
@@ -173,7 +176,7 @@ def test_and_set_spec() -> SeqSpec:
         return 1, state
 
     ops = {"test_set": (0, test_set), "read": (0, _observe)}
-    return SeqSpec("test-and-set", 0, ops)
+    return SeqSpec("test-and-set", 0, ops, ignores_process=True)
 
 
 def coin_spec() -> SeqSpec:
@@ -182,7 +185,7 @@ def coin_spec() -> SeqSpec:
     def flip(state, process):
         return state, ANY_RESPONSE
 
-    return SeqSpec(COIN, None, {"flip": (0, flip)})
+    return SeqSpec(COIN, None, {"flip": (0, flip)}, ignores_process=True)
 
 
 #: Every sequential type by name.  The registry entry of an atomic or

@@ -171,6 +171,7 @@ def _examples_budget(fn):
 def test_criterion_8_property_suites_meet_their_budgets():
     engine = _load_suite("test_engine")
     checkers = _load_suite("test_checkers")
+    histories = _load_suite("test_histories")
 
     assert _examples_budget(engine.test_determinism_and_weak_adjacency) >= 500
     assert callable(engine.test_strong_class_prefix_equality_exhaustive)
@@ -186,6 +187,16 @@ def test_criterion_8_property_suites_meet_their_budgets():
     assert _examples_budget(checkers.test_locality_on_sampled_composed_runs) >= 100
     assert (
         _examples_budget(checkers.test_witness_checks_match_their_per_node_definitions)
+        >= 300
+    )
+    assert (
+        _examples_budget(checkers.test_linearize_one_prunes_identical_pending_operations_soundly)
+        >= 300
+    )
+    assert (
+        _examples_budget(
+            histories.test_decoder_matches_the_plain_decoder_on_edited_canonical_text
+        )
         >= 300
     )
     # Two-phase runs are certified against the phase-1 postcondition and

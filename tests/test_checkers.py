@@ -711,6 +711,16 @@ def test_linearize_one_pinned_cases():
     assert [s.payload for s in got.steps if s.is_rsp()] == [None, 2]
     with pytest.raises(CheckerError, match="^no specification for object 0$"):
         linearize_one(h, {})
+    # identical pending updates that a scan tells apart by their process
+    objs = {0: ObjectInfo("snapshot", BASE, (("key", "S"),))}
+    h = History(
+        (inv(1, 0, "update", (1,)), inv(2, 0, "update", (1,)), inv(3, 0, "update", (1,)),
+         inv(0, 0, "scan"), rsp(0, 0, "scan", (0, 0, 1, 0))),
+        (0, 1, 2, 3), objs,
+    )
+    got = linearize_one(h, default_specs(objs, h.processes))
+    rsps = [(s.process, s.payload) for s in got.steps if s.is_rsp()]
+    assert rsps == [(2, None), (0, (0, 0, 1, 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -1126,6 +1136,90 @@ def test_memo_tells_parent_images_apart_by_their_responses():
     assert got is not None and got == unmemoized_strong_lin(tree, specs)
     branch = next(n for n in tree.node_ids() if len(tree.children(n)) > 1)
     assert [(e.process, e.ret) for e in got[branch]] == [(2, 0), (1, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_tree_search_commits_identical_pending_increments_in_either_order(first):
+    # linearize_one tries one of two identical pending increments per
+    # position; the tree search must try both.  Here no image may commit
+    # an increment before the runs part (the read in run "read" returns
+    # 0), and in run "inc" both increments precede process 3's, which
+    # returns 2, with process ``first``'s returning 0: one node must
+    # commit both, process ``first``'s first.
+    objs = {0: ObjectInfo("strong-counter", BASE, (("key", "X"),))}
+    common = (inv(1, 0, "fetch_inc"), inv(2, 0, "fetch_inc"), inv(3, 0, "fetch_inc"))
+    runs = {
+        ("inc",): common + (rsp(3, 0, "fetch_inc", 2), rsp(first, 0, "fetch_inc", 0)),
+        ("read",): common + (inv(4, 0, "read"), rsp(4, 0, "read", 0)),
+    }
+    tree = HistoryTree.from_runs({k: History(h, tuple(range(5)), objs) for k, h in runs.items()})
+    specs = default_specs(tree.objects, tree.processes)
+    got = check_strong_lin(tree, specs)
+    assert got is not None and not witness_violations(tree, got, specs)
+    assert brute_strong_linearizable(tree, specs)
+    leaf = next(n for n in tree.leaves() if tree.step(n).process == first)
+    assert [(e.process, e.ret) for e in got[leaf]] == [(first, 0), (3 - first, 1), (3, 2)]
+
+
+IDENTICAL_PENDING = {
+    # flavor: registry type, pending (op, args) classes, completed
+    # operations as (op, args, responses or a function of the width)
+    "counter": ("strong-counter", [("fetch_inc", ()), ("fetch_dec", ())],
+                [("fetch_inc", (), range(-2, 5)), ("fetch_dec", (), range(-2, 5)),
+                 ("read", (), range(-3, 7))]),
+    "register": ("register", [("write", (1,)), ("write", (2,))],
+                 [("write", (1,), [None]), ("write", (2,), [None]), ("read", (), range(3))]),
+    "queue": ("queue", [("enqueue", (1,))],
+              [("enqueue", (2,), [None]), ("dequeue", (), [BOTTOM, 1, 2])]),
+    # The steps of these two read the process, so no pruning: a pending
+    # update sets its own process's component, which a scan tells apart.
+    "llsc": ("llsc-register", [("sc", (1,)), ("ll", ())],
+             [("ll", (), range(3)), ("sc", (2,), [0, 1]), ("read", (), range(3))]),
+    "snapshot": ("snapshot", [("update", (1,))],
+                 [("update", (2,), [None]),
+                  ("scan", (), lambda width: [tuple(int(i == j) for i in range(width))
+                                              for j in range(width + 1)])]),
+}
+
+
+@st.composite
+def identical_pending_histories(draw):
+    """One object on which processes 1..k, 3 <= k <= 6, each end by
+    leaving the same operation pending.  Up to 7 - k completed
+    operations, with freely drawn responses, go to processes 0..k, each
+    before its process's pending one; steps interleave at random.  At
+    most 7 operations in all, so that brute_linearizable stays quick."""
+    type_name, classes, own = IDENTICAL_PENDING[draw(st.sampled_from(sorted(IDENTICAL_PENDING)))]
+    op, args = draw(st.sampled_from(classes))
+    k = draw(st.integers(3, 6))
+    scripts = {p: [] for p in range(k + 1)}
+    for _ in range(draw(st.integers(0, 7 - k))):
+        o, a, pool = draw(st.sampled_from(own))
+        ret = draw(st.sampled_from(list(pool(k + 1) if callable(pool) else pool)))
+        scripts[draw(st.integers(0, k))] += [inv(0, 0, o, a), rsp(0, 0, o, ret)]
+    for p in range(1, k + 1):
+        scripts[p].append(inv(p, 0, op, args))
+    steps = []
+    while any(scripts.values()):
+        p = draw(st.sampled_from([p for p in scripts if scripts[p]]))
+        steps.append(scripts[p].pop(0)._replace(process=p))
+    objs = {0: ObjectInfo(type_name, BASE, (("key", "X"),))}
+    h = History(tuple(steps), tuple(range(k + 1)), objs)
+    return h, default_specs(objs, h.processes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(identical_pending_histories())
+def test_linearize_one_prunes_identical_pending_operations_soundly(case):
+    h, specs = case
+    got = linearize_one(h, specs)
+    assert (got is not None) == brute_linearizable(h, specs)
+    assert (got is not None) == whole_history_linearizable(h, specs)
+    # The order found is the one the search without the rule finds first.
+    ops = sorted(h.operations(), key=lambda o: (o.complete is False, o.process, o.inv_index))
+    need = frozenset(o.inv_index for o in ops if o.complete)
+    first = next(_linearizations(ops, _preds(ops), need, specs, {}), None)
+    assert got == (None if first is None else image_history(h, first[0]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -729,6 +729,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(runner, tmp_path):
         (["check-strong-lin", str(race)], 0),
         (["check-strong-lin", str(dequeue)], 1),
         (["check-lin", str(snap)], 0),
+        # JSONL on stdout: the encoder keeps a dict keyed on steps.
+        (["simulate", "--alg", "snapshot", "--coins", "1"], 0),
     ]
     for argv, code in commands:
         outs = []

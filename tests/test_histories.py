@@ -5,7 +5,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stronglin import histories as hs
@@ -319,12 +319,135 @@ def test_flip_response_is_a_response_on_a_coin_whatever_its_payload():
 # ---------------------------------------------------------------------------
 
 
+def plain_to_jsonl(h):
+    """The encoder with no memo: every line encoded in full.  The oracle
+    of to_jsonl's byte identity."""
+    header = {"objects": hs.objects_doc(h.objects), "processes": list(h.processes)}
+    lines = [hs._dumps(header)]
+    for i, s in enumerate(h.steps):
+        lines.append(hs._dumps({"index": i, **hs.step_doc(s)}))
+    return "\n".join(lines) + "\n"
+
+
+def plain_from_jsonl(text):
+    """The decoder with no memo: every line parsed and checked in full.
+    The oracle of from_jsonl's steps and error texts."""
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
+    if not lines:
+        raise HistoryError("empty input")
+    header = hs._json_line(*lines[0])
+    objects, processes = hs._fields(header, ("objects", "processes"), "header")
+    objects = objects_from_doc(objects)
+    processes = hs.processes_from_doc(processes)
+    listed = frozenset(processes)
+    steps = []
+    for i, (n, ln) in enumerate(lines[1:]):
+        rec = hs._json_line(n, ln)
+        try:
+            steps.append(hs.step_from_doc(rec, objects, listed))
+        except HistoryError as exc:
+            raise HistoryError(f"line {n}: {exc}") from None
+        if not hs._is_id(rec.get("index")) or rec["index"] != i:
+            raise HistoryError(f"non-consecutive step index at line {n}")
+    return History(tuple(steps), processes, objects)
+
+
+def decoded(decode, text):
+    # repr tells True and 1.0 from 1, which == does not.
+    try:
+        return repr(decode(text))
+    except HistoryError as exc:
+        return f"HistoryError: {exc}"
+
+
 @given(histories())
 def test_jsonl_round_trip_is_byte_exact(h):
     text = to_jsonl(h)
+    assert text == plain_to_jsonl(h)
     h2 = from_jsonl(text)
     assert h2 == h
+    assert h2.steps == plain_from_jsonl(text).steps
     assert to_jsonl(h2) == text
+
+
+def test_equal_steps_that_encode_differently_keep_their_own_text():
+    # 1 == True == 1.0, (1,) == (True,) and 0 == False == -0.0, and equal
+    # values hash alike, so a memo keyed on the step alone would write
+    # the first one's text for all of them.
+    groups = [(1, True, 1.0), ((1,), (True,), ((1,),)), (0, False, -0.0)]
+    steps = []
+    for group in groups:
+        for v in group:
+            steps += [inv(0, 0, "write", (v,)), rsp(0, 0, "write"),
+                      inv(0, 0, "read"), rsp(0, 0, "read", v)]
+    h = History(tuple(steps), (0, 1), REGISTRY)
+    text = to_jsonl(h)
+    assert text == plain_to_jsonl(h)
+    for v in ("true", "1.0", "[true]", "[[1]]", "false", "-0.0"):
+        assert f'"payload":[{v}]' in text and f'"payload":{v},' in text
+    # Decoding keeps each line's own types, however often a value repeats.
+    assert decoded(from_jsonl, text) == decoded(plain_from_jsonl, text)
+    assert to_jsonl(from_jsonl(text)) == text
+    # The guard covers every field, not just the payload.
+    h = History((inv(1, 0, "read"), rsp(1, 0, "read", 1),
+                 inv(1, 0, "read"), Step(RSP, True, 0, "read", 1, BASE)), (0, 1), REGISTRY)
+    assert to_jsonl(h) == plain_to_jsonl(h)
+    assert to_jsonl(h).endswith('"process":true,"object":0,"op":"read","payload":1,"level":"base"}\n')
+
+
+EDITS = ("reorder", "escape", "second index last", "second index first",
+         "index", "trailing", "payload scalar")
+
+
+def _edited(kind, i, j, line):
+    """Step line ``i``, canonical, with one edit; ``j`` is another index."""
+    prefix = '{"index":%d,' % i
+    body = line[len(prefix):]
+    if kind == "reorder":
+        return "{" + body[:-1] + ',"index":%d}' % i
+    if kind == "escape":
+        return line.replace('{"index"', '{"\\u0069ndex"', 1)
+    if kind == "second index last":
+        return line[:-1] + ',"index":%d}' % j
+    if kind == "second index first":
+        return '{"index":%d,"index":%d,' % (i, j) + body
+    if kind == "index":
+        return '{"index":%d,' % j + body
+    if kind == "trailing":
+        return line + (" ", "  ", "\r", " \r")[i % 4]
+    # One integer of the payload, as true or as a float.
+    head, sep, tail = line.partition('"payload":')
+    m = re.search(r"-?\d+", tail[: tail.rindex(',"level":')])
+    if m is None:
+        return line
+    new = "true" if i % 2 else m.group() + ".0"
+    return head + sep + tail[: m.start()] + new + tail[m.end():]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(histories())
+def test_decoder_matches_the_plain_decoder_on_edited_canonical_text(h):
+    # Canonical text is the only text whose lines the decoder's memo
+    # answers, so the edits start from it.  Each edit goes to the lines
+    # of one body, the first of them or not, with each line's other
+    # index ``j`` read one way: its own, its neighbours' or the first
+    # line's.  So an edited line that is accepted is followed by lines
+    # with the same text after their index, which must not be answered
+    # from it.
+    lines = to_jsonl(h).splitlines()
+    by_body = {}
+    for i, ln in enumerate(lines[1:]):
+        by_body.setdefault(ln[len('{"index":%d,' % i):], []).append(i)
+    group = max(by_body.values(), key=len, default=[])
+    for kind, anchor, first in itertools.product(
+        EDITS, ("own", "previous", "next", "first"), (True, False)
+    ):
+        edited = list(lines)
+        for i in group[0 if first else 1:]:
+            j = {"own": i, "previous": i - 1, "next": i + 1, "first": group[0]}[anchor]
+            edited[i + 1] = _edited(kind, i, j, lines[i + 1])
+        text = "\n".join(edited) + "\n"
+        assert decoded(from_jsonl, text) == decoded(plain_from_jsonl, text), (kind, anchor, first)
 
 
 @pytest.mark.parametrize("oid", ["00", "٣", "-1", "+1", " 1", "x"])

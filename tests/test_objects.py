@@ -654,6 +654,27 @@ def test_every_operation_checks_its_argument_count():
             spec.transition(spec.initial_state, "frob", (), 0)
 
 
+def test_ignores_process_is_declared_by_exactly_the_specs_whose_steps_ignore_it():
+    # linearize_one tries one of several identical pending operations per
+    # position only on a spec that declares this, so a wrong True would
+    # lose linearizations.  Compare every operation by processes 0, 1, 2
+    # in the states one or two operations reach.
+    def differs(spec):
+        calls = [(op, (1,) * arity) for op, (arity, _step) in spec.ops.items()]
+        states = {spec.initial_state}
+        for _ in range(2):
+            states |= {spec.transition(s, op, args, p)[0]
+                       for s in states for op, args in calls for p in (0, 1)}
+        return any(
+            len({spec.transition(s, op, args, p) for p in (0, 1, 2)}) > 1
+            for s in states for op, args in calls
+        )
+
+    for name in SPECS:
+        spec = spec_of_entry(ObjectInfo(name, BASE), (0, 1, 2))
+        assert spec.ignores_process is not differs(spec), name
+
+
 def test_an_operation_a_construction_lacks_is_rejected():
     # Bodies keep no unknown-op branch of their own: a call that issues
     # no base operation is the engine's to reject; the mutex wrapper
