@@ -435,9 +435,12 @@ def objects_from_doc(doc: Any) -> dict[int, ObjectInfo]:
 
 
 def processes_from_doc(doc: Any) -> tuple[int, ...]:
-    """A process list; HistoryError unless it is a list of integers."""
+    """A process list; HistoryError unless it is a list of distinct
+    integers (a repeated id would count as another process)."""
     if not isinstance(doc, list) or not all(_is_id(p) for p in doc):
         raise HistoryError("processes must be a list of integers")
+    if len(set(doc)) != len(doc):
+        raise HistoryError("processes must not repeat an id")
     return tuple(doc)
 
 
@@ -461,17 +464,27 @@ def to_jsonl(h: History) -> str:
     ``step_doc`` as canonical JSON without its opening brace.  Each
     distinct step is encoded once per call and its body reused for the
     equal steps after it, so the cost grows with the distinct steps.
-    A step is reused only when every field and payload scalar is an
-    ``int`` (not a ``bool``), a ``str`` or ``None``, or a tuple of
-    these: equal values of those types encode alike.  Any other step
-    (a ``True`` or ``1.0`` payload, say, which equals ``1``) is encoded
-    every time.
+    A step is reused only when its process and object are exact
+    ``int`` (not ``bool``), its kind, op and level exact ``str``, and
+    its payload ``None``, an exact ``int``, or a ``str`` or tuple whose
+    scalars are of those types: equal values of those types encode
+    alike.  The fields are tested directly, the payload's tuples alone
+    recursively.  Any other step (a ``True`` or ``1.0`` field, say,
+    which equals ``1``) is encoded every time.
     """
     header = {"objects": objects_doc(h.objects), "processes": list(h.processes)}
     lines = [_dumps(header)]
     bodies: dict[Step, str] = {}
     for i, s in enumerate(h.steps):
-        if not all(map(_exact, s)):
+        kind, process, obj, op, payload, level = s
+        if not (
+            type(process) is int
+            and type(obj) is int
+            and type(kind) is str
+            and type(op) is str
+            and type(level) is str
+            and (payload is None or type(payload) is int or _exact(payload))
+        ):
             body = _body(s)
         elif (body := bodies.get(s)) is None:
             body = bodies[s] = _body(s)
@@ -495,13 +508,21 @@ def from_jsonl(text: str) -> History:
     Each distinct step line is parsed and checked once per call.  A
     line that is exactly '{"index":i,' (``i`` its step's position)
     followed by the body of a line already accepted is that line's
-    step: the full decoding of a byte-identical record would give an
-    equal step at the same index.  Every other line is decoded and
-    checked in full, and its body is reused only if the line is the
-    canonical ``to_jsonl`` line of the step it decoded to.  So a line
-    with reordered or escaped keys, a second ``"index"``, other spacing
-    or a trailing ``\\r`` never skips a check, and every error keeps its
-    text and line number.  Equal decoded steps are one ``Step`` object.
+    step.  A body is admitted to this memo only when it holds no
+    ``index`` member.  The prefix leaves the parser inside the object,
+    waiting for a key, whatever ``i`` is, so the body reads alike after
+    any index; JSON keeps the last of two equal keys, so without an
+    ``index`` member of its own the body decodes to the same step with
+    the new line's index.  A body with neither a backslash nor the text
+    ``"index"`` cannot hold one: a key is ``index`` only when written
+    so, or with an escape.  Such a body is admitted without more work,
+    so a body with its keys in another order, other spacing or a
+    trailing ``\\r`` is memoized too.  Any other body is admitted only
+    when it is the canonical ``to_jsonl`` body of its step, which has
+    no ``index`` member (escaped text such as ``BOTTOM``, written
+    ``"\\u22a5"``, takes this path).  Every line outside the memo is
+    decoded and checked in full, so every error keeps its text and line
+    number.  Equal decoded steps are one ``Step`` object.
     """
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
@@ -525,7 +546,9 @@ def from_jsonl(text: str) -> History:
                 raise HistoryError(f"line {n}: {exc}") from None
             if not _is_id(rec.get("index")) or rec["index"] != i:
                 raise HistoryError(f"non-consecutive step index at line {n}")
-            if body is not None and body == _body(step):
+            if body is not None and (
+                ("\\" not in body and '"index"' not in body) or body == _body(step)
+            ):
                 decoded[body] = step
         steps.append(step)
     return History(tuple(steps), processes, objects)

@@ -413,6 +413,24 @@ def _processes_not_a_list():
     return json.dumps({"objects": {}, "processes": 5}) + "\n"
 
 
+def _repeated_process_history():
+    # A snapshot's width is its process count, so a repeated id would
+    # make the unedited run fail to linearize rather than be refused.
+    result = CliRunner().invoke(main, ["simulate", "--alg", "snapshot", "--coins", "1"])
+    header, *steps = result.output.splitlines()
+    doc = json.loads(header)
+    assert doc["processes"] == [0, 1, 2]
+    doc["processes"] = [0, 1, 2, 0]
+    return "\n".join([json.dumps(doc), *steps]) + "\n"
+
+
+def _repeated_process_tree():
+    doc = json.loads(counter_race_tree().to_json())
+    assert doc["processes"] == [0, 1, 2]
+    doc["processes"] = [0, 1, 2, 0]
+    return json.dumps(doc)
+
+
 def _race_step(**fields):
     header, first, *_rest = _race_jsonl_lines()
     step = {**json.loads(first), **fields}
@@ -607,6 +625,8 @@ def _deeply_nested_nodes():
         ("check-lin", _truncated_fourth_line),
         ("check-strong-lin", _node_without_step),
         ("check-lin", _processes_not_a_list),
+        ("check-lin", _repeated_process_history),
+        ("check-strong-lin", _repeated_process_tree),
         ("check-lin", _pending_step_on_unknown_object),
         ("check-lin", _string_step_process),
         ("check-lin", _step_with_bad_kind),

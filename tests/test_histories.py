@@ -1,14 +1,19 @@
 """History pairing, happens-before, interpretation, sequential validity and
 serialization."""
 
+import collections
 import itertools
+import random
 import re
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stronglin import histories as hs
+from stronglin.cli import main
+from stronglin.engine import PerProcessCoins, run
 from stronglin.histories import (
     ANY_RESPONSE,
     BASE,
@@ -32,6 +37,7 @@ from stronglin.histories import (
     to_jsonl,
     validate_sequential,
 )
+from stronglin.loadbalance import loadbalance_algorithm, round_robin_policy
 
 REGISTRY = {
     0: ObjectInfo("register", BASE, (("initial", 0),)),
@@ -370,11 +376,24 @@ def test_jsonl_round_trip_is_byte_exact(h):
     assert to_jsonl(h2) == text
 
 
+class Alias:
+    """Equal to a string and hashed as it, but not a ``str``."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def __eq__(self, other):
+        return other == self.s
+
+    def __hash__(self):
+        return hash(self.s)
+
+
 def test_equal_steps_that_encode_differently_keep_their_own_text():
     # 1 == True == 1.0, (1,) == (True,) and 0 == False == -0.0, and equal
     # values hash alike, so a memo keyed on the step alone would write
     # the first one's text for all of them.
-    groups = [(1, True, 1.0), ((1,), (True,), ((1,),)), (0, False, -0.0)]
+    groups = [(1, True, 1.0), ((1,), (True,), ((1,),), ((True,),)), (0, False, -0.0)]
     steps = []
     for group in groups:
         for v in group:
@@ -383,20 +402,33 @@ def test_equal_steps_that_encode_differently_keep_their_own_text():
     h = History(tuple(steps), (0, 1), REGISTRY)
     text = to_jsonl(h)
     assert text == plain_to_jsonl(h)
-    for v in ("true", "1.0", "[true]", "[[1]]", "false", "-0.0"):
+    for v in ("true", "1.0", "[true]", "[[1]]", "[[true]]", "false", "-0.0"):
         assert f'"payload":[{v}]' in text and f'"payload":{v},' in text
     # Decoding keeps each line's own types, however often a value repeats.
     assert decoded(from_jsonl, text) == decoded(plain_from_jsonl, text)
     assert to_jsonl(from_jsonl(text)) == text
-    # The guard covers every field, not just the payload.
-    h = History((inv(1, 0, "read"), rsp(1, 0, "read", 1),
-                 inv(1, 0, "read"), Step(RSP, True, 0, "read", 1, BASE)), (0, 1), REGISTRY)
-    assert to_jsonl(h) == plain_to_jsonl(h)
-    assert to_jsonl(h).endswith('"process":true,"object":0,"op":"read","payload":1,"level":"base"}\n')
+    # The guard covers every field, not just the payload: each twin
+    # follows an exact step it equals.
+    read = rsp(1, 0, "read", 1)
+    for field, twin, want in [("process", True, '"process":true'),
+                              ("obj", False, '"object":false'),
+                              ("obj", 0.0, '"object":0.0')]:
+        h = History((read, read._replace(**{field: twin})), (0, 1), REGISTRY)
+        assert to_jsonl(h) == plain_to_jsonl(h)
+        assert want in to_jsonl(h).splitlines()[-1]
+    # A string field has no twin that JSON writes otherwise, but one that
+    # it cannot write at all must be refused as the oracle refuses it.
+    for field in ("kind", "op", "level"):
+        h = History((read, read._replace(**{field: Alias(getattr(read, field))})), (0, 1), REGISTRY)
+        with pytest.raises(TypeError, match="Alias is not JSON serializable"):
+            plain_to_jsonl(h)
+        with pytest.raises(TypeError, match="Alias is not JSON serializable"):
+            to_jsonl(h)
 
 
 EDITS = ("reorder", "escape", "second index last", "second index first",
-         "index", "trailing", "payload scalar")
+         "escaped second index", "index", "trailing", "payload scalar",
+         "escaped payload", "index payload", "crlf")
 
 
 def _edited(kind, i, j, line):
@@ -409,12 +441,23 @@ def _edited(kind, i, j, line):
         return line.replace('{"index"', '{"\\u0069ndex"', 1)
     if kind == "second index last":
         return line[:-1] + ',"index":%d}' % j
+    if kind == "escaped second index":
+        return line[:-1] + ',"\\u0069ndex":%d}' % j
     if kind == "second index first":
         return '{"index":%d,"index":%d,' % (i, j) + body
     if kind == "index":
         return '{"index":%d,' % j + body
     if kind == "trailing":
         return line + (" ", "  ", "\r", " \r")[i % 4]
+    if kind == "crlf":
+        return line + "\r"
+    if kind in ("escaped payload", "index payload"):
+        # The payload, or its argument list, as one string: BOTTOM as
+        # to_jsonl writes it, or the text "index".
+        text = '"\\u22a5"' if kind == "escaped payload" else '"index"'
+        head, sep, tail = line.partition('"payload":')
+        rest = tail[tail.rindex(',"level":'):]
+        return head + sep + (f"[{text}]" if tail.startswith("[") else text) + rest
     # One integer of the payload, as true or as a float.
     head, sep, tail = line.partition('"payload":')
     m = re.search(r"-?\d+", tail[: tail.rindex(',"level":')])
@@ -448,6 +491,47 @@ def test_decoder_matches_the_plain_decoder_on_edited_canonical_text(h):
             edited[i + 1] = _edited(kind, i, j, lines[i + 1])
         text = "\n".join(edited) + "\n"
         assert decoded(from_jsonl, text) == decoded(plain_from_jsonl, text), (kind, anchor, first)
+
+
+def _round_robin_llsc_history(n=16):
+    alg = loadbalance_algorithm(n, "llsc")
+    rng = random.Random(f"codec:{n}")
+    coins = {q: (rng.randrange(len(alg.omega)),) for q in alg.processes}
+    return run(alg, round_robin_policy(n), PerProcessCoins(coins)).history
+
+
+def _simulated_hw_queue_history():
+    result = CliRunner().invoke(main, ["simulate", "--alg", "hw-queue", "--coins", "1"])
+    assert result.exit_code == 0
+    return from_jsonl(result.output)
+
+
+@pytest.mark.parametrize("make", [_round_robin_llsc_history, _simulated_hw_queue_history])
+def test_codecs_work_once_per_distinct_step(monkeypatch, make):
+    # Counts, not timings: the work of each codec grows with the distinct
+    # steps, and decoding re-encodes only bodies with an escape in them.
+    h = make()
+    calls = collections.Counter()
+
+    def counted(name):
+        f = getattr(hs, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("_body", "_json_line"):
+        monkeypatch.setattr(hs, name, counted(name))
+    text = to_jsonl(h)
+    assert calls["_body"] == len(set(h.steps)) < len(h)
+    bodies = {ln[len('{"index":%d,' % i):] for i, ln in enumerate(text.splitlines()[1:])}
+    escaped = {b for b in bodies if "\\" in b}
+    assert bool(escaped) == (make is _simulated_hw_queue_history)
+    calls.clear()
+    assert from_jsonl(text) == h
+    assert calls["_json_line"] == 1 + len(bodies)
+    assert calls["_body"] == len(escaped)
 
 
 @pytest.mark.parametrize("oid", ["00", "٣", "-1", "+1", " 1", "x"])
