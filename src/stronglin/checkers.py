@@ -7,9 +7,12 @@ part.  Any such set is a ``HistoryTree``.  Only
 from one strong adversary, so they branch only where a coin flip
 response differs, over exactly the outcomes ``omega``.  This module decides
 linearizability of a single history, searches for prefix-preserving
-linearization witnesses over whole trees, re-validates and normalizes
-such witnesses, and composes per-object witnesses into one for a
-multi-object tree (locality, stated as a claim of the checker suite).
+linearization witnesses over whole trees, re-validates such witnesses,
+and puts them in one normal form: beyond its parent's image, a node
+adds no flip but the one its own step responds to, and that one first,
+so a coin joins a linearization only once its outcome is known.
+Per-object witnesses compose into a normal one for a multi-object tree
+(locality, stated as a claim of the checker suite).
 Specifications come from registry entries alone (``default_specs``).
 Everything here is exhaustive by design and guarded accordingly; these
 are desk-scale tools, not model checkers.
@@ -27,7 +30,6 @@ from typing import Any, Iterator, Mapping
 
 from .histories import (
     ANY_RESPONSE,
-    INTERPRETED,
     INV,
     RSP,
     History,
@@ -750,92 +752,66 @@ def _completed_by_step(tree: HistoryTree, nid: int) -> OperationInstance | None:
     return None
 
 
+def _own_flip(tree: HistoryTree, nid: int) -> Image:
+    # The flip node ``nid``'s step responds to, if any: the one flip a
+    # normal image adds past its parent's, and the first thing it adds.
+    done = _completed_by_step(tree, nid)
+    return (done,) if done is not None and tree.objects[done.obj].is_coin else ()
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
 
 
 def normality_violations(tree: HistoryTree, witness: Witness) -> list[str]:
-    """Nodes where a flip directly follows an op it is concurrent with.
+    """Nodes that break the normal form: beyond its parent's image, a
+    node adds no flip but the one its own step responds to, and that
+    one first.
 
-    A node whose image starts with its parent's keeps the parent's
-    flagged positions and checks only the pairs its tail adds: the head
-    pairs hold the same operations, and the one the node's step
-    completes responds after every flip in the head was invoked, so
-    each head pair keeps its verdict.
+    Each node is checked on what its image holds past its parent's
+    length, so the rule is local; whether the image extends its
+    parent's at all is ``witness_violations``' question.  In a normal
+    witness a coin joins an image only once its outcome is known, so
+    every entry placed after a flip is one that some node on the path
+    commits after the flip responds.
     """
+    coins = {oid for oid, info in tree.objects.items() if info.is_coin}
     out = []
-    kept: dict[int, tuple] = {}
-    for nid in tree.node_ids():
-        pid = tree.parent(nid)
-        img = witness[nid]
-        base = kept.get(pid)
-        if base is not None and img[: len(base[0])] == base[0]:
-            start, flagged = len(base[0]), list(base[1])
-        else:
-            start, flagged = 0, []
-        by_key = None
-        for i in range(max(start, 1), len(img)):
-            e = img[i]
-            if not tree.objects[e.obj].is_coin:
-                continue
-            if by_key is None:
-                by_key = {o.inv_index: o for o in tree.ops_of(nid)}
-            if not happens_before(by_key[img[i - 1].inv_index], by_key[e.inv_index]):
-                flagged.append(i)
-        out.extend(
-            f"node {nid}: flip at image position {i} follows a concurrent operation"
-            for i in flagged
-        )
-        if tree.children(nid):
-            kept[nid] = (img, flagged)
-        if base is not None and nid == max(tree.children(pid)):
-            del kept[pid]
+    for nid in tree.node_ids()[1:]:
+        tail = witness[nid][len(witness[tree.parent(nid)]) :]
+        flips = [(i, e.inv_index) for i, e in enumerate(tail) if e.obj in coins]
+        if flips != [(0, e.inv_index) for e in _own_flip(tree, nid)]:
+            out.append(f"node {nid}: a flip enters the image other than first at its response")
     return out
 
 
 def normalize_witness(
     tree: HistoryTree, witness: Witness, specs: Mapping[int, SeqSpec]
 ) -> dict[int, Image]:
-    """Pull flips to their earliest order-respecting image positions.
+    """Permute a valid witness into the normal form that
+    ``normality_violations`` checks.
 
-    Per node: drop trailing still-pending ops, take the flips out, then
-    reinsert each (in history order) right after the last operation
-    that happens before it, found by scanning back from the end over
-    the response indices.  The input is not validated: a node without
-    an image, or with an image op the history lacks, is passed through
-    as it is, and base operations keep their order even where it breaks
-    happens-before.  The output must satisfy witness_violations and
-    normality, checked once before returning; CheckerError names the
-    first violation otherwise.
+    The input is validated once (witness_violations); CheckerError names
+    its first violation.  A node's normal image is then its parent's
+    normal image, then the flip its own step responds to, if any, then
+    the rest of what its image adds to its parent's, flips removed.  A
+    flip committed before its response is dropped there and enters at
+    its response.  The result is a valid witness: each object's entries
+    keep their order, a node still commits each operation it committed
+    before, and the entries a flip moves ahead of are pending at its
+    response node, so they are concurrent with the flip and on other
+    objects.
     """
-    coins = {oid for oid, info in tree.objects.items() if info.is_coin}
-    out: dict[int, Image] = {}
-    for nid in tree.node_ids():
-        if nid not in witness:
-            continue
-        by_key = {o.inv_index: o for o in tree.ops_of(nid)}
-        img = list(witness[nid])
-        if any(e.inv_index not in by_key for e in img):
-            out[nid] = tuple(img)
-            continue
-        while img and not by_key[img[-1].inv_index].complete:
-            img.pop()
-        flips = [e for e in img if by_key[e.inv_index].obj in coins]
-        base = [e for e in img if by_key[e.inv_index].obj not in coins]
-        rsps = [by_key[e.inv_index].rsp_index for e in base]
-        for cf in sorted(flips, key=lambda e: e.inv_index):
-            # an entry happens before the flip iff it responded before
-            # the flip was invoked
-            lo = len(base)
-            while lo and (rsps[lo - 1] is None or rsps[lo - 1] >= cf.inv_index):
-                lo -= 1
-            base.insert(lo, cf)
-            rsps.insert(lo, by_key[cf.inv_index].rsp_index)
-        out[nid] = tuple(base)
-    bad = witness_violations(tree, out, specs) or normality_violations(tree, out)
+    bad = witness_violations(tree, witness, specs)
     if bad:
         raise CheckerError(f"no valid normal witness: {bad[0]}")
+    coins = {oid for oid, info in tree.objects.items() if info.is_coin}
+    out: dict[int, Image] = {tree.root: witness[tree.root]}
+    for nid in tree.node_ids()[1:]:
+        pid = tree.parent(nid)
+        tail = witness[nid][len(witness[pid]) :]
+        out[nid] = out[pid] + _own_flip(tree, nid) + tuple(e for e in tail if e.obj not in coins)
     return out
 
 
@@ -865,13 +841,14 @@ def project_tree(tree: HistoryTree, oid: int) -> tuple[HistoryTree, dict[int, in
 
     Distinct branches whose projections coincide merge, so the result
     is the prefix tree of a plain set of histories and may branch at
-    non-flip steps.
+    non-flip steps.  A coin has no projection: its flips enter a
+    composed witness at their responses.
     """
     info = tree.objects.get(oid)
     if info is None:
         raise TreeError(f"unknown object {oid}")
-    if info.level != INTERPRETED:
-        raise TreeError(f"object {oid} is a base object")
+    if info.is_coin:
+        raise TreeError(f"object {oid} is a coin")
     proj = HistoryTree(tree.processes, tree.objects)
     cursor = {tree.root: proj.root}
     for nid in tree.node_ids()[1:]:
@@ -884,22 +861,21 @@ def project_tree(tree: HistoryTree, oid: int) -> tuple[HistoryTree, dict[int, in
 def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityVerdict:
     """Compose per-object witnesses into one for the whole tree.
 
-    Each implemented object O_j is projected out (project_tree) and
-    searched alone.  The combined image then grows edge by edge: a step
-    on O_j appends whatever O_j's own witness committed between the
-    projected nodes the edge's two ends land on (translated back to
-    tree indices); a top-level atomic or coin response appends that one
-    op.  The result is re-validated against the tree, so a failure here
-    is a counterexample report against the implementations.
-
-    Each top-level atomic response must directly follow its invocation,
-    as engine runs write them; TreeError otherwise, for example on
-    ``experiments.counter_race_tree()``, whose atomic operations overlap
-    (``check_strong_lin`` still decides such a tree).
+    Each object that is neither a coin nor owned by an implementation
+    is projected out (project_tree) and searched alone.  The combined
+    image then grows edge by edge: a step on such an object appends
+    whatever its own witness committed between the projected nodes the
+    edge's two ends land on (translated back to tree indices); a flip
+    response appends its flip, so the composed witness is normal by
+    construction.  The result is re-validated against the tree, so a
+    failure here is a counterexample report against the objects.
     """
-    impl = sorted(oid for oid, info in tree.objects.items() if info.level == INTERPRETED)
+    parts = sorted(
+        oid for oid, info in tree.objects.items()
+        if not info.is_coin and info.label("owner") is None
+    )
     images = {}
-    for oid in impl:
+    for oid in parts:
         proj, lands = project_tree(tree, oid)
         w = check_strong_lin(proj, specs)
         if w is None:
@@ -910,13 +886,13 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
 
     comb: dict[int, Image] = {tree.root: ()}
     depth = {tree.root: 0}
-    posmap = {tree.root: {oid: () for oid in impl}}
+    posmap = {tree.root: {oid: () for oid in parts}}
     for nid in tree.node_ids()[1:]:
         pnid, s = tree.parent(nid), tree.step(nid)
         at = depth[pnid]
         depth[nid] = at + 1
         ppos, pimg = posmap[pnid], comb[pnid]
-        if tree.objects[s.obj].level == INTERPRETED:
+        if s.obj in images:
             oid = s.obj
             newpos = ppos[oid] + (at,)
             lam = images[oid][nid][len(images[oid][pnid]) :]
@@ -930,21 +906,7 @@ def check_locality(tree: HistoryTree, specs: Mapping[int, SeqSpec]) -> LocalityV
             )
             posmap[nid] = {**ppos, oid: newpos}
         else:
-            if s.is_rsp():
-                prev = tree.step(pnid)
-                if not (
-                    prev is not None
-                    and prev.is_inv()
-                    and (prev.process, prev.obj, prev.op)
-                    == (s.process, s.obj, s.op)
-                ):
-                    raise TreeError(
-                        "atomic response is not adjacent to its invocation"
-                    )
-                # the operation invoked last, at step at - 1
-                comb[nid] = pimg + (tree.ops_of(nid)[-1],)
-            else:
-                comb[nid] = pimg
+            comb[nid] = pimg + _own_flip(tree, nid)
             posmap[nid] = ppos
     bad = witness_violations(tree, comb, specs)
     if bad:

@@ -76,7 +76,7 @@ from .objects import (
     vidyasankar_register,
     vitanyi_awerbuch_mrsw,
 )
-from .search import exists_adversary, optimal_expectation
+from .search import optimal_expectation
 
 
 class ExperimentError(Exception):
@@ -557,7 +557,7 @@ RACE_EARLY_FLIP = {
 
 
 def race_program() -> AlgorithmSpec:
-    """Atomic counterpart of the counter race, for schedulability search."""
+    """Atomic counterpart of the counter race, for ``coschedulable``."""
 
     def make_program(pid: int) -> Any:
         def racer() -> Any:
@@ -584,14 +584,22 @@ def completion_signature(h: History) -> tuple[tuple[int, str, Any], ...]:
 
 
 def coschedulable(targets: Mapping[int, tuple]) -> bool:
-    """Can one strong adversary realize every target image on its branch?"""
+    """Can one strong adversary realize every target image on its branch?
+
+    Each grant of ``race_program`` is one whole atomic operation, so a
+    target fixes its branch's grants: the processes of its entries, in
+    order.  Those maps make one strategy, played per coin through
+    ``engine.run``; it fails when the branches differ before the coin
+    is revealed or a run misses its target.
+    """
     alg = race_program()
-
-    def leaf_ok(rec: RunRecord, coins: tuple) -> bool:
-        return completion_signature(interpret(rec.history)) == targets[coins[0]]
-
-    found = exists_adversary(alg, (0, 1), leaf_ok, klass="strong")
-    return found is not None
+    strategy = {(c,): tuple(p for p, _op, _ret in targets[c]) for c in alg.omega}
+    policy = strategy_policy("strong", strategy)
+    try:
+        runs = {c: run(alg, policy, VectorCoins((c,))) for c in alg.omega}
+    except EngineError:
+        return False
+    return all(completion_signature(interpret(runs[c].history)) == targets[c] for c in alg.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +867,7 @@ def _witness_flag(tree: HistoryTree) -> str:
 def _locality_flag(tree: HistoryTree) -> str:
     """The witness flag by two routes, or ``disagree`` when they differ.
 
-    One route composes witnesses of the implemented objects' projections
+    One route composes witnesses of the objects' projections
     (check_locality), and reads ``none`` when some projection has none;
     the other searches the whole tree (_witness_flag).
     """

@@ -158,6 +158,26 @@ def test_loadbalance_report_bytes_are_pinned(runner):
     )
 
 
+# sha256 of each exact report at its defaults: the worked examples'
+# game values and the checker suite's verdicts, in CSV.
+EXACT_REPORT_DIGESTS = {
+    "snapshot": "84ab339388a20dc6afbad51836a34c10bac917be80812e8ce2085dd5bd254b35",
+    "srsw-register": "bad584df0b387889612226ac81b7a51ad3db0020e3ee6694154cdf1e95a09b53",
+    "mrsw-register": "bcb3de83059425ee8995a7b0bf79d65dacd151b29d186713e910fc3be4ea32b0",
+    "hw-queue": "eb5ff49b04393a11bb9c12029ef00ce8bd72e5ca9ab4d06c43297febb313e53a",
+    "strong-lin-suite":
+        "d82446ac4377b6be7bb01b6ac424fa137dddff3500ee0ea8c7feda99cc50769d",
+}
+
+
+@pytest.mark.parametrize("name", EXACT_REPORT_DIGESTS)
+def test_exact_report_bytes_are_pinned(runner, name):
+    result = runner.invoke(main, ["experiment", name])
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == EXACT_REPORT_DIGESTS[name]
+
+
 # sha256 of `simulate` output per (example, coin, variant, policy).  The
 # weak pinned schedules bundle a flip with the next invocation, so these
 # also fix where a method's boundary step lands after a weak flip.

@@ -6,6 +6,7 @@ search explores the full decision tree, and the examples' prose
 strategies really are optimal at these sizes.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,12 @@ from stronglin.experiments import (
     RACE_EARLY_FLIP,
     RACE_LATE_FLIP,
     atomic_value,
+    completion_signature,
     coschedulable,
     hw_queue_example,
     implemented_value,
     mrsw_register_example,
+    race_program,
     snapshot_example,
     srsw_register_example,
     _queue_payoff_unordered,
@@ -319,6 +322,15 @@ def test_mrsw_decision_trees_match_replay_from_root(monkeypatch, assert_replays,
 EARLY_FLIP_PLAN = {(0,): (2, 2, 0, 1), (1,): (2, 2, 1, 0)}
 
 
+def _race_targets_ok(targets):
+    # The leaf predicate of a search for one strong adversary that
+    # realizes each target image on its branch of race_program.
+    def leaf_ok(rec, coins):
+        return completion_signature(interpret(rec.history)) == targets[coins[0]]
+
+    return leaf_ok
+
+
 @pytest.mark.parametrize(
     "name, targets, plan",
     [("early", RACE_EARLY_FLIP, EARLY_FLIP_PLAN), ("late", RACE_LATE_FLIP, None)],
@@ -327,24 +339,39 @@ EARLY_FLIP_PLAN = {(0,): (2, 2, 0, 1), (1,): (2, 2, 1, 0)}
 def test_coschedulability_search_matches_replay_from_root(
     monkeypatch, assert_replays, name, targets, plan
 ):
-    calls = []
-
-    def recording(*args, **kwargs):
-        found = exists_adversary(*args, **kwargs)
-        calls.append((args, kwargs, found))
-        return found
-
-    monkeypatch.setattr(experiments, "exists_adversary", recording)
+    alg = race_program()
+    args = (alg, alg.omega, _race_targets_ok(targets))
     walks, statuses = _record_walks(monkeypatch)
-    coschedulable(targets)
+    found = exists_adversary(*args, klass="strong")
     _assert_walk_pinned(f"coschedulable-{name}", walks, statuses)
-    [(args, kwargs, found)] = calls
     assert found == plan
-    expected = _reference_exists(*args, **kwargs)
+    assert coschedulable(targets) == (plan is not None)
+    expected = _reference_exists(*args, klass="strong")
     assert (found is None) == (expected is None)
     if found is not None:
         assert list(found.items()) == list(expected.items())
-        assert_replays(args[0], found, args[2], kwargs["klass"])
+        assert_replays(alg, found, args[2])
+
+
+def test_coschedulable_agrees_with_the_search_on_every_target_pair():
+    # coschedulable plays the one strategy a target pair fixes instead
+    # of searching; exists_adversary is its oracle on every pair of the
+    # race program's completion signatures, one per coin outcome.
+    alg = race_program()
+    signatures = {c: set() for c in alg.omega}
+    for grants in set(itertools.permutations((0, 1, 2, 2))):
+        for c in alg.omega:
+            policy = engine.strategy_policy("strong", {(): grants})
+            rec = engine.run(alg, policy, engine.VectorCoins((c,)))
+            signatures[c].add(completion_signature(interpret(rec.history)))
+    assert [len(signatures[c]) for c in alg.omega] == [12, 12]
+    realizable = 0
+    for pair in itertools.product(*(sorted(signatures[c]) for c in alg.omega)):
+        targets = dict(zip(alg.omega, pair))
+        found = exists_adversary(alg, alg.omega, _race_targets_ok(targets), klass="strong")
+        assert coschedulable(targets) == (found is not None)
+        realizable += found is not None
+    assert 0 < realizable < 144
 
 
 def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkeypatch):
