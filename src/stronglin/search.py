@@ -265,11 +265,6 @@ def exists_adversary(
     that branch (branches share their pre-flip grant prefixes by
     construction), or None.  ``engine.strategy_policy`` plays the map
     through ``engine.run``: each branch's run replays its grants.
-
-    No report calls it.  It stays as the independent oracle of
-    ``experiments.coschedulable``, which plays the one strategy its
-    targets fix instead of searching, and bench's tracer wraps it by
-    name.
     """
     walk = _Walk(alg, omega, klass, "existence", node_cap, grant_cap)
 

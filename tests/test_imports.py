@@ -62,12 +62,7 @@ def test_top_level_imports_are_used(path):
 
 # Definitions no report, command or benchmark reaches, each with the
 # reason it stays in the package anyway.
-UNUSED_ON_PURPOSE: dict[str, str] = {
-    "normality_violations": (
-        "the normal form stated as a check: normalize_witness and check_locality"
-        " build normal witnesses by construction, and the tests hold both to it"
-    ),
-}
+UNUSED_ON_PURPOSE: dict[str, str] = {}
 SOURCES = MODULES + BENCH
 
 

@@ -353,10 +353,30 @@ def test_coschedulability_search_matches_replay_from_root(
         assert_replays(alg, found, args[2])
 
 
-def test_coschedulable_agrees_with_the_search_on_every_target_pair():
-    # coschedulable plays the one strategy a target pair fixes instead
-    # of searching; exists_adversary is its oracle on every pair of the
-    # race program's completion signatures, one per coin outcome.
+def _played(targets):
+    # Each grant of race_program is one whole atomic operation, so a
+    # target pair fixes one strong strategy: per coin, the processes of
+    # its entries in order.  The pair is realizable exactly when playing
+    # that strategy finishes every process and meets both targets.
+    alg = race_program()
+    strategy = {(c,): tuple(p for p, _op, _ret in targets[c]) for c in alg.omega}
+    policy = engine.strategy_policy("strong", strategy)
+    try:
+        runs = {c: engine.run(alg, policy, engine.VectorCoins((c,))) for c in alg.omega}
+    except engine.EngineError:
+        return False
+    return all(
+        set(runs[c].returns) == set(alg.processes)
+        and completion_signature(interpret(runs[c].history)) == targets[c]
+        for c in alg.omega
+    )
+
+
+def test_coschedulable_equals_the_strategy_its_targets_fix():
+    # On every pair of the race program's completion signatures, one
+    # per coin outcome, the search decides as the one played strategy
+    # does; so do targets that leave the last operation unfinished,
+    # which a play that stopped when its grants ran out would accept.
     alg = race_program()
     signatures = {c: set() for c in alg.omega}
     for grants in set(itertools.permutations((0, 1, 2, 2))):
@@ -368,10 +388,12 @@ def test_coschedulable_agrees_with_the_search_on_every_target_pair():
     realizable = 0
     for pair in itertools.product(*(sorted(signatures[c]) for c in alg.omega)):
         targets = dict(zip(alg.omega, pair))
-        found = exists_adversary(alg, alg.omega, _race_targets_ok(targets), klass="strong")
-        assert coschedulable(targets) == (found is not None)
-        realizable += found is not None
+        found = coschedulable(targets)
+        assert found == _played(targets)
+        realizable += found
     assert 0 < realizable < 144
+    early_cut = {c: sig[:-1] for c, sig in RACE_EARLY_FLIP.items()}
+    assert not coschedulable(early_cut) and not _played(early_cut)
 
 
 def test_implemented_srsw_weak_game_forks_instead_of_replaying_every_node(monkeypatch):
